@@ -13,6 +13,12 @@ final flow can still authenticate through the old pair; the per-record
 counter M tracks how often that happened since the last current-epoch
 authentication and triggers a warning above a configured limit.
 
+The reader finds a tag's record through an index from identifier hash to
+record positions, one for each epoch, so authentication costs the same
+however many tags are provisioned. Lookup order is fixed: new epoch before
+old, and within an epoch provisioning order, the first record whose key
+hash verifies winning.
+
 The identifier, key and nonces share one width: they are XOR-combined
 into the next key, so unequal widths would make the update ill-typed.
 The transport hashes H(.) may truncate to a narrower width; G keeps the
@@ -21,6 +27,7 @@ value width because the identifier chain feeds back into the key.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .bits import BitString
@@ -139,11 +146,48 @@ class ReaderSession:
 
 
 class LwjxReaderDb:
+    """The reader: per-tag records in provisioning order, indexed by H(ID).
+
+    ``records`` is the ordered store that snapshots and the CLI read; a
+    record's position in it never changes. Two indexes map the int value of
+    an identifier hash to the positions of the records whose new epoch
+    (``_by_new``) or old epoch (``_by_old``) carries it, each bucket sorted in
+    provisioning order. Records enter only through :meth:`add_record`, and
+    only the new-branch rewrite moves a record between buckets: the old
+    branch changes ``m`` and ``k_new``, which the index does not key on.
+    """
+
     def __init__(self, params: LwjxParams):
         self.params = params
         self.records: list[LwjxReaderRecord] = []
+        self._by_new: dict[int, list[int]] = {}
+        self._by_old: dict[int, list[int]] = {}
         self.sessions: dict[str, ReaderSession] = {}
         self._next_session = 0
+
+    def add_record(self, rec: LwjxReaderRecord):
+        """Append a record and index its epochs.
+
+        The index keys on hash values alone, so the widths are checked here.
+        """
+        p = self.params
+        old_hash, old_key = rec.h_id_old, rec.k_old
+        if (
+            rec.id.width != p.bits
+            or rec.k_new.width != p.bits
+            or rec.h_id_new.width != p.hash_bits
+            or (old_hash is None) != (old_key is None)
+            or (old_hash is not None and old_hash.width != p.hash_bits)
+            or (old_key is not None and old_key.width != p.bits)
+        ):
+            raise ValueError(
+                "record fields must match the protocol widths, old epoch all or nothing"
+            )
+        pos = len(self.records)
+        self.records.append(rec)
+        _index(self._by_new, rec.h_id_new.value, pos)
+        if old_hash is not None:
+            _index(self._by_old, old_hash.value, pos)
 
     def provision(
         self, rng: Rng, id_: BitString | None = None, k: BitString | None = None
@@ -153,7 +197,7 @@ class LwjxReaderDb:
             id_ = rng.bits(p.bits)
         if k is None:
             k = rng.bits(p.bits)
-        self.records.append(
+        self.add_record(
             LwjxReaderRecord(
                 id=id_,
                 h_id_new=truncated_hash(p.h, id_),
@@ -177,9 +221,14 @@ class LwjxReaderDb:
     ) -> tuple[SessionVerdict, Flow3 | RejectMessage]:
         """Match the identifier hash against the new then the old epoch.
 
-        Records are scanned in provisioning order and the first one whose
-        key hash verifies wins, so identifier-hash collisions at small
-        widths resolve deterministically.
+        The candidates come from the index: first the records whose new
+        epoch carries H(ID), then those whose old epoch does, each in
+        provisioning order. The first whose key hash verifies wins, so
+        identifier-hash collisions at small widths resolve deterministically.
+        An old-epoch candidate bumps its counter M before its key hash is
+        checked, and one already past ``m_limit`` is skipped. The verdict,
+        accept or reject, closes the session; a malformed flow2 raises
+        ProtocolError and leaves it open.
         """
         p = self.params
         sess = self.sessions.get(sid)
@@ -192,24 +241,35 @@ class LwjxReaderDb:
             or flow2.rt.width != p.bits
         ):
             raise ProtocolError("flow2 shape or widths invalid")
+        del self.sessions[sid]
         rr, rt = sess.rr, flow2.rt
-        matched = False
-        limit_hit = False
-        for rec in self.records:
-            if rec.h_id_new == flow2.hid:
-                matched = True
+        key = flow2.hid.value
+        records = self.records
+        new_bucket = self._by_new.get(key)
+        if new_bucket is not None:
+            for pos in new_bucket:
+                rec = records[pos]
                 if truncated_hash(p.h, rec.k_new.concat(rr)) == flow2.hk:
                     reply = truncated_hash(p.h, rec.k_new.concat(rt))
+                    # unindex both epochs before reindexing: at narrow hash
+                    # widths the old, current and next H(ID) may coincide
+                    _unindex(self._by_new, key, pos)
+                    if rec.h_id_old is not None:
+                        _unindex(self._by_old, rec.h_id_old.value, pos)
                     rec.m = 0
                     rec.id = truncated_hash(p.g, rec.id)
                     rec.h_id_old = rec.h_id_new
                     rec.h_id_new = truncated_hash(p.h, rec.id)
                     rec.k_old = rec.k_new
                     rec.k_new = rec.id ^ rr ^ rt
+                    _index(self._by_old, key, pos)
+                    _index(self._by_new, rec.h_id_new.value, pos)
                     return SessionVerdict("reader", True, "new-branch"), Flow3(reply)
-        for rec in self.records:
-            if rec.h_id_old is not None and rec.h_id_old == flow2.hid:
-                matched = True
+        old_bucket = self._by_old.get(key)
+        limit_hit = False
+        if old_bucket is not None:
+            for pos in old_bucket:
+                rec = records[pos]
                 if rec.m > p.m_limit:
                     limit_hit = True
                     continue
@@ -223,20 +283,36 @@ class LwjxReaderDb:
                     return SessionVerdict("reader", True, "old-branch"), Flow3(reply)
         if limit_hit:
             return SessionVerdict("reader", False, "warn-limit"), RejectMessage()
-        if matched:
+        if new_bucket is not None or old_bucket is not None:
             return SessionVerdict("reader", False, "bad-key-hash"), RejectMessage()
         return SessionVerdict("reader", False, "no-match"), RejectMessage()
 
 
+def _index(index: dict[int, list[int]], key: int, pos: int):
+    """Add a record position to its bucket, keeping provisioning order."""
+    bucket = index.get(key)
+    if bucket is None:
+        index[key] = [pos]
+    else:
+        insort(bucket, pos)
+
+
+def _unindex(index: dict[int, list[int]], key: int, pos: int):
+    """Remove a record position; an emptied bucket goes, so no key lingers."""
+    bucket = index[key]
+    if len(bucket) == 1:
+        del index[key]
+    else:
+        bucket.remove(pos)
+
+
 def is_synchronized(db: LwjxReaderDb, tag: LwjxTag) -> bool:
     """Some record's new or old epoch matches the tag's (H(ID), K)."""
-    hid = truncated_hash(db.params.h, tag.id)
-    for rec in db.records:
-        if rec.h_id_new == hid and rec.k_new == tag.k:
-            return True
-        if rec.h_id_old == hid and rec.k_old == tag.k:
-            return True
-    return False
+    key = truncated_hash(db.params.h, tag.id).value
+    records = db.records
+    return any(records[pos].k_new == tag.k for pos in db._by_new.get(key, ())) or any(
+        records[pos].k_old == tag.k for pos in db._by_old.get(key, ())
+    )
 
 
 def run_honest_session(

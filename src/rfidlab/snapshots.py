@@ -83,17 +83,19 @@ def lwjx_db_to_doc(db: LwjxReaderDb) -> dict:
 def lwjx_db_from_doc(doc: dict) -> LwjxReaderDb:
     _validate(doc, "lwjx")
     db = LwjxReaderDb(LwjxParams(**doc["params"]))
-    for entry in doc["records"]:
-        db.records.append(
-            LwjxReaderRecord(
-                id=BitString.parse(entry["id"]),
-                h_id_new=BitString.parse(entry["h_id_new"]),
-                h_id_old=_parse_opt(entry["h_id_old"]),
-                k_new=BitString.parse(entry["k_new"]),
-                k_old=_parse_opt(entry["k_old"]),
-                m=entry["m"],
-            )
+    for i, entry in enumerate(doc["records"]):
+        rec = LwjxReaderRecord(
+            id=BitString.parse(entry["id"]),
+            h_id_new=BitString.parse(entry["h_id_new"]),
+            h_id_old=_parse_opt(entry["h_id_old"]),
+            k_new=BitString.parse(entry["k_new"]),
+            k_old=_parse_opt(entry["k_old"]),
+            m=entry["m"],
         )
+        try:
+            db.add_record(rec)
+        except ValueError as exc:
+            raise SnapshotError(f"record {i}: {exc}") from None
     return db
 
 

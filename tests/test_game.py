@@ -87,6 +87,16 @@ class TestSendQuery:
         sid2, _ = game.reader_begin()  # new rand1; the captured h1 is stale
         assert game.send_to_reader(sid2, flow2) == RejectMessage()
 
+    def test_second_flow2_on_a_closed_lwjx_session_draws_a_reject(self):
+        # the reader closes a session on its verdict; a resent flow2 finds
+        # no session, and the game turns that ProtocolError into a reject
+        game = fresh_game("lwjx")
+        sid, flow1 = game.reader_begin()
+        flow2 = game.send_to_tag(0, flow1)
+        assert isinstance(game.send_to_reader(sid, flow2), lwjx.Flow3)
+        assert sid not in game.db.sessions
+        assert game.send_to_reader(sid, flow2) == RejectMessage()
+
     def test_flow3_tampering_is_expressible_through_send_queries(self):
         # relay a full session, XORing one mask into both halves of flow3;
         # the tag accepts and is desynchronized from then on

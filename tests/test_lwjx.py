@@ -4,6 +4,7 @@ from rfidlab.bits import BitString
 from rfidlab.crypto import truncated_hash
 from rfidlab.lwjx import (
     Flow1,
+    Flow2,
     Flow3,
     LwjxParams,
     LwjxReaderDb,
@@ -12,6 +13,13 @@ from rfidlab.lwjx import (
 )
 from rfidlab.rng import Rng
 from rfidlab.session import ProtocolError, RejectMessage
+from rfidlab.snapshots import (
+    SnapshotError,
+    load_db,
+    lwjx_db_from_doc,
+    lwjx_db_to_doc,
+    snapshot_db,
+)
 
 
 def make_world(seed=1, **params):
@@ -128,6 +136,93 @@ class TestAuthenticate:
         verdict, reply = db.authenticate(sid, forged)
         assert (verdict.ok, verdict.reason) == (False, "bad-key-hash")
         assert isinstance(reply, RejectMessage)
+
+
+    def test_counter_burn_after_one_dropped_flow3_locks_the_tag_out(self):
+        # M is bumped before the key hash is checked: once the tag lags, six
+        # forged flow2 messages carrying its eavesdropped H(ID) push M past
+        # m_limit=5, and the reader refuses every later honest session
+        tag, db, rng = make_world(m_limit=5)
+        dropped = run_honest_session(tag, db, rng, drop_flow3=True)
+        hid = dropped.transcript.delivered("flow2")["hid"]
+        assert db.records[0].h_id_old == hid
+        for _ in range(6):
+            sid, _ = db.begin(rng)
+            hk = rng.bits(db.params.hash_bits)
+            forged = Flow2(hid=hid, hk=hk, rt=rng.bits(db.params.bits))
+            verdict, reply = db.authenticate(sid, forged)
+            assert (verdict.ok, verdict.reason) == (False, "bad-key-hash")
+            assert isinstance(reply, RejectMessage)
+        assert db.records[0].m == 6
+        for _ in range(5):
+            assert run_honest_session(tag, db, rng).reader_verdict.reason == "warn-limit"
+
+
+class TestSessionTable:
+    def test_accept_and_reject_both_close_the_session(self):
+        tag, db, rng = make_world()
+        sid, f1 = db.begin(rng)
+        flow2 = tag.respond(f1, rng)
+        assert db.authenticate(sid, flow2)[0].ok
+        sid2, _ = db.begin(rng)
+        assert not db.authenticate(sid2, flow2)[0].ok  # stale key hash
+        assert db.sessions == {}
+        for closed in (sid, sid2):
+            with pytest.raises(ProtocolError):
+                db.authenticate(closed, flow2)
+
+    def test_malformed_flow2_leaves_the_session_open(self):
+        tag, db, rng = make_world()
+        sid, f1 = db.begin(rng)
+        flow2 = tag.respond(f1, rng)
+        with pytest.raises(ProtocolError):
+            db.authenticate(sid, Flow2(hid=flow2.hid, hk=flow2.hk, rt=rng.bits(7)))
+        assert sid in db.sessions
+        assert db.authenticate(sid, flow2)[0].ok
+
+    def test_table_is_empty_after_honest_sessions(self):
+        tag, db, rng = make_world()
+        for i in range(50):
+            run_honest_session(tag, db, rng, drop_flow3=(i % 4 == 0))
+        assert db.sessions == {}
+
+
+class TestIndexedRecords:
+    def test_snapshot_round_trip_serves_both_epochs(self, tmp_path):
+        rng = Rng(4)
+        db = LwjxReaderDb(LwjxParams())
+        lagging, current, fresh = (db.provision(rng) for _ in range(3))
+        run_honest_session(current, db, rng)
+        run_honest_session(lagging, db, rng, drop_flow3=True)
+        run_honest_session(lagging, db, rng, drop_flow3=True)  # old branch, m = 1
+        path = tmp_path / "db.json"
+        snapshot_db(db, path)
+        loaded = load_db(path)
+        doc = lwjx_db_to_doc(loaded)
+        assert doc == lwjx_db_to_doc(db)
+        assert doc["records"][0]["m"] == 1
+        assert doc["records"][0]["h_id_old"] is not None
+        result = run_honest_session(lagging, loaded, rng)
+        assert result.reader_verdict.reason == "old-branch"
+        assert result.tag_verdict.ok
+        for tag in (current, fresh, lagging):
+            result = run_honest_session(tag, loaded, rng)
+            assert result.reader_verdict.reason == "new-branch"
+            assert result.both_accepted
+            assert is_synchronized(loaded, tag)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        # three wrong widths, then an old epoch with its hash but no key
+        [("h_id_new", "8:00"), ("h_id_old", "8:00"), ("k_new", "8:00"), ("k_old", None)],
+    )
+    def test_malformed_snapshot_record_is_rejected(self, field, value):
+        tag, db, rng = make_world()
+        run_honest_session(tag, db, rng)
+        doc = lwjx_db_to_doc(db)
+        doc["records"][0][field] = value
+        with pytest.raises(SnapshotError):
+            lwjx_db_from_doc(doc)
 
 
 class TestFinalize:

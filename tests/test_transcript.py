@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from rfidlab.transcript import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GENERATOR = Path(__file__).parent.parent / "scripts" / "generate_fixtures.py"
 
 
 def fwcfp_disclosed_session(seed=5):
@@ -139,6 +141,15 @@ class TestReplay:
     def test_golden_lwjx_fixture_replays(self):
         report = replay_file(FIXTURES / "lwjx_honest.jsonl")
         assert report.ok, report.describe()
+
+    @pytest.mark.parametrize("protocol", ["fwcfp", "lwjx"])
+    def test_generator_reproduces_the_golden_fixture_bytes(self, protocol, tmp_path):
+        spec = importlib.util.spec_from_file_location("generate_fixtures", GENERATOR)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        path = tmp_path / f"{protocol}_honest.jsonl"
+        write_jsonl(path, getattr(generator, f"{protocol}_fixture")())
+        assert path.read_bytes() == (FIXTURES / path.name).read_bytes()
 
 
 class TestSnapshots:
