@@ -115,7 +115,8 @@ EMPTY = BitString(0, 0)
 
 def concat_all(*parts: BitString) -> BitString:
     """Concatenate left to right; leftmost part ends up in the high bits."""
-    out = EMPTY
+    width = value = 0
     for part in parts:
-        out = out.concat(part)
-    return out
+        width += part.width
+        value = (value << part.width) | part.value
+    return BitString(width, value)

@@ -1,7 +1,8 @@
 """Experiment runner: honest drives, attacks, replay and snapshots.
 
-Exit codes: 0 on success, 1 for configuration problems, 2 when a run
-misses its acceptance threshold (for CI pipelines). Seeds default to a
+Exit codes: 0 on success, 1 for configuration problems (bad flags, or a
+transcript or snapshot that cannot be loaded), 2 when a run misses its
+acceptance threshold (for CI pipelines). Seeds default to a
 fixed constant so every run is reproducible unless told otherwise; the
 RFIDLAB_SEED environment variable overrides the default and --seed
 overrides both.
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from . import attacks, fwcfp, game, lwjx, replay, snapshots
 from .bits import BitString
 from .rng import Rng
+from .transcript import TranscriptFormatError, read_jsonl
 
 DEFAULT_SEED = 7
 SEED_ENV = "RFIDLAB_SEED"
@@ -309,14 +311,17 @@ def _cmd_trace(config: ExperimentConfig):
 
 
 def _cmd_replay(args):
-    report = replay.replay_file(args.input)
+    report = replay.verify_all(read_jsonl(args.input))
     return (EXIT_OK if report.ok else EXIT_THRESHOLD), None, report.describe()
 
 
 def _cmd_snapshot(args):
     seed = _resolve_seed(args)
     if args.input:
-        master = bytes.fromhex(args.master_key) if args.master_key else None
+        try:
+            master = bytes.fromhex(args.master_key) if args.master_key else None
+        except ValueError:
+            raise ConfigError("--master-key must be hex") from None
         db = snapshots.load_db(args.input, master_key=master)
         if args.output:
             snapshots.snapshot_db(
@@ -476,7 +481,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, snapshots.SnapshotError) as exc:
+    except (OSError, snapshots.SnapshotError, TranscriptFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

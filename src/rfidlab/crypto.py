@@ -8,22 +8,34 @@ message is the first n bits of SHA-256 over
     domain_tag || canonical bytes of the message || 8-byte width
 
 and ``expand_mask`` extends that same stream with a 4-byte counter, so an
-expansion is always prefix-consistent with the plain hash.
+expansion is always prefix-consistent with the plain hash. A mask of 256
+bits or fewer is the top bits of that one digest; the counter blocks are
+hashed only for wider masks.
 
 The permutation is a 4-round balanced Feistel network whose round function
 is the truncated hash under per-round domain tags. It is a bijection on
 {0,1}^W for every key and cheap to invert; no cryptographic strength is
-claimed for it beyond what the experiments here need.
+claimed for it beyond what the experiments here need. A PermKey caches its
+round parameters and its key shifted above the half block, so a round
+builds one message BitString and no HashParams.
+
+The call boundaries are kept on purpose, so that wrapping the module-level
+names counts every oracle call: each Feistel round goes through
+``truncated_hash``, and ``truncated_hash`` goes through ``expand_mask``.
+The HashParams that ``h_params``, ``g_params`` and the Feistel rounds use
+are memoised per width; HashParams are immutable, so sharing them is safe.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bits import BitString, WidthError
 
 HASH_NAME = "sha256"
+_sha256 = hashlib.sha256
 _DIGEST_BITS = 256
 
 # one-byte domain separation tags
@@ -45,22 +57,18 @@ class HashParams:
             raise ValueError(f"hash output must be >= 1 bit, got {self.output_bits}")
         if not 0 <= self.domain_tag <= 0xFF:
             raise ValueError(f"domain tag must be one byte, got {self.domain_tag}")
+        # not a field: equality, hashing and repr stay on (output_bits, domain_tag)
+        object.__setattr__(self, "tag_byte", bytes((self.domain_tag,)))
 
 
+@lru_cache
 def h_params(output_bits: int) -> HashParams:
     return HashParams(output_bits, H_TAG)
 
 
+@lru_cache
 def g_params(output_bits: int) -> HashParams:
     return HashParams(output_bits, G_TAG)
-
-
-def _stream_prefix(params: HashParams, message: BitString) -> bytes:
-    return (
-        bytes((params.domain_tag,))
-        + message.to_bytes()
-        + message.width.to_bytes(8, "big")
-    )
 
 
 def expand_mask(params: HashParams, message: BitString, target_width: int) -> BitString:
@@ -72,12 +80,20 @@ def expand_mask(params: HashParams, message: BitString, target_width: int) -> Bi
     """
     if target_width < 1:
         raise ValueError(f"mask width must be >= 1, got {target_width}")
-    prefix = _stream_prefix(params, message)
-    stream = hashlib.sha256(prefix).digest()
+    width = message.width
+    prefix = (
+        params.tag_byte
+        + message.value.to_bytes((width + 7) // 8, "big")
+        + width.to_bytes(8, "big")
+    )
+    stream = _sha256(prefix).digest()
+    if target_width <= _DIGEST_BITS:
+        value = int.from_bytes(stream, "big") >> (_DIGEST_BITS - target_width)
+        return BitString(target_width, value)
     counter = 1
     need = (target_width + 7) // 8
     while len(stream) < need:
-        stream += hashlib.sha256(prefix + counter.to_bytes(4, "big")).digest()
+        stream += _sha256(prefix + counter.to_bytes(4, "big")).digest()
         counter += 1
     value = int.from_bytes(stream[:need], "big") >> (8 * need - target_width)
     return BitString(target_width, value)
@@ -86,6 +102,11 @@ def expand_mask(params: HashParams, message: BitString, target_width: int) -> Bi
 def truncated_hash(params: HashParams, message: BitString) -> BitString:
     """The n-bit hash oracle: first n bits of the domain-tagged SHA-256."""
     return expand_mask(params, message, params.output_bits)
+
+
+@lru_cache
+def _round_params(half: int) -> tuple[HashParams, ...]:
+    return tuple(HashParams(half, FEISTEL_TAG_BASE + rnd) for rnd in range(FEISTEL_ROUNDS))
 
 
 @dataclass(frozen=True)
@@ -100,16 +121,21 @@ class PermKey:
             raise ValueError("permutation key must be non-empty")
         if self.width < 2 or self.width % 2:
             raise WidthError(f"block width must be even and >= 2, got {self.width}")
+        # not fields: a round hashes key || right half, built from these
+        half = self.width // 2
+        object.__setattr__(self, "round_params", _round_params(half))
+        object.__setattr__(self, "shifted_key", int.from_bytes(self.key, "big") << half)
+        object.__setattr__(self, "message_width", 8 * len(self.key) + half)
 
     @classmethod
     def generate(cls, rng, width: int, key_bytes: int = 16) -> PermKey:
         return cls(rng.bytes(key_bytes), width)
 
 
-def _round_value(key: PermKey, rnd: int, right: int, half: int) -> int:
-    params = HashParams(half, FEISTEL_TAG_BASE + rnd)
-    message = BitString.from_bytes(key.key).concat(BitString(half, right))
-    return truncated_hash(params, message).value
+def _round_value(key: PermKey, rnd: int, right: int) -> int:
+    """Round function: truncated hash of key bytes || right half, as one message."""
+    message = BitString(key.message_width, key.shifted_key | right)
+    return truncated_hash(key.round_params[rnd], message).value
 
 
 def permute(key: PermKey, block: BitString) -> BitString:
@@ -120,7 +146,7 @@ def permute(key: PermKey, block: BitString) -> BitString:
     mask = (1 << half) - 1
     left, right = block.value >> half, block.value & mask
     for rnd in range(FEISTEL_ROUNDS):
-        left, right = right, left ^ _round_value(key, rnd, right, half)
+        left, right = right, left ^ _round_value(key, rnd, right)
     return BitString(key.width, (left << half) | right)
 
 
@@ -132,5 +158,5 @@ def invert(key: PermKey, block: BitString) -> BitString:
     mask = (1 << half) - 1
     left, right = block.value >> half, block.value & mask
     for rnd in reversed(range(FEISTEL_ROUNDS)):
-        left, right = right ^ _round_value(key, rnd, left, half), left
+        left, right = right ^ _round_value(key, rnd, left), left
     return BitString(key.width, (left << half) | right)

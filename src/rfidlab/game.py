@@ -69,28 +69,6 @@ class ChallengeHandle:
         return self.token.render()
 
 
-# query log records, for audit and phase-discipline testing
-@dataclass(frozen=True)
-class ExecuteQuery:
-    target: object
-
-
-@dataclass(frozen=True)
-class SendQuery:
-    target: object
-    flow: str
-
-
-@dataclass(frozen=True)
-class CorruptQuery:
-    target: object
-
-
-@dataclass(frozen=True)
-class TestQuery:
-    pass
-
-
 class FwcfpProtocol:
     name = "fwcfp"
     flow_count = 4
@@ -198,8 +176,6 @@ class UprivGame:
         self.b: int | None = None
         self.handle: ChallengeHandle | None = None
         self.archive: dict[str, Transcript] = {}
-        self.archive_order: list[str] = []
-        self.query_log: list = []
         self.queries_used = 0
         self.budget = budget
         self.corrupt_policy = corrupt_policy
@@ -235,10 +211,8 @@ class UprivGame:
         tag = (self.tag0, self.tag1)[index]
         result = self.protocol.run_session(tag, self.db, self.rng)
         self.archive[result.session_id] = result.transcript
-        self.archive_order.append(result.session_id)
         if via_handle and self.phase == CHALLENGE:
             self._challenge_archived = True
-        self.query_log.append(ExecuteQuery(ref))
         return result.transcript
 
     def send_to_tag(self, ref, message):
@@ -248,7 +222,6 @@ class UprivGame:
         index, _ = self._tag_index(ref)
         self.delivery_counts[index] += 1
         tag = (self.tag0, self.tag1)[index]
-        self.query_log.append(SendQuery(ref, type(message).__name__))
         try:
             return self.protocol.deliver_to_tag(tag, message, self.rng)
         except ProtocolError:
@@ -257,14 +230,11 @@ class UprivGame:
     def reader_begin(self):
         self._require_phase(LEARNING, CHALLENGE)
         self._charge()
-        sid, flow1 = self.db.begin(self.rng)
-        self.query_log.append(SendQuery("reader", "begin"))
-        return sid, flow1
+        return self.db.begin(self.rng)
 
     def send_to_reader(self, sid, message):
         self._require_phase(LEARNING, CHALLENGE)
         self._charge()
-        self.query_log.append(SendQuery("reader", type(message).__name__))
         try:
             return self.protocol.deliver_to_reader(self.db, sid, message, self.rng)
         except ProtocolError:
@@ -284,7 +254,6 @@ class UprivGame:
                     "corrupt must come after the challenge session is archived"
                 )
         self._charge()
-        self.query_log.append(CorruptQuery(ref))
         return self.protocol.corrupt((self.tag0, self.tag1)[ref], replacement)
 
     def run_test(self) -> ChallengeHandle:
@@ -296,7 +265,6 @@ class UprivGame:
         self.b = self.rng.bit()
         self.handle = ChallengeHandle(token)
         self.phase = CHALLENGE
-        self.query_log.append(TestQuery())
         return self.handle
 
     def begin_guess(self):

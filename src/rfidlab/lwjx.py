@@ -168,10 +168,13 @@ class LwjxReaderDb:
     def add_record(self, rec: LwjxReaderRecord):
         """Append a record and index its epochs.
 
-        The index keys on hash values alone, so the widths are checked here.
+        The index keys on hash values alone, so the widths are checked here,
+        and so is the counter, which the reader compares with ``m_limit``.
         """
         p = self.params
         old_hash, old_key = rec.h_id_old, rec.k_old
+        if type(rec.m) is not int or rec.m < 0:
+            raise ValueError(f"m must be a non-negative integer, got {rec.m!r}")
         if (
             rec.id.width != p.bits
             or rec.k_new.width != p.bits

@@ -124,7 +124,7 @@ def verify_transcript(t: Transcript) -> ReplayReport:
 
 
 def replay_file(path) -> ReplayReport:
-    """Verify every transcript in a JSON-lines file."""
+    """Verify every transcript in a JSON-lines file; a malformed file fails."""
     try:
         transcripts = read_jsonl(path)
     except TranscriptFormatError as exc:
@@ -133,6 +133,11 @@ def replay_file(path) -> ReplayReport:
             checked=0,
             issues=[ReplayIssue("format", str(exc), line=exc.line_number)],
         )
+    return verify_all(transcripts)
+
+
+def verify_all(transcripts) -> ReplayReport:
+    """Verify a file's worth of transcripts; an empty file fails."""
     if not transcripts:
         return ReplayReport(
             ok=False, checked=0, issues=[ReplayIssue("file", "no transcripts found")]

@@ -11,6 +11,27 @@ class ProtocolError(ValueError):
     """A message no honest party could have produced (wrong shape or width)."""
 
 
+def params_from_dict(cls, doc):
+    """Build a protocol's params dataclass from its ``to_dict`` form.
+
+    Every field must be present and an int, and no other key is allowed, so
+    a transcript or snapshot that names a width the protocol does not have
+    fails here instead of being ignored. Raises ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"params must be an object, got {doc!r}")
+    names = cls.__dataclass_fields__.keys()
+    if doc.keys() != names:
+        unknown = sorted(doc.keys() - names)
+        if unknown:
+            raise ValueError(f"unknown params {', '.join(unknown)}")
+        raise ValueError(f"params lack {', '.join(names - doc.keys())}")
+    for name, value in doc.items():
+        if type(value) is not int:
+            raise ValueError(f"params {name} must be an integer, got {value!r}")
+    return cls(**doc)
+
+
 @dataclass(frozen=True)
 class RejectMessage:
     """The uniform on-wire rejection; deliberately carries no reason."""

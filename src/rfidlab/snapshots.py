@@ -9,17 +9,32 @@ old/new epochs and the M counter.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .bits import BitString
 from .crypto import PermKey
 from .fwcfp import FwcfpParams, FwcfpReaderDb
 from .lwjx import LwjxParams, LwjxReaderDb, LwjxReaderRecord
+from .session import params_from_dict
 
 SCHEMA_VERSION = 1
 
 
 class SnapshotError(ValueError):
     pass
+
+
+@contextmanager
+def _malformed(where: str):
+    """Turn a malformed field met while loading into a SnapshotError."""
+    try:
+        yield
+    except SnapshotError:
+        raise
+    except KeyError as exc:
+        raise SnapshotError(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SnapshotError(f"{where}: {exc}") from None
 
 
 def _render_opt(value: BitString | None):
@@ -46,18 +61,21 @@ def fwcfp_db_to_doc(db: FwcfpReaderDb, include_master_key: bool = False) -> dict
 
 def fwcfp_db_from_doc(doc: dict, master_key: bytes | None = None) -> FwcfpReaderDb:
     _validate(doc, "fwcfp")
-    params = FwcfpParams(**doc["params"])
-    if "master_key" in doc:
-        key = bytes.fromhex(doc["master_key"])
-    elif master_key is not None:
-        key = master_key
-    else:
-        raise SnapshotError(
-            "snapshot redacts the master key; pass it explicitly to load"
-        )
-    db = FwcfpReaderDb(params, PermKey(key, params.alias_bits))
-    for entry in doc["registry"]:
-        db.register(BitString.parse(entry["idt"]), BitString.parse(entry["k"]))
+    with _malformed("fwcfp snapshot"):
+        params = params_from_dict(FwcfpParams, doc["params"])
+        if "master_key" in doc:
+            key = bytes.fromhex(doc["master_key"])
+        elif master_key is not None:
+            key = master_key
+        else:
+            raise SnapshotError(
+                "snapshot redacts the master key; pass it explicitly to load"
+            )
+        db = FwcfpReaderDb(params, PermKey(key, params.alias_bits))
+        entries = list(doc["registry"])
+    for i, entry in enumerate(entries):
+        with _malformed(f"registry entry {i}"):
+            db.register(BitString.parse(entry["idt"]), BitString.parse(entry["k"]))
     return db
 
 
@@ -82,20 +100,21 @@ def lwjx_db_to_doc(db: LwjxReaderDb) -> dict:
 
 def lwjx_db_from_doc(doc: dict) -> LwjxReaderDb:
     _validate(doc, "lwjx")
-    db = LwjxReaderDb(LwjxParams(**doc["params"]))
-    for i, entry in enumerate(doc["records"]):
-        rec = LwjxReaderRecord(
-            id=BitString.parse(entry["id"]),
-            h_id_new=BitString.parse(entry["h_id_new"]),
-            h_id_old=_parse_opt(entry["h_id_old"]),
-            k_new=BitString.parse(entry["k_new"]),
-            k_old=_parse_opt(entry["k_old"]),
-            m=entry["m"],
-        )
-        try:
-            db.add_record(rec)
-        except ValueError as exc:
-            raise SnapshotError(f"record {i}: {exc}") from None
+    with _malformed("lwjx snapshot"):
+        db = LwjxReaderDb(params_from_dict(LwjxParams, doc["params"]))
+        entries = list(doc["records"])
+    for i, entry in enumerate(entries):
+        with _malformed(f"record {i}"):
+            db.add_record(
+                LwjxReaderRecord(
+                    id=BitString.parse(entry["id"]),
+                    h_id_new=BitString.parse(entry["h_id_new"]),
+                    h_id_old=_parse_opt(entry["h_id_old"]),
+                    k_new=BitString.parse(entry["k_new"]),
+                    k_old=_parse_opt(entry["k_old"]),
+                    m=entry["m"],
+                )
+            )
     return db
 
 

@@ -118,6 +118,16 @@ def write_jsonl(path, transcripts: Iterable[Transcript]):
                 handle.write(line + "\n")
 
 
+def _check_params(protocol, params):
+    """A known protocol's params must build its params object (ValueError if not)."""
+    from . import fwcfp, lwjx, session  # late: each of them imports this module
+
+    if protocol == fwcfp.PROTOCOL_NAME:
+        session.params_from_dict(fwcfp.FwcfpParams, params)
+    elif protocol == lwjx.PROTOCOL_NAME:
+        session.params_from_dict(lwjx.LwjxParams, params)
+
+
 class TranscriptFormatError(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
@@ -152,6 +162,7 @@ def read_jsonl(path) -> list[Transcript]:
                         if "secrets" in doc
                         else None,
                     )
+                    _check_params(current.protocol, current.params)
                 except (KeyError, ValueError) as exc:
                     raise TranscriptFormatError(number, f"bad meta line ({exc})")
                 transcripts.append(current)

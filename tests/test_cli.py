@@ -176,6 +176,55 @@ class TestReplayCommand:
         assert run(["replay", "--input", "/nonexistent/t.jsonl"]) == EXIT_CONFIG
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestMalformedInputs:
+    """Malformed files end in exit 1 and one line on stderr, never a traceback."""
+
+    def test_transcript_params_without_hash_bits(self, tmp_path, capsys):
+        lines = (FIXTURES / "fwcfp_honest.jsonl").read_text().splitlines()
+        meta = json.loads(lines[0])
+        del meta["params"]["hash_bits"]
+        lines[0] = json.dumps(meta, sort_keys=True)
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["replay", "--input", str(path)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
+    def lwjx_snapshot(self, tmp_path):
+        path = tmp_path / "db.json"
+        assert run(["snapshot", "--protocol", "lwjx", "--tags", "2",
+                    "--seed", "5", "--output", str(path)]) == EXIT_OK
+        return path, json.loads(path.read_text())
+
+    def test_snapshot_with_an_unknown_params_key(self, tmp_path, capsys):
+        path, doc = self.lwjx_snapshot(tmp_path)
+        doc["params"]["bogus"] = 3
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
+    def test_snapshot_with_non_hex_digits(self, tmp_path, capsys):
+        path, doc = self.lwjx_snapshot(tmp_path)
+        record = doc["records"][0]
+        record["id"] = record["id"][:3] + "zz" + record["id"][5:]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
+    def test_master_key_that_is_not_hex(self, tmp_path, capsys):
+        path = tmp_path / "db.json"
+        run(["snapshot", "--protocol", "fwcfp", "--output", str(path), "--seed", "5"])
+        capsys.readouterr()
+        assert run(["snapshot", "--input", str(path), "--master-key", "xyz"]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
+
 class TestSnapshotCommand:
     def test_write_and_verify_round_trip(self, tmp_path):
         path = tmp_path / "db.json"

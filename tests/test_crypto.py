@@ -34,6 +34,50 @@ def reference_hash(params: HashParams, message: BitString) -> BitString:
     return BitString(params.output_bits, value)
 
 
+def reference_expand(params: HashParams, message: BitString, target_width: int) -> BitString:
+    """Independent mask oracle: the counter stream, always built block by block."""
+    prefix = (
+        bytes((params.domain_tag,))
+        + message.to_bytes()
+        + message.width.to_bytes(8, "big")
+    )
+    stream = hashlib.sha256(prefix).digest()
+    counter = 1
+    need = (target_width + 7) // 8
+    while len(stream) < need:
+        stream += hashlib.sha256(prefix + counter.to_bytes(4, "big")).digest()
+        counter += 1
+    value = int.from_bytes(stream[:need], "big") >> (8 * need - target_width)
+    return BitString(target_width, value)
+
+
+def reference_permute(key: PermKey, block: BitString, *, inverse: bool = False) -> BitString:
+    """Independent Feistel network: each round hashes from_bytes(key) || right half."""
+    half = key.width // 2
+
+    def round_value(rnd, right):
+        params = HashParams(half, FEISTEL_TAG_BASE + rnd)
+        message = BitString.from_bytes(key.key).concat(BitString(half, right))
+        return reference_expand(params, message, half).value
+
+    left, right = block.value >> half, block.value & ((1 << half) - 1)
+    if inverse:
+        for rnd in reversed(range(4)):
+            left, right = right ^ round_value(rnd, left), left
+    else:
+        for rnd in range(4):
+            left, right = right, left ^ round_value(rnd, right)
+    return BitString(key.width, (left << half) | right)
+
+
+@st.composite
+def messages(draw, max_width=300):
+    """Bit strings of every width 0..max_width, byte-aligned or not."""
+    width = draw(st.integers(min_value=0, max_value=max_width))
+    value = draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+    return BitString(width, value)
+
+
 class TestHash:
     def test_deterministic(self):
         p = h_params(64)
@@ -57,6 +101,24 @@ class TestHash:
         m = BitString(64, value)
         assert truncated_hash(h_params(n), m) == reference_hash(h_params(n), m)
         assert truncated_hash(g_params(n), m) == reference_hash(g_params(n), m)
+
+    @given(st.integers(min_value=1, max_value=256), messages())
+    @settings(max_examples=200)
+    def test_matches_reference_for_every_message_width(self, n, m):
+        assert truncated_hash(h_params(n), m) == reference_hash(h_params(n), m)
+        assert truncated_hash(g_params(n), m) == reference_hash(g_params(n), m)
+
+    def test_oracle_params_are_memoised(self):
+        assert h_params(96) is h_params(96)
+        assert g_params(96) is g_params(96)
+        assert h_params(96) is not g_params(96)
+
+    def test_cached_tag_byte_is_not_a_field(self):
+        p = h_params(8)
+        assert p == HashParams(8, H_TAG)
+        assert hash(p) == hash(HashParams(8, H_TAG))
+        assert repr(p) == f"HashParams(output_bits=8, domain_tag={H_TAG})"
+        assert p.tag_byte == bytes((H_TAG,))
 
     def test_h_and_g_never_collide_in_sample(self):
         rng = Rng(11)
@@ -108,6 +170,35 @@ class TestExpandMask:
         long = expand_mask(p, m, 700)
         assert long.split(256)[0] == expand_mask(p, m, 256)
 
+    @given(
+        st.sampled_from([H_TAG, G_TAG]),
+        st.integers(min_value=1, max_value=256),
+        messages(),
+        st.integers(min_value=1, max_value=600),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_counter_stream_reference(self, tag, n, m, target):
+        p = HashParams(n, tag)
+        assert expand_mask(p, m, target) == reference_expand(p, m, target)
+
+    @given(
+        messages(),
+        st.integers(min_value=1, max_value=600),
+        st.integers(min_value=1, max_value=600),
+    )
+    @settings(max_examples=200)
+    def test_prefix_consistent_across_every_pair_of_widths(self, m, a, b):
+        short, long = sorted((a, b))
+        p = h_params(64)
+        assert expand_mask(p, m, long).split(short)[0] == expand_mask(p, m, short)
+
+    @pytest.mark.parametrize("target", [255, 256, 257, 263, 512, 513])
+    def test_digest_boundary_widths_match_the_reference(self, target):
+        p = h_params(64)
+        for width in (0, 1, 7, 8, 9, 300):
+            m = BitString(width, (1 << width) - 1)
+            assert expand_mask(p, m, target) == reference_expand(p, m, target)
+
     def test_target_width_positive(self):
         with pytest.raises(ValueError):
             expand_mask(h_params(8), BitString(8, 1), 0)
@@ -144,6 +235,24 @@ class TestPermutation:
             x = rng.bits(32)
             same += int(permute(k1, x) == permute(k2, x))
         assert same <= 10  # >= 99% distinct; chance equality is ~2^-32
+
+    @given(
+        st.integers(min_value=1, max_value=130).map(lambda h: 2 * h),
+        st.binary(min_size=1, max_size=32),
+        st.data(),
+    )
+    @settings(max_examples=150)
+    def test_matches_the_reference_network(self, width, key_bytes, data):
+        key = PermKey(key_bytes, width)
+        x = BitString(width, data.draw(st.integers(min_value=0, max_value=(1 << width) - 1)))
+        y = permute(key, x)
+        assert y == reference_permute(key, x)
+        assert invert(key, x) == reference_permute(key, x, inverse=True)
+        assert invert(key, y) == x
+
+    def test_cached_round_state_is_not_a_field(self):
+        assert PermKey(b"k", 8) == PermKey(b"k", 8)
+        assert repr(PermKey(b"k", 8)) == "PermKey(key=b'k', width=8)"
 
     def test_odd_width_rejected(self):
         with pytest.raises(WidthError):

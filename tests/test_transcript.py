@@ -8,6 +8,7 @@ from rfidlab import fwcfp, lwjx
 from rfidlab.bits import BitString
 from rfidlab.replay import replay_file, verify_transcript
 from rfidlab.rng import Rng
+from rfidlab.session import params_from_dict
 from rfidlab.snapshots import (
     SnapshotError,
     fwcfp_db_from_doc,
@@ -19,6 +20,7 @@ from rfidlab.snapshots import (
 )
 from rfidlab.transcript import (
     Transcript,
+    TranscriptFormatError,
     read_jsonl,
     transcript_to_lines,
     write_jsonl,
@@ -125,6 +127,23 @@ class TestReplay:
         assert report.issues[0].field == "format"
         assert report.issues[0].line == 3
 
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"id_bits": 96}, "96", None],
+        ids=["empty", "partial", "string", "null"],
+    )
+    def test_meta_params_are_checked_on_load(self, tmp_path, params):
+        lines = transcript_to_lines(fwcfp_disclosed_session().transcript)
+        meta = json.loads(lines[0])
+        meta["params"] = params
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+        with pytest.raises(TranscriptFormatError) as caught:
+            read_jsonl(path)
+        assert caught.value.line_number == 1
+        report = replay_file(path)
+        assert [issue.field for issue in report.issues] == ["format"]
+
     def test_undisclosed_transcript_cannot_replay(self):
         rng = Rng(1)
         db = lwjx.LwjxReaderDb(lwjx.LwjxParams())
@@ -219,8 +238,49 @@ class TestSnapshots:
         with pytest.raises(SnapshotError):
             fwcfp_db_from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda doc: doc.pop("records"),
+            lambda doc: doc["params"].pop("bits"),
+            lambda doc: doc["params"].update(bits="96"),
+            lambda doc: doc["records"][0].update(m="1"),
+            lambda doc: doc["records"][0].pop("k_new"),
+            lambda doc: doc.update(records=7),
+        ],
+        ids=["no-records", "no-bits", "string-bits", "string-m", "no-k-new", "records-not-a-list"],
+    )
+    def test_malformed_lwjx_fields_raise_snapshot_error(self, spoil):
+        db, _, _ = self.make_lwjx_db()
+        doc = lwjx_db_to_doc(db)
+        spoil(doc)
+        with pytest.raises(SnapshotError):
+            lwjx_db_from_doc(doc)
+
     def test_malformed_document_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         with pytest.raises(SnapshotError):
             load_db(path)
+
+
+class TestParamsFromDict:
+    @pytest.mark.parametrize("params", [fwcfp.FwcfpParams(hash_bits=8), lwjx.LwjxParams(m_limit=0)])
+    def test_round_trip(self, params):
+        assert params_from_dict(type(params), params.to_dict()) == params
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"bits": 8, "hash_bits": 8},
+            {"bits": 8, "hash_bits": 8, "m_limit": 5, "extra": 1},
+            {"bits": 8, "hash_bits": 8.0, "m_limit": 5},
+            {"bits": True, "hash_bits": 8, "m_limit": 5},
+            {"bits": 0, "hash_bits": 8, "m_limit": 5},
+            [8, 8, 5],
+        ],
+        ids=["missing", "unknown", "float", "bool", "zero", "not-a-dict"],
+    )
+    def test_rejects_with_value_error(self, doc):
+        with pytest.raises(ValueError):
+            params_from_dict(lwjx.LwjxParams, doc)
