@@ -11,6 +11,10 @@ Instances are treated as immutable (they are used as dict keys).
 
 from __future__ import annotations
 
+import re
+
+_LITERAL = re.compile(r"(0|[1-9][0-9]*):([0-9a-f]*)")
+
 
 class WidthError(ValueError):
     """Operand widths do not line up."""
@@ -43,14 +47,16 @@ class BitString:
 
     @classmethod
     def parse(cls, text: str) -> BitString:
-        """Parse the canonical "<width>:<hex>" encoding."""
-        width_part, sep, hex_part = text.partition(":")
-        if not sep:
-            raise ValueError(f"not a bit string literal: {text!r}")
-        try:
-            width = int(width_part)
-        except ValueError:
-            raise ValueError(f"bad width in bit string literal: {text!r}") from None
+        """Parse the canonical "<width>:<hex>" encoding; anything else is a ValueError.
+
+        Only decimal digits before the colon and lowercase hex digits after
+        it are accepted, so every literal that parses renders back unchanged.
+        """
+        match = _LITERAL.fullmatch(text) if isinstance(text, str) else None
+        if match is None:
+            raise ValueError(f"not a canonical bit string literal: {text!r}")
+        width_part, hex_part = match.groups()
+        width = int(width_part)
         digits = (width + 3) // 4 if width > 0 else 0
         if len(hex_part) != digits:
             raise ValueError(

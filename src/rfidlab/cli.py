@@ -481,7 +481,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, snapshots.SnapshotError, TranscriptFormatError) as exc:
+    except (
+        OSError,
+        snapshots.SnapshotError,
+        TranscriptFormatError,
+        replay.TranscriptParamsError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

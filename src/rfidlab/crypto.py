@@ -8,9 +8,9 @@ message is the first n bits of SHA-256 over
     domain_tag || canonical bytes of the message || 8-byte width
 
 and ``expand_mask`` extends that same stream with a 4-byte counter, so an
-expansion is always prefix-consistent with the plain hash. A mask of 256
-bits or fewer is the top bits of that one digest; the counter blocks are
-hashed only for wider masks.
+expansion is always prefix-consistent with the plain hash. Counter blocks
+are hashed only as far as the mask needs, so a mask of up to 256 bits costs
+one SHA-256, the same as the plain hash.
 
 The permutation is a 4-round balanced Feistel network whose round function
 is the truncated hash under per-round domain tags. It is a bijection on
@@ -36,7 +36,6 @@ from .bits import BitString, WidthError
 
 HASH_NAME = "sha256"
 _sha256 = hashlib.sha256
-_DIGEST_BITS = 256
 
 # one-byte domain separation tags
 H_TAG = 0x01
@@ -87,15 +86,11 @@ def expand_mask(params: HashParams, message: BitString, target_width: int) -> Bi
         + width.to_bytes(8, "big")
     )
     stream = _sha256(prefix).digest()
-    if target_width <= _DIGEST_BITS:
-        value = int.from_bytes(stream, "big") >> (_DIGEST_BITS - target_width)
-        return BitString(target_width, value)
     counter = 1
-    need = (target_width + 7) // 8
-    while len(stream) < need:
+    while 8 * len(stream) < target_width:
         stream += _sha256(prefix + counter.to_bytes(4, "big")).digest()
         counter += 1
-    value = int.from_bytes(stream[:need], "big") >> (8 * need - target_width)
+    value = int.from_bytes(stream, "big") >> (8 * len(stream) - target_width)
     return BitString(target_width, value)
 
 

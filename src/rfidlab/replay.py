@@ -10,9 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import fwcfp, lwjx
 from .bits import concat_all
-from .crypto import expand_mask, g_params, h_params, truncated_hash
+from .crypto import expand_mask, truncated_hash
+from .session import params_from_dict
 from .transcript import Transcript, TranscriptFormatError, read_jsonl
+
+
+class TranscriptParamsError(ValueError):
+    """A transcript's params do not build its protocol's params object."""
 
 
 @dataclass
@@ -46,12 +52,12 @@ def _check(issues, checked, name, recomputed, observed):
         )
 
 
-def _verify_fwcfp(t: Transcript, issues: list, checked: list):
-    params = t.params
+def _verify_fwcfp(
+    t: Transcript, params: fwcfp.FwcfpParams, issues: list, checked: list
+):
     secrets = t.secrets
-    hash_bits = params["hash_bits"]
-    alias_bits = params["id_bits"] + params["rand0_bits"]
-    hp = h_params(hash_bits)
+    alias_bits = params.alias_bits
+    hp = params.hash
     k = secrets["k"]
 
     flow1 = t.delivered("flow1")
@@ -81,11 +87,12 @@ def _verify_fwcfp(t: Transcript, issues: list, checked: list):
         _check(issues, checked, "ok", True, flow4["ok"])
 
 
-def _verify_lwjx(t: Transcript, issues: list, checked: list):
-    params = t.params
+def _verify_lwjx(
+    t: Transcript, params: lwjx.LwjxParams, issues: list, checked: list
+):
     secrets = t.secrets
-    hp = h_params(params["hash_bits"])
-    gp = g_params(params["bits"])
+    hp = params.h
+    gp = params.g
     id_, k = secrets["id"], secrets["k"]
 
     flow1 = t.delivered("flow1")
@@ -107,33 +114,42 @@ def _verify_lwjx(t: Transcript, issues: list, checked: list):
         _check(issues, checked, "k_after", id_after ^ rr ^ rt, secrets["k_after"])
 
 
+_PROTOCOLS = {
+    fwcfp.PROTOCOL_NAME: (fwcfp.FwcfpParams, _verify_fwcfp),
+    lwjx.PROTOCOL_NAME: (lwjx.LwjxParams, _verify_lwjx),
+}
+
+
 def verify_transcript(t: Transcript) -> ReplayReport:
+    """Re-derive t's fields; raises TranscriptParamsError on malformed params."""
     issues: list[ReplayIssue] = []
     checked = [0]
+    if t.protocol not in _PROTOCOLS:
+        issues.append(ReplayIssue("protocol", f"unknown protocol {t.protocol!r}"))
+        return ReplayReport(ok=False, checked=0, issues=issues)
+    params_cls, verify = _PROTOCOLS[t.protocol]
+    try:
+        params = params_from_dict(params_cls, t.params)
+    except ValueError as exc:
+        raise TranscriptParamsError(f"session {t.session}: {exc}") from None
     if t.secrets is None:
         issues.append(
             ReplayIssue("secrets", "transcript discloses no secrets; nothing derivable")
         )
-    elif t.protocol == "fwcfp":
-        _verify_fwcfp(t, issues, checked)
-    elif t.protocol == "lwjx":
-        _verify_lwjx(t, issues, checked)
     else:
-        issues.append(ReplayIssue("protocol", f"unknown protocol {t.protocol!r}"))
+        verify(t, params, issues, checked)
     return ReplayReport(ok=not issues, checked=checked[0], issues=issues)
 
 
 def replay_file(path) -> ReplayReport:
     """Verify every transcript in a JSON-lines file; a malformed file fails."""
     try:
-        transcripts = read_jsonl(path)
+        return verify_all(read_jsonl(path))
     except TranscriptFormatError as exc:
-        return ReplayReport(
-            ok=False,
-            checked=0,
-            issues=[ReplayIssue("format", str(exc), line=exc.line_number)],
-        )
-    return verify_all(transcripts)
+        issue = ReplayIssue("format", str(exc), line=exc.line_number)
+    except TranscriptParamsError as exc:
+        issue = ReplayIssue("params", str(exc))
+    return ReplayReport(ok=False, checked=0, issues=[issue])
 
 
 def verify_all(transcripts) -> ReplayReport:

@@ -82,6 +82,8 @@ def _encode_fields(fields: dict) -> dict:
 
 
 def _decode_fields(fields: dict) -> dict:
+    if not isinstance(fields, dict):
+        raise ValueError(f"expected an object of fields, got {fields!r}")
     return {k: _decode_value(v) for k, v in fields.items()}
 
 
@@ -118,16 +120,6 @@ def write_jsonl(path, transcripts: Iterable[Transcript]):
                 handle.write(line + "\n")
 
 
-def _check_params(protocol, params):
-    """A known protocol's params must build its params object (ValueError if not)."""
-    from . import fwcfp, lwjx, session  # late: each of them imports this module
-
-    if protocol == fwcfp.PROTOCOL_NAME:
-        session.params_from_dict(fwcfp.FwcfpParams, params)
-    elif protocol == lwjx.PROTOCOL_NAME:
-        session.params_from_dict(lwjx.LwjxParams, params)
-
-
 class TranscriptFormatError(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
@@ -147,6 +139,8 @@ def read_jsonl(path) -> list[Transcript]:
                 doc = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise TranscriptFormatError(number, f"invalid JSON ({exc.msg})")
+            if not isinstance(doc, dict):
+                raise TranscriptFormatError(number, "not a JSON object")
             kind = doc.get("type")
             if kind == "meta":
                 if doc.get("schema") != SCHEMA_VERSION:
@@ -162,7 +156,6 @@ def read_jsonl(path) -> list[Transcript]:
                         if "secrets" in doc
                         else None,
                     )
-                    _check_params(current.protocol, current.params)
                 except (KeyError, ValueError) as exc:
                     raise TranscriptFormatError(number, f"bad meta line ({exc})")
                 transcripts.append(current)

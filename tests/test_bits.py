@@ -120,6 +120,20 @@ class TestEncoding:
         with pytest.raises(ValueError):
             BitString.parse(bad)
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["16:FF00", "16:f_ff", "16: fff", "16:+fff", "+16:ff00", " 16:ff00",
+         "016:ff00", "16:ff00\n", "8:0x"],
+    )
+    def test_non_canonical_literals_rejected(self, literal):
+        with pytest.raises(ValueError):
+            BitString.parse(literal)
+
+    @pytest.mark.parametrize("value", [5, None, b"8:ff", ["8:ff"]])
+    def test_non_string_rejected_with_value_error(self, value):
+        with pytest.raises(ValueError):
+            BitString.parse(value)
+
     @given(bits_strategy())
     def test_bytes_round_trip_at_byte_widths(self, x):
         if x.width % 8 == 0:

@@ -217,6 +217,23 @@ class TestMalformedInputs:
         assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
         assert_one_error_line(capsys)
 
+    def test_snapshot_with_a_number_for_a_bit_string(self, tmp_path, capsys):
+        path, doc = self.lwjx_snapshot(tmp_path)
+        doc["records"][0]["id"] = 5
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("bad_line", ["[1, 2]", "5"])
+    def test_transcript_line_that_is_not_an_object(self, tmp_path, capsys, bad_line):
+        lines = (FIXTURES / "fwcfp_honest.jsonl").read_text().splitlines()
+        lines[1] = bad_line
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["replay", "--input", str(path)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
     def test_master_key_that_is_not_hex(self, tmp_path, capsys):
         path = tmp_path / "db.json"
         run(["snapshot", "--protocol", "fwcfp", "--output", str(path), "--seed", "5"])

@@ -6,7 +6,7 @@ import pytest
 
 from rfidlab import fwcfp, lwjx
 from rfidlab.bits import BitString
-from rfidlab.replay import replay_file, verify_transcript
+from rfidlab.replay import TranscriptParamsError, replay_file, verify_transcript
 from rfidlab.rng import Rng
 from rfidlab.session import params_from_dict
 from rfidlab.snapshots import (
@@ -42,6 +42,13 @@ def lwjx_disclosed_session(seed=5):
     db = lwjx.LwjxReaderDb(lwjx.LwjxParams())
     tag = db.provision(rng)
     return lwjx.run_honest_session(tag, db, rng, disclose_secrets=True)
+
+
+def retyped(line, **values):
+    """One transcript line with some of its top-level values replaced."""
+    doc = json.loads(line)
+    doc.update(values)
+    return json.dumps(doc)
 
 
 class TestSerialization:
@@ -132,17 +139,39 @@ class TestReplay:
         [{}, {"id_bits": 96}, "96", None],
         ids=["empty", "partial", "string", "null"],
     )
-    def test_meta_params_are_checked_on_load(self, tmp_path, params):
+    def test_meta_params_are_checked_on_replay(self, tmp_path, params):
         lines = transcript_to_lines(fwcfp_disclosed_session().transcript)
         meta = json.loads(lines[0])
         meta["params"] = params
         path = tmp_path / "t.jsonl"
         path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+        (loaded,) = read_jsonl(path)
+        with pytest.raises(TranscriptParamsError):
+            verify_transcript(loaded)
+        report = replay_file(path)
+        assert [issue.field for issue in report.issues] == ["params"]
+
+    @pytest.mark.parametrize(
+        "line_number, spoil",
+        [
+            (1, lambda lines: lines.__setitem__(0, "[1, 2]")),
+            (2, lambda lines: lines.__setitem__(1, "5")),
+            (1, lambda lines: lines.__setitem__(0, retyped(lines[0], secrets=5))),
+            (2, lambda lines: lines.__setitem__(1, retyped(lines[1], fields=5))),
+            (2, lambda lines: lines.__setitem__(1, retyped(lines[1], fields=[]))),
+        ],
+        ids=["array-line", "number-line", "secrets-number", "fields-number", "fields-array"],
+    )
+    def test_non_object_values_are_format_errors(self, tmp_path, line_number, spoil):
+        lines = transcript_to_lines(fwcfp_disclosed_session().transcript)
+        spoil(lines)
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TranscriptFormatError) as caught:
             read_jsonl(path)
-        assert caught.value.line_number == 1
+        assert caught.value.line_number == line_number
         report = replay_file(path)
-        assert [issue.field for issue in report.issues] == ["format"]
+        assert [(i.field, i.line) for i in report.issues] == [("format", line_number)]
 
     def test_undisclosed_transcript_cannot_replay(self):
         rng = Rng(1)
@@ -247,8 +276,23 @@ class TestSnapshots:
             lambda doc: doc["records"][0].update(m="1"),
             lambda doc: doc["records"][0].pop("k_new"),
             lambda doc: doc.update(records=7),
+            lambda doc: doc["records"][0].update(id=5),
+            lambda doc: doc["records"][0].update(h_id_old=5),
+            lambda doc: doc["records"][0].update(k_new="96:" + "F" * 24),
+            lambda doc: doc["records"][0].update(h_id_new="96:0x" + "f" * 22),
         ],
-        ids=["no-records", "no-bits", "string-bits", "string-m", "no-k-new", "records-not-a-list"],
+        ids=[
+            "no-records",
+            "no-bits",
+            "string-bits",
+            "string-m",
+            "no-k-new",
+            "records-not-a-list",
+            "number-id",
+            "number-h-id-old",
+            "uppercase-hex",
+            "0x-prefix",
+        ],
     )
     def test_malformed_lwjx_fields_raise_snapshot_error(self, spoil):
         db, _, _ = self.make_lwjx_db()
@@ -256,6 +300,23 @@ class TestSnapshots:
         spoil(doc)
         with pytest.raises(SnapshotError):
             lwjx_db_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda doc: doc["registry"][0].update(idt=5),
+            lambda doc: doc["registry"][0].update(k=None),
+            lambda doc: doc.update(master_key=5),
+            lambda doc: doc.update(registry=[5]),
+        ],
+        ids=["number-idt", "null-k", "number-master-key", "entry-not-an-object"],
+    )
+    def test_malformed_fwcfp_fields_raise_snapshot_error(self, spoil):
+        db, _ = self.make_fwcfp_db()
+        doc = fwcfp_db_to_doc(db, include_master_key=True)
+        spoil(doc)
+        with pytest.raises(SnapshotError):
+            fwcfp_db_from_doc(doc)
 
     def test_malformed_document_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
