@@ -87,7 +87,7 @@ def fwcfp_desync_attack(
         return message
 
     result = fwcfp.run_honest_session(tag, db, rng, interpose=tamper)
-    issued = db.sessions[result.session_id].pending_alias
+    issued = result.reader_verdict.issued
     rejects = 0
     reject_reasons: dict[str, int] = {}
     for _ in range(attempts):

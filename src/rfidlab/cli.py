@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import attacks, fwcfp, game, lwjx, replay, snapshots
 from .bits import BitString
@@ -41,72 +40,49 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
-class ExperimentConfig:
-    protocol: str
-    experiment: str
-    trials: int
-    seed: int
-    id_bits: int | None
-    key_bits: int | None
-    nonce_bits: int | None
-    hash_bits: int | None
-    rand0_bits: int | None
-    m_limit: int
-    output: str | None
-    format: str
-    workers: int
-    timestamp: bool
-    drop_flow3_rate: float = 0.0
-    attempts: int = 100
-    mask: str | None = None
-    guess_mode: str | None = None
-    tolerance: float | None = None
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
 
-    def validate(self):
-        """Check the combination and build the protocol parameter object."""
-        if self.protocol not in ("fwcfp", "lwjx"):
-            raise ConfigError(f"unknown protocol {self.protocol!r}")
-        if self.experiment in ("desync", "backtrace") and self.protocol != "fwcfp":
-            raise ConfigError(f"{self.experiment} is defined for fwcfp only")
-        if self.trials < 1:
-            raise ConfigError("--trials must be >= 1")
-        if not 0.0 <= self.drop_flow3_rate <= 1.0:
-            raise ConfigError("--drop-flow3-rate must be in [0, 1]")
-        if self.drop_flow3_rate and not (
-            self.protocol == "lwjx" and self.experiment == "honest"
-        ):
-            raise ConfigError("--drop-flow3-rate applies to LWJX honest runs only")
-        if self.guess_mode is not None and not (
-            self.protocol == "lwjx" and self.experiment == "trace"
-        ):
-            raise ConfigError("--guess-mode applies to LWJX trace runs only")
-        for name in ("id_bits", "key_bits", "nonce_bits", "hash_bits", "rand0_bits"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"--{name.replace('_', '-')} must be positive")
-        if self.protocol == "fwcfp":
-            return fwcfp.FwcfpParams(
-                id_bits=self.id_bits or 96,
-                key_bits=self.key_bits or 96,
-                nonce_bits=self.nonce_bits or 96,
-                hash_bits=self.hash_bits or 96,
-                rand0_bits=self.rand0_bits or 32,
-            )
-        widths = {
-            v for v in (self.id_bits, self.key_bits, self.nonce_bits) if v is not None
-        }
-        if len(widths) > 1:
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+WIDTH_FLAGS = ("id_bits", "key_bits", "nonce_bits", "hash_bits", "rand0_bits")
+
+
+def build_params(args):
+    """The protocol params the parsed flags ask for; defaults fill the rest."""
+    given = {
+        name: getattr(args, name)
+        for name in WIDTH_FLAGS + ("m_limit",)
+        if getattr(args, name, None) is not None
+    }
+    if args.protocol == "fwcfp":
+        cls = fwcfp.FwcfpParams
+        if "m_limit" in given:
+            raise ConfigError("--m-limit applies to LWJX only")
+    else:
+        cls = lwjx.LwjxParams
+        if "rand0_bits" in given:
+            raise ConfigError("--rand0-bits has no meaning for LWJX")
+        names = ("id_bits", "key_bits", "nonce_bits")
+        shared = {given.pop(name) for name in names if name in given}
+        if len(shared) > 1:
             raise ConfigError(
                 "LWJX key-update typing needs one shared value width:"
                 " id, key and nonce widths must agree"
             )
-        if self.rand0_bits is not None:
-            raise ConfigError("--rand0-bits has no meaning for LWJX")
-        bits = widths.pop() if widths else 96
-        return lwjx.LwjxParams(
-            bits=bits, hash_bits=self.hash_bits or 96, m_limit=self.m_limit
-        )
+        if shared:
+            given["bits"] = shared.pop()
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _resolve_seed(args) -> int:
@@ -168,14 +144,21 @@ def _stamp(doc: dict, include: bool) -> dict:
     return doc
 
 
-def _cmd_honest(config: ExperimentConfig):
-    params = config.validate()
-    rng = Rng(config.seed)
-    if config.protocol == "fwcfp":
-        db = fwcfp.FwcfpReaderDb.create(params, rng)
-        tag = db.provision_tag(rng)
+def _cmd_honest(args):
+    params = build_params(args)
+    seed = _resolve_seed(args)
+    trials = args.trials
+    if not 0.0 <= args.drop_flow3_rate <= 1.0:
+        raise ConfigError("--drop-flow3-rate must be in [0, 1]")
+    if args.drop_flow3_rate and args.protocol != "lwjx":
+        raise ConfigError("--drop-flow3-rate applies to LWJX honest runs only")
+    rng = Rng(seed)
+    protocol = game.PROTOCOLS[args.protocol]
+    db = protocol.new_reader(params, rng)
+    tag = protocol.provision(db, rng)
+    if args.protocol == "fwcfp":
         both = consistent = 0
-        for _ in range(config.trials):
+        for _ in range(trials):
             result = fwcfp.run_honest_session(tag, db, rng)
             both += int(result.both_accepted)
             consistent += int(fwcfp.alias_identity(db, tag) == tag.bookkeeping_idt)
@@ -185,25 +168,23 @@ def _cmd_honest(config: ExperimentConfig):
             "protocol": "fwcfp",
             "experiment": "honest",
             "params": params.to_dict(),
-            "seed": config.seed,
-            "sessions": config.trials,
+            "seed": seed,
+            "sessions": trials,
             "both_accepted": both,
             "alias_consistent": consistent,
         }
-        ok = both == config.trials and consistent == config.trials
+        ok = both == trials and consistent == trials
         summary = (
-            f"fwcfp honest: {both}/{config.trials} sessions accepted,"
-            f" alias consistent {consistent}/{config.trials}"
+            f"fwcfp honest: {both}/{trials} sessions accepted,"
+            f" alias consistent {consistent}/{trials}"
         )
         return (EXIT_OK if ok else EXIT_THRESHOLD), doc, summary
 
-    db = lwjx.LwjxReaderDb(params)
-    tag = db.provision(rng)
     record = db.records[0]
     accepts = case_b = case_c = drops = sync_violations = 0
     max_m = 0
-    for _ in range(config.trials):
-        drop = rng.random() < config.drop_flow3_rate
+    for _ in range(trials):
+        drop = rng.random() < args.drop_flow3_rate
         result = lwjx.run_honest_session(tag, db, rng, drop_flow3=drop)
         drops += int(drop)
         verdict = result.reader_verdict
@@ -221,9 +202,9 @@ def _cmd_honest(config: ExperimentConfig):
         "protocol": "lwjx",
         "experiment": "honest",
         "params": params.to_dict(),
-        "seed": config.seed,
-        "sessions": config.trials,
-        "drop_flow3_rate": config.drop_flow3_rate,
+        "seed": seed,
+        "sessions": trials,
+        "drop_flow3_rate": args.drop_flow3_rate,
         "reader_accepts": accepts,
         "case_b": case_b,
         "case_c": case_c,
@@ -231,29 +212,30 @@ def _cmd_honest(config: ExperimentConfig):
         "max_m": max_m,
         "sync_violations": sync_violations,
     }
-    ok = accepts == config.trials and sync_violations == 0 and max_m <= params.m_limit
+    ok = accepts == trials and sync_violations == 0 and max_m <= params.m_limit
     summary = (
-        f"lwjx honest: {accepts}/{config.trials} authenticated"
+        f"lwjx honest: {accepts}/{trials} authenticated"
         f" (new {case_b}, old {case_c}, drops {drops}), max M {max_m},"
         f" sync violations {sync_violations}"
     )
     return (EXIT_OK if ok else EXIT_THRESHOLD), doc, summary
 
 
-def _cmd_desync(config: ExperimentConfig):
-    params = config.validate()
-    rng = Rng(config.seed)
+def _cmd_desync(args):
+    params = build_params(args)
+    seed = _resolve_seed(args)
+    rng = Rng(seed)
     db = fwcfp.FwcfpReaderDb.create(params, rng)
     tag = db.provision_tag(rng)
-    if config.mask is not None:
+    if args.mask is not None:
         try:
-            mask = BitString.parse(config.mask)
+            mask = BitString.parse(args.mask)
         except ValueError as exc:
             raise ConfigError(f"--mask: {exc}")
     else:
         mask = rng.nonzero_bits(params.alias_bits)
     try:
-        outcome = attacks.fwcfp_desync_attack(tag, db, mask, config.attempts, rng)
+        outcome = attacks.fwcfp_desync_attack(tag, db, mask, args.attempts, rng)
     except ValueError as exc:
         raise ConfigError(str(exc))
     doc = outcome.to_dict()
@@ -262,7 +244,7 @@ def _cmd_desync(config: ExperimentConfig):
             "protocol": "fwcfp",
             "experiment": "desync",
             "params": params.to_dict(),
-            "seed": config.seed,
+            "seed": seed,
         }
     )
     ok = (
@@ -279,34 +261,32 @@ def _cmd_desync(config: ExperimentConfig):
     return (EXIT_OK if ok else EXIT_THRESHOLD), doc, summary
 
 
-def _trace_strategy_name(config: ExperimentConfig) -> str:
-    if config.experiment == "backtrace":
+def _trace_strategy_name(args) -> str:
+    if args.command == "backtrace":
         return "fwcfp-backtrace"
-    if config.protocol == "fwcfp":
+    if args.protocol == "fwcfp":
+        if args.guess_mode is not None:
+            raise ConfigError("--guess-mode applies to LWJX trace runs only")
         return "fwcfp-trace"
-    mode = config.guess_mode or "id-hash"
-    if mode not in ("id-hash", "key-hash"):
-        raise ConfigError(f"--guess-mode must be id-hash or key-hash, got {mode!r}")
-    return "lwjx-trace-id" if mode == "id-hash" else "lwjx-trace-key"
+    return "lwjx-trace-key" if args.guess_mode == "key-hash" else "lwjx-trace-id"
 
 
-def _cmd_trace(config: ExperimentConfig):
-    params = config.validate()
-    strategy = _trace_strategy_name(config)
+def _cmd_trace(args):
+    params = build_params(args)
     report = game.estimate_advantage(
-        config.protocol,
-        strategy,
+        args.protocol,
+        _trace_strategy_name(args),
         params,
-        config.trials,
-        config.seed,
-        workers=config.workers,
-        timestamp=config.timestamp,
+        args.trials,
+        _resolve_seed(args),
+        workers=args.workers,
+        timestamp=args.timestamp,
     )
     doc = report.to_dict()
-    doc["experiment"] = config.experiment
+    doc["experiment"] = args.command
     ok = True
-    if config.tolerance is not None:
-        ok = abs(report.empirical_adv - report.exact_adv) <= config.tolerance
+    if args.tolerance is not None:
+        ok = abs(report.empirical_adv - report.exact_adv) <= args.tolerance
     return (EXIT_OK if ok else EXIT_THRESHOLD), doc, report.summary_line()
 
 
@@ -316,7 +296,6 @@ def _cmd_replay(args):
 
 
 def _cmd_snapshot(args):
-    seed = _resolve_seed(args)
     if args.input:
         try:
             master = bytes.fromhex(args.master_key) if args.master_key else None
@@ -327,12 +306,13 @@ def _cmd_snapshot(args):
             snapshots.snapshot_db(
                 db, args.output, include_master_key=args.include_master_key
             )
+        original = _read_json(args.input)
         regenerated = (
-            snapshots.fwcfp_db_to_doc(db, include_master_key="master_key" in _read_json(args.input))
+            snapshots.fwcfp_db_to_doc(db, include_master_key="master_key" in original)
             if isinstance(db, fwcfp.FwcfpReaderDb)
             else snapshots.lwjx_db_to_doc(db)
         )
-        ok = regenerated == _read_json(args.input)
+        ok = regenerated == original
         return (
             (EXIT_OK if ok else EXIT_THRESHOLD),
             None,
@@ -340,29 +320,12 @@ def _cmd_snapshot(args):
         )
     if not args.output:
         raise ConfigError("snapshot needs --output (or --input to verify)")
-    rng = Rng(seed)
-    if args.protocol == "fwcfp":
-        params = fwcfp.FwcfpParams(
-            id_bits=args.id_bits or 96,
-            key_bits=args.key_bits or 96,
-            nonce_bits=args.nonce_bits or 96,
-            hash_bits=args.hash_bits or 96,
-            rand0_bits=args.rand0_bits or 32,
-        )
-        db = fwcfp.FwcfpReaderDb.create(params, rng)
-        for _ in range(args.tags):
-            db.provision_tag(rng)
-    elif args.protocol == "lwjx":
-        params = lwjx.LwjxParams(
-            bits=args.id_bits or 96,
-            hash_bits=args.hash_bits or 96,
-            m_limit=args.m_limit,
-        )
-        db = lwjx.LwjxReaderDb(params)
-        for _ in range(args.tags):
-            db.provision(rng)
-    else:
-        raise ConfigError(f"unknown protocol {args.protocol!r}")
+    params = build_params(args)
+    rng = Rng(_resolve_seed(args))
+    protocol = game.PROTOCOLS[args.protocol]
+    db = protocol.new_reader(params, rng)
+    for _ in range(args.tags):
+        protocol.provision(db, rng)
     snapshots.snapshot_db(db, args.output, include_master_key=args.include_master_key)
     return EXIT_OK, None, f"wrote {args.protocol} snapshot with {args.tags} tags to {args.output}"
 
@@ -372,19 +335,27 @@ def _read_json(path):
         return json.load(handle)
 
 
-def _add_common(parser):
-    parser.add_argument("--protocol", choices=("fwcfp", "lwjx"), default="fwcfp")
+def _add_command(commands, name, run, help, protocols=("fwcfp", "lwjx")):
+    """A subcommand with the protocol, seed and width flags every run takes."""
+    parser = commands.add_parser(name, help=help)
+    parser.set_defaults(run=run)
+    parser.add_argument("--protocol", choices=protocols, default="fwcfp")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=1000)
-    parser.add_argument("--id-bits", type=int, default=None, dest="id_bits")
-    parser.add_argument("--key-bits", type=int, default=None, dest="key_bits")
-    parser.add_argument("--nonce-bits", type=int, default=None, dest="nonce_bits")
-    parser.add_argument("--hash-bits", type=int, default=None, dest="hash_bits")
-    parser.add_argument("--rand0-bits", type=int, default=None, dest="rand0_bits")
-    parser.add_argument("--m-limit", type=int, default=5, dest="m_limit")
+    for width in WIDTH_FLAGS:
+        parser.add_argument(f"--{width.replace('_', '-')}", type=int, default=None)
+    if "lwjx" in protocols:
+        parser.add_argument("--m-limit", type=int, default=None)
+    return parser
+
+
+def _add_report_flags(parser, *, trials: bool, workers: bool = False):
+    """Flags of the commands that write a report, some of which run trials."""
+    if trials:
+        parser.add_argument("--trials", type=_at_least(1), default=1000)
+    if workers:
+        parser.add_argument("--workers", type=_at_least(1), default=1)
     parser.add_argument("--output", default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--no-timestamp",
         action="store_false",
@@ -397,80 +368,51 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rfidlab", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    honest = commands.add_parser("honest", help="drive honest sessions")
-    _add_common(honest)
-    honest.add_argument("--drop-flow3-rate", type=float, default=0.0, dest="drop_flow3_rate")
+    honest = _add_command(commands, "honest", _cmd_honest, "drive honest sessions")
+    honest.add_argument("--drop-flow3-rate", type=float, default=0.0)
+    _add_report_flags(honest, trials=True)
 
-    desync = commands.add_parser("desync", help="desynchronize an FWCFP tag")
-    _add_common(desync)
-    desync.add_argument("--attempts", type=int, default=100)
+    desync = _add_command(
+        commands, "desync", _cmd_desync, "desynchronize an FWCFP tag", ("fwcfp",)
+    )
+    desync.add_argument("--attempts", type=_at_least(0), default=100)
     desync.add_argument("--mask", default=None, help='alias-width mask as "w:hex"')
+    _add_report_flags(desync, trials=False)
 
-    trace = commands.add_parser("trace", help="untraceability advantage")
-    _add_common(trace)
-    trace.add_argument("--guess-mode", choices=("id-hash", "key-hash"), default=None, dest="guess_mode")
+    trace = _add_command(commands, "trace", _cmd_trace, "untraceability advantage")
+    trace.add_argument("--guess-mode", choices=("id-hash", "key-hash"), default=None)
     trace.add_argument("--tolerance", type=float, default=None)
+    _add_report_flags(trace, trials=True, workers=True)
 
-    backtrace = commands.add_parser("backtrace", help="backward-untraceability advantage")
-    _add_common(backtrace)
+    backtrace = _add_command(
+        commands, "backtrace", _cmd_trace, "backward-untraceability advantage", ("fwcfp",)
+    )
     backtrace.add_argument("--tolerance", type=float, default=None)
+    _add_report_flags(backtrace, trials=True, workers=True)
 
     replay_cmd = commands.add_parser("replay", help="verify a transcript file")
+    replay_cmd.set_defaults(run=_cmd_replay)
     replay_cmd.add_argument("--input", required=True)
 
-    snapshot = commands.add_parser("snapshot", help="write or verify a reader database snapshot")
-    _add_common(snapshot)
-    snapshot.add_argument("--tags", type=int, default=3)
-    snapshot.add_argument("--include-master-key", action="store_true", dest="include_master_key")
-    snapshot.add_argument("--input", default=None)
-    snapshot.add_argument("--master-key", default=None, dest="master_key")
-    return parser
-
-
-def _config_from(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        protocol=args.protocol,
-        experiment=args.command,
-        trials=args.trials,
-        seed=_resolve_seed(args),
-        id_bits=args.id_bits,
-        key_bits=args.key_bits,
-        nonce_bits=args.nonce_bits,
-        hash_bits=args.hash_bits,
-        rand0_bits=args.rand0_bits,
-        m_limit=args.m_limit,
-        output=args.output,
-        format=args.format,
-        workers=args.workers,
-        timestamp=args.timestamp,
-        drop_flow3_rate=getattr(args, "drop_flow3_rate", 0.0),
-        attempts=getattr(args, "attempts", 100),
-        mask=getattr(args, "mask", None),
-        guess_mode=getattr(args, "guess_mode", None),
-        tolerance=getattr(args, "tolerance", None),
+    snapshot = _add_command(
+        commands, "snapshot", _cmd_snapshot, "write or verify a reader database snapshot"
     )
+    snapshot.add_argument("--tags", type=_at_least(0), default=3)
+    snapshot.add_argument("--include-master-key", action="store_true")
+    snapshot.add_argument("--input", default=None)
+    snapshot.add_argument("--master-key", default=None)
+    snapshot.add_argument("--output", default=None)
+    return parser
 
 
 def run_experiment(argv) -> int:
     """Parse, run, write any report, print the one-line summary."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "replay":
-        code, doc, summary = _cmd_replay(args)
-    elif args.command == "snapshot":
-        code, doc, summary = _cmd_snapshot(args)
-    else:
-        config = _config_from(args)
-        if args.command == "honest":
-            code, doc, summary = _cmd_honest(config)
-        elif args.command == "desync":
-            code, doc, summary = _cmd_desync(config)
-        else:
-            code, doc, summary = _cmd_trace(config)
-        if doc is not None:
-            _stamp(doc, config.timestamp)
-            if config.output:
-                write_report(doc, config.output, config.format)
+    args = build_parser().parse_args(argv)
+    code, doc, summary = args.run(args)
+    if doc is not None:
+        _stamp(doc, args.timestamp)
+        if args.output:
+            write_report(doc, args.output, args.format)
     print(summary)
     return code
 

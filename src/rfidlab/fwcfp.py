@@ -20,8 +20,14 @@ from dataclasses import dataclass
 from .bits import BitString, concat_all
 from .crypto import PermKey, expand_mask, h_params, invert, permute, truncated_hash
 from .rng import Rng
-from .session import ProtocolError, RejectMessage, SessionResult, SessionVerdict
-from .transcript import Transcript
+from .session import (
+    Protocol,
+    ProtocolError,
+    RejectMessage,
+    SessionResult,
+    SessionVerdict,
+    drive,
+)
 
 PROTOCOL_NAME = "fwcfp"
 
@@ -155,15 +161,14 @@ class FwcfpTag:
 @dataclass
 class ReaderSession:
     rand1: BitString
-    rand2: BitString | None = None
-    pending_alias: BitString | None = None
 
 
 class FwcfpReaderDb:
     """Reader and backend in one: master permutation key plus IDT registry.
 
-    The reader keeps no per-tag alias state, only per-session caches, so
-    losing a final flow never affects later sessions.
+    The reader keeps no per-tag alias state, only the opening nonce of each
+    session until its verdict, so losing a final flow never affects later
+    sessions.
     """
 
     def __init__(self, params: FwcfpParams, ks: PermKey):
@@ -210,6 +215,12 @@ class FwcfpReaderDb:
     def authenticate(
         self, sid: str, flow2: Flow2, rng: Rng
     ) -> tuple[SessionVerdict, Flow3 | RejectMessage]:
+        """Decrypt the alias, check H(K || rand1) and issue the next alias.
+
+        The verdict, accept or reject, closes the session, and an accepting
+        verdict carries the issued alias; a malformed flow2 raises
+        ProtocolError and leaves the session open.
+        """
         p = self.params
         sess = self.sessions.get(sid)
         if sess is None:
@@ -221,20 +232,19 @@ class FwcfpReaderDb:
             or flow2.rand2.width != p.nonce_bits
         ):
             raise ProtocolError("flow2 shape or widths invalid")
+        del self.sessions[sid]
         idt, _ = invert(self.ks, flow2.idta).split(p.id_bits)
         k = self.registry.get(idt)
         if k is None:
             return SessionVerdict("reader", False, "unknown-idt"), RejectMessage()
         if truncated_hash(p.hash, k.concat(sess.rand1)) != flow2.h1:
             return SessionVerdict("reader", False, "bad-h1"), RejectMessage()
-        sess.rand2 = flow2.rand2
         alias = permute(self.ks, idt.concat(rng.bits(p.rand0_bits)))
-        sess.pending_alias = alias
         mask1 = expand_mask(p.hash, concat_all(k, sess.rand1, flow2.rand2), p.alias_bits)
         mask2 = expand_mask(p.hash, concat_all(k, flow2.rand2, sess.rand1), p.alias_bits)
         h2 = truncated_hash(p.hash, k.concat(flow2.rand2))
         return (
-            SessionVerdict("reader", True),
+            SessionVerdict("reader", True, issued=alias),
             Flow3(h2=h2, a=alias ^ mask1, b=alias ^ mask2),
         )
 
@@ -253,55 +263,21 @@ def run_honest_session(
     interpose=None,
     disclose_secrets: bool = False,
 ) -> SessionResult:
-    """Drive one full session, optionally letting an adversary sit on the channel.
+    """Drive one FWCFP session through :func:`session.drive`."""
+    return drive(PROTOCOL, tag, db, rng, interpose=interpose, disclose_secrets=disclose_secrets)
 
-    ``interpose(flow_name, message)`` may pass the message through, return a
-    replacement, or return None to block it. Every honest emission and every
-    tamper or block event lands in the transcript.
-    """
-    sid, flow1 = db.begin(rng)
-    transcript = Transcript(session=sid, protocol=PROTOCOL_NAME, params=db.params.to_dict())
-    if disclose_secrets:
-        transcript.secrets = {
-            "k": tag.k,
-            "idt": tag.bookkeeping_idt,
-            "alias_before": tag.idta,
-        }
 
-    def deliver(flow, sender, message):
-        transcript.add(flow, sender, message.fields())
-        if interpose is None:
-            return message
-        delivered = interpose(flow, message)
-        if delivered is None:
-            transcript.add(flow, "adversary", {}, note="blocked")
-            return None
-        if delivered is not message:
-            transcript.add(flow, "adversary", delivered.fields(), note="tampered")
-        return delivered
-
-    message = deliver("flow1", "reader", flow1)
-    if message is None:
-        return SessionResult(transcript, sid, None, None)
-    flow2 = tag.respond(message, rng)
-    message = deliver("flow2", "tag", flow2)
-    if message is None:
-        return SessionResult(transcript, sid, None, None)
-    reader_verdict, reply = db.authenticate(sid, message, rng)
-    if not reader_verdict.ok:
-        transcript.add("reject", "reader", {})
-        transcript.add("verdict", "reader", reader_verdict.fields())
-        return SessionResult(transcript, sid, reader_verdict, None)
-    message = deliver("flow3", "reader", reply)
-    transcript.add("verdict", "reader", reader_verdict.fields())
-    if message is None:
-        return SessionResult(transcript, sid, reader_verdict, None)
-    tag_verdict, flow4 = tag.finalize(message)
-    if tag_verdict.ok:
-        deliver("flow4", "tag", flow4)
-    else:
-        transcript.add("reject", "tag", {})
-    transcript.add("verdict", "tag", tag_verdict.fields())
-    if disclose_secrets:
-        transcript.secrets["alias_after"] = tag.idta
-    return SessionResult(transcript, sid, reader_verdict, tag_verdict)
+PROTOCOL = Protocol(
+    name=PROTOCOL_NAME,
+    flow1=Flow1,
+    flow3=Flow3,
+    state=("k", "idta"),
+    disclose=lambda tag: {"k": tag.k, "idt": tag.bookkeeping_idt, "alias_before": tag.idta},
+    disclose_after=lambda tag: {"alias_after": tag.idta},
+    authenticate=lambda db, sid, flow2, rng: db.authenticate(sid, flow2, rng),
+    finalize=lambda tag, flow3: tag.finalize(flow3),
+    new_reader=FwcfpReaderDb.create,
+    provision=FwcfpReaderDb.provision_tag,
+    widths=lambda params: (params.id_bits, params.key_bits),
+    run_session=lambda tag, db, rng: run_honest_session(tag, db, rng),
+)

@@ -33,7 +33,7 @@ from . import fwcfp, lwjx
 from .bits import BitString
 from .crypto import HASH_NAME
 from .rng import Rng
-from .session import ProtocolError, RejectMessage
+from .session import Protocol, ProtocolError, RejectMessage
 from .transcript import Transcript
 
 SCHEMA_VERSION = 1
@@ -69,91 +69,25 @@ class ChallengeHandle:
         return self.token.render()
 
 
-class FwcfpProtocol:
-    name = "fwcfp"
-    flow_count = 4
-
-    def fresh_trial(self, params, rng):
-        db = fwcfp.FwcfpReaderDb.create(params, rng)
-        idt0 = rng.bits(params.id_bits)
-        idt1 = rng.bits(params.id_bits)
-        while idt1 == idt0:
-            idt1 = rng.bits(params.id_bits)
-        k0 = rng.bits(params.key_bits)
-        k1 = rng.bits(params.key_bits)
-        while k1 == k0:
-            k1 = rng.bits(params.key_bits)
-        return db.provision_tag(rng, idt0, k0), db.provision_tag(rng, idt1, k1), db
-
-    def run_session(self, tag, db, rng):
-        return fwcfp.run_honest_session(tag, db, rng)
-
-    def deliver_to_tag(self, tag, message, rng):
-        if isinstance(message, fwcfp.Flow1):
-            return tag.respond(message, rng)
-        if isinstance(message, fwcfp.Flow3):
-            _, reply = tag.finalize(message)
-            return reply
-        raise ProtocolError("the tag cannot process this message")
-
-    def deliver_to_reader(self, db, sid, message, rng):
-        _, reply = db.authenticate(sid, message, rng)
-        return reply
-
-    def corrupt(self, tag, replacement):
-        secrets = {"k": tag.k, "idta": tag.idta}
-        if replacement is not None:
-            k, idta = replacement["k"], replacement["idta"]
-            if k.width != tag.params.key_bits or idta.width != tag.params.alias_bits:
-                raise ProtocolError("replacement secrets have the wrong widths")
-            tag.k = k
-            tag.idta = idta
-        return secrets
+PROTOCOLS = {fwcfp.PROTOCOL_NAME: fwcfp.PROTOCOL, lwjx.PROTOCOL_NAME: lwjx.PROTOCOL}
 
 
-class LwjxProtocol:
-    name = "lwjx"
-    flow_count = 3
-
-    def fresh_trial(self, params, rng):
-        db = lwjx.LwjxReaderDb(params)
-        id0 = rng.bits(params.bits)
-        id1 = rng.bits(params.bits)
-        while id1 == id0:
-            id1 = rng.bits(params.bits)
-        k0 = rng.bits(params.bits)
-        k1 = rng.bits(params.bits)
-        while k1 == k0:
-            k1 = rng.bits(params.bits)
-        return db.provision(rng, id0, k0), db.provision(rng, id1, k1), db
-
-    def run_session(self, tag, db, rng):
-        return lwjx.run_honest_session(tag, db, rng)
-
-    def deliver_to_tag(self, tag, message, rng):
-        if isinstance(message, lwjx.Flow1):
-            return tag.respond(message, rng)
-        if isinstance(message, lwjx.Flow3):
-            tag.finalize(message)
-            return None
-        raise ProtocolError("the tag cannot process this message")
-
-    def deliver_to_reader(self, db, sid, message, rng):
-        _, reply = db.authenticate(sid, message)
-        return reply
-
-    def corrupt(self, tag, replacement):
-        secrets = {"id": tag.id, "k": tag.k}
-        if replacement is not None:
-            id_, k = replacement["id"], replacement["k"]
-            if id_.width != tag.params.bits or k.width != tag.params.bits:
-                raise ProtocolError("replacement secrets have the wrong widths")
-            tag.id = id_
-            tag.k = k
-        return secrets
+def _distinct_pair(rng: Rng, width: int) -> tuple[BitString, BitString]:
+    """Two different values of one width, the second redrawn until it differs."""
+    first = rng.bits(width)
+    second = rng.bits(width)
+    while second == first:
+        second = rng.bits(width)
+    return first, second
 
 
-PROTOCOLS = {"fwcfp": FwcfpProtocol(), "lwjx": LwjxProtocol()}
+def fresh_trial(protocol: Protocol, params, rng: Rng):
+    """A new reader and two tags with distinct identifiers and distinct keys."""
+    db = protocol.new_reader(params, rng)
+    id_bits, key_bits = protocol.widths(params)
+    id0, id1 = _distinct_pair(rng, id_bits)
+    k0, k1 = _distinct_pair(rng, key_bits)
+    return protocol.provision(db, rng, id0, k0), protocol.provision(db, rng, id1, k1), db
 
 
 class UprivGame:
@@ -161,7 +95,7 @@ class UprivGame:
 
     def __init__(
         self,
-        protocol,
+        protocol: Protocol,
         params,
         rng: Rng,
         *,
@@ -171,7 +105,7 @@ class UprivGame:
         self.protocol = protocol
         self.params = params
         self.rng = rng
-        self.tag0, self.tag1, self.db = protocol.fresh_trial(params, rng)
+        self.tag0, self.tag1, self.db = fresh_trial(protocol, params, rng)
         self.phase = LEARNING
         self.b: int | None = None
         self.handle: ChallengeHandle | None = None
@@ -223,9 +157,13 @@ class UprivGame:
         self.delivery_counts[index] += 1
         tag = (self.tag0, self.tag1)[index]
         try:
-            return self.protocol.deliver_to_tag(tag, message, self.rng)
+            if isinstance(message, self.protocol.flow1):
+                return tag.respond(message, self.rng)
+            if isinstance(message, self.protocol.flow3):
+                return self.protocol.finalize(tag, message)[1]
         except ProtocolError:
-            return RejectMessage()
+            pass
+        return RejectMessage()  # malformed, or no message a tag answers
 
     def reader_begin(self):
         self._require_phase(LEARNING, CHALLENGE)
@@ -236,7 +174,7 @@ class UprivGame:
         self._require_phase(LEARNING, CHALLENGE)
         self._charge()
         try:
-            return self.protocol.deliver_to_reader(self.db, sid, message, self.rng)
+            return self.protocol.authenticate(self.db, sid, message, self.rng)[1]
         except ProtocolError:
             return RejectMessage()
 
@@ -254,7 +192,15 @@ class UprivGame:
                     "corrupt must come after the challenge session is archived"
                 )
         self._charge()
-        return self.protocol.corrupt((self.tag0, self.tag1)[ref], replacement)
+        tag = (self.tag0, self.tag1)[ref]
+        secrets = {name: getattr(tag, name) for name in self.protocol.state}
+        if replacement is not None:
+            new = {name: replacement[name] for name in secrets}
+            if any(new[name].width != secrets[name].width for name in secrets):
+                raise ProtocolError("replacement secrets have the wrong widths")
+            for name, value in new.items():
+                setattr(tag, name, value)
+        return secrets
 
     def run_test(self) -> ChallengeHandle:
         """Draw the hidden bit and open the challenge phase. Once per game."""

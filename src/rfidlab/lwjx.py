@@ -33,8 +33,14 @@ from dataclasses import dataclass
 from .bits import BitString
 from .crypto import g_params, h_params, truncated_hash
 from .rng import Rng
-from .session import ProtocolError, RejectMessage, SessionResult, SessionVerdict
-from .transcript import Transcript
+from .session import (
+    Protocol,
+    ProtocolError,
+    RejectMessage,
+    SessionResult,
+    SessionVerdict,
+    drive,
+)
 
 PROTOCOL_NAME = "lwjx"
 
@@ -327,46 +333,36 @@ def run_honest_session(
     interpose=None,
     disclose_secrets: bool = False,
 ) -> SessionResult:
-    """Drive one session; ``drop_flow3`` loses the reply so the tag never updates."""
-    sid, flow1 = db.begin(rng)
-    transcript = Transcript(session=sid, protocol=PROTOCOL_NAME, params=db.params.to_dict())
-    if disclose_secrets:
-        transcript.secrets = {"id": tag.id, "k": tag.k}
+    """Drive one session; ``drop_flow3`` loses the reply so the tag never updates.
 
-    def deliver(flow, sender, message):
-        transcript.add(flow, sender, message.fields())
-        if flow == "flow3" and drop_flow3:
-            transcript.add(flow, "adversary", {}, note="blocked")
-            return None
-        if interpose is None:
-            return message
-        delivered = interpose(flow, message)
-        if delivered is None:
-            transcript.add(flow, "adversary", {}, note="blocked")
-            return None
-        if delivered is not message:
-            transcript.add(flow, "adversary", delivered.fields(), note="tampered")
-        return delivered
+    The loss is an interposer that blocks flow3 before ``interpose`` sees it.
+    """
+    if drop_flow3:
+        interpose = _dropping_flow3(interpose)
+    return drive(PROTOCOL, tag, db, rng, interpose=interpose, disclose_secrets=disclose_secrets)
 
-    message = deliver("flow1", "reader", flow1)
-    if message is None:
-        return SessionResult(transcript, sid, None, None)
-    flow2 = tag.respond(message, rng)
-    message = deliver("flow2", "tag", flow2)
-    if message is None:
-        return SessionResult(transcript, sid, None, None)
-    reader_verdict, reply = db.authenticate(sid, message)
-    if not reader_verdict.ok:
-        transcript.add("reject", "reader", {})
-        transcript.add("verdict", "reader", reader_verdict.fields())
-        return SessionResult(transcript, sid, reader_verdict, None)
-    message = deliver("flow3", "reader", reply)
-    transcript.add("verdict", "reader", reader_verdict.fields())
-    if message is None:
-        return SessionResult(transcript, sid, reader_verdict, None)
-    tag_verdict = tag.finalize(message)
-    transcript.add("verdict", "tag", tag_verdict.fields())
-    if disclose_secrets:
-        transcript.secrets["id_after"] = tag.id
-        transcript.secrets["k_after"] = tag.k
-    return SessionResult(transcript, sid, reader_verdict, tag_verdict)
+
+def _dropping_flow3(interpose):
+    def dropping(flow, message):
+        if flow == "flow3":
+            return None
+        return message if interpose is None else interpose(flow, message)
+
+    return dropping
+
+
+PROTOCOL = Protocol(
+    name=PROTOCOL_NAME,
+    flow1=Flow1,
+    flow3=Flow3,
+    state=("id", "k"),
+    disclose=lambda tag: {"id": tag.id, "k": tag.k},
+    disclose_after=lambda tag: {"id_after": tag.id, "k_after": tag.k},
+    authenticate=lambda db, sid, flow2, rng: db.authenticate(sid, flow2),
+    # the tag sends nothing once it has judged the reply: no flow4, no reject
+    finalize=lambda tag, flow3: (tag.finalize(flow3), None),
+    new_reader=lambda params, rng: LwjxReaderDb(params),
+    provision=LwjxReaderDb.provision,
+    widths=lambda params: (params.bits, params.bits),
+    run_session=lambda tag, db, rng: run_honest_session(tag, db, rng),
+)

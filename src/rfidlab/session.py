@@ -1,9 +1,17 @@
-"""Verdicts and results shared by both protocol state machines."""
+"""The session driver and the verdicts and results both protocols share.
+
+Both protocols run the same flow engine: the reader opens, the tag answers,
+the reader judges, and the tag judges the reply. :func:`drive` runs it once
+for either protocol, reading what differs from the protocol's
+:class:`Protocol` table.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
+from .bits import BitString
 from .transcript import Transcript
 
 
@@ -46,12 +54,15 @@ class SessionVerdict:
 
     ``reason`` is the internal, machine-readable detail ("unknown-idt",
     "bad-h1", ... or the accept branch for LWJX readers); it appears in
-    transcripts and logs but never on the wire.
+    transcripts and logs but never on the wire. ``issued`` is what an
+    accepting reader handed out in the session (the FWCFP alias); it
+    appears neither on the wire nor in transcripts.
     """
 
     party: str
     ok: bool
     reason: str | None = None
+    issued: BitString | None = field(default=None, compare=False)
 
     def fields(self) -> dict:
         out = {"party": self.party, "outcome": "accept" if self.ok else "reject"}
@@ -75,3 +86,77 @@ class SessionResult:
             and self.tag_verdict is not None
             and self.tag_verdict.ok
         )
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """What one protocol looks like to the session driver and to the game.
+
+    ``authenticate`` and ``finalize`` call the reader's or tag's method at
+    call time, and ``run_session`` the module's ``run_honest_session`` by
+    name, so a wrapper installed on the class or module is the one that runs.
+    """
+
+    name: str
+    flow1: type  # the challenge a tag answers
+    flow3: type  # the reply a tag judges
+    state: tuple[str, ...]  # the tag attributes Corrupt reads and may overwrite
+    disclose: Callable  # tag -> the secrets disclosed at session start
+    disclose_after: Callable  # tag -> the secrets added once the tag has judged
+    authenticate: Callable  # (db, sid, flow2, rng) -> (verdict, flow3 or reject)
+    finalize: Callable  # (tag, flow3) -> (verdict, flow4 or reject, or None)
+    new_reader: Callable  # (params, rng) -> a reader with no tags
+    provision: Callable  # (db, rng[, id, k]) -> a new tag registered with db
+    widths: Callable  # params -> (identifier width, key width)
+    run_session: Callable  # (tag, db, rng) -> SessionResult, the module's driver
+
+
+def drive(
+    protocol: Protocol, tag, db, rng, *, interpose=None, disclose_secrets: bool = False
+) -> SessionResult:
+    """Drive one full session, optionally letting an adversary sit on the channel.
+
+    ``interpose(flow_name, message)`` may pass the message through, return a
+    replacement, or return None to block it. Every honest emission and every
+    tamper or block event lands in the transcript.
+    """
+    sid, flow1 = db.begin(rng)
+    transcript = Transcript(session=sid, protocol=protocol.name, params=db.params.to_dict())
+    if disclose_secrets:
+        transcript.secrets = protocol.disclose(tag)
+
+    def deliver(flow, sender, message):
+        transcript.add(flow, sender, message.fields())
+        if interpose is None:
+            return message
+        delivered = interpose(flow, message)
+        if delivered is None:
+            transcript.add(flow, "adversary", {}, note="blocked")
+        elif delivered is not message:
+            transcript.add(flow, "adversary", delivered.fields(), note="tampered")
+        return delivered
+
+    message = deliver("flow1", "reader", flow1)
+    if message is None:
+        return SessionResult(transcript, sid, None, None)
+    message = deliver("flow2", "tag", tag.respond(message, rng))
+    if message is None:
+        return SessionResult(transcript, sid, None, None)
+    reader_verdict, reply = protocol.authenticate(db, sid, message, rng)
+    if not reader_verdict.ok:
+        transcript.add("reject", "reader", {})
+        transcript.add("verdict", "reader", reader_verdict.fields())
+        return SessionResult(transcript, sid, reader_verdict, None)
+    message = deliver("flow3", "reader", reply)
+    transcript.add("verdict", "reader", reader_verdict.fields())
+    if message is None:
+        return SessionResult(transcript, sid, reader_verdict, None)
+    tag_verdict, final = protocol.finalize(tag, message)
+    if isinstance(final, RejectMessage):
+        transcript.add("reject", "tag", {})
+    elif final is not None:
+        deliver("flow4", "tag", final)
+    transcript.add("verdict", "tag", tag_verdict.fields())
+    if disclose_secrets:
+        transcript.secrets.update(protocol.disclose_after(tag))
+    return SessionResult(transcript, sid, reader_verdict, tag_verdict)

@@ -87,6 +87,13 @@ def _decode_fields(fields: dict) -> dict:
     return {k: _decode_value(v) for k, v in fields.items()}
 
 
+def _text(doc: dict, key: str) -> str:
+    value = doc[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def transcript_to_lines(transcript: Transcript) -> list[str]:
     meta = {
         "type": "meta",
@@ -149,8 +156,8 @@ def read_jsonl(path) -> list[Transcript]:
                     )
                 try:
                     current = Transcript(
-                        session=doc["session"],
-                        protocol=doc["protocol"],
+                        session=_text(doc, "session"),
+                        protocol=_text(doc, "protocol"),
                         params=doc["params"],
                         secrets=_decode_fields(doc["secrets"])
                         if "secrets" in doc

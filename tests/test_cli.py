@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -84,11 +85,51 @@ class TestConfigValidation:
             ["desync", "--protocol", "fwcfp", "--mask", "16:zz"],
             ["trace", "--hash-bits", "-4"],
             ["nonsense-command"],
+            # out-of-range values that once crashed, were coerced or were echoed
+            ["trace", "--protocol", "lwjx", "--m-limit", "-1"],
+            ["snapshot", "--protocol", "fwcfp", "--hash-bits", "-4", "--output", "{tmp}"],
+            ["snapshot", "--protocol", "lwjx", "--hash-bits", "0", "--output", "{tmp}"],
+            ["snapshot", "--protocol", "lwjx", "--rand0-bits", "8", "--output", "{tmp}"],
+            ["snapshot", "--tags", "-2", "--output", "{tmp}"],
+            ["trace", "--workers", "0"],
+            ["desync", "--attempts", "-5"],
+            # flags a command does not honour
+            ["honest", "--workers", "2"],
+            ["desync", "--workers", "2"],
+            ["snapshot", "--workers", "2", "--output", "{tmp}"],
+            ["desync", "--trials", "5"],
+            ["snapshot", "--trials", "5", "--output", "{tmp}"],
+            ["honest", "--protocol", "fwcfp", "--m-limit", "3"],
+            ["trace", "--protocol", "fwcfp", "--m-limit", "3"],
+            ["snapshot", "--protocol", "fwcfp", "--m-limit", "3", "--output", "{tmp}"],
+            ["desync", "--m-limit", "3"],
+            ["backtrace", "--m-limit", "3"],
+            ["snapshot", "--format", "csv", "--output", "{tmp}"],
+            ["snapshot", "--no-timestamp", "--output", "{tmp}"],
+            ["replay", "--input", str(FIXTURES / "fwcfp_honest.jsonl"), "--seed", "3"],
         ],
     )
-    def test_bad_configs_exit_1(self, args, capsys):
-        assert run(args) == EXIT_CONFIG
+    def test_bad_configs_exit_1(self, args, capsys, tmp_path):
+        target = tmp_path / "out.json"
+        assert run([str(target) if a == "{tmp}" else a for a in args]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["honest", "desync", "trace", "backtrace", "snapshot"])
+    def test_help_lists_only_honoured_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        assert ("--workers" in flags) == (command in ("trace", "backtrace"))
+        assert ("--trials" in flags) == (command in ("honest", "trace", "backtrace"))
+        assert ("--m-limit" in flags) == (command in ("honest", "trace", "snapshot"))
+        assert ("--no-timestamp" in flags) == (command != "snapshot")
+
+    def test_lwjx_snapshot_honours_every_width_flag(self, tmp_path):
+        path = tmp_path / "db.json"
+        assert run(["snapshot", "--protocol", "lwjx", "--key-bits", "16",
+                    "--output", str(path)]) == EXIT_OK
+        assert json.loads(path.read_text())["params"]["bits"] == 16
 
     def test_env_var_overrides_default_seed(self, tmp_path, monkeypatch):
         out = tmp_path / "r.json"

@@ -123,8 +123,7 @@ class TestTagFinalize:
     def complete_flow3(self, tag, db, rng):
         sid, f1 = db.begin(rng)
         flow2 = tag.respond(f1, rng)
-        _, flow3 = db.authenticate(sid, flow2, rng)
-        return sid, flow3
+        return db.authenticate(sid, flow2, rng)
 
     def test_honest_flow3_rotates_alias_to_same_identity(self):
         tag, db, rng = make_world()
@@ -155,12 +154,55 @@ class TestTagFinalize:
         assert tag.idta == before
 
     def test_mask_recovery_identity_is_exact(self):
-        # the accepted alias equals the reader's pending alias bit for bit
+        # the accepted alias equals the alias the reader issued, bit for bit
         tag, db, rng = make_world()
-        sid, flow3 = self.complete_flow3(tag, db, rng)
+        reader_verdict, flow3 = self.complete_flow3(tag, db, rng)
         verdict, _ = tag.finalize(flow3)
         assert verdict.ok
-        assert tag.idta == db.sessions[sid].pending_alias
+        assert tag.idta == reader_verdict.issued
+
+
+class TestSessionTable:
+    def test_honest_and_rejected_sessions_all_close(self):
+        tag, db, rng = make_world()
+        assert run_honest_session(tag, db, rng).both_accepted
+
+        def bad_h1(flow, message):
+            if flow == "flow2":
+                return Flow2(idta=message.idta, h1=message.h1 ^ BitString(96, 1),
+                             rand2=message.rand2)
+            return message
+
+        reader_reject = run_honest_session(tag, db, rng, interpose=bad_h1)
+        assert reader_reject.reader_verdict.reason == "bad-h1"
+
+        def bad_h2(flow, message):
+            if flow == "flow3":
+                return Flow3(h2=message.h2 ^ BitString(96, 1), a=message.a, b=message.b)
+            return message
+
+        tag_reject = run_honest_session(tag, db, rng, interpose=bad_h2)
+        assert tag_reject.reader_verdict.ok
+        assert tag_reject.tag_verdict.reason == "bad-h2"
+        assert db.sessions == {}
+
+    def test_a_closed_session_cannot_be_judged_again(self):
+        tag, db, rng = make_world()
+        sid, f1 = db.begin(rng)
+        flow2 = tag.respond(f1, rng)
+        assert db.authenticate(sid, flow2, rng)[0].ok
+        with pytest.raises(ProtocolError):
+            db.authenticate(sid, flow2, rng)
+
+    def test_malformed_flow2_leaves_the_session_open(self):
+        tag, db, rng = make_world()
+        sid, f1 = db.begin(rng)
+        flow2 = tag.respond(f1, rng)
+        with pytest.raises(ProtocolError):
+            db.authenticate(sid, Flow2(idta=flow2.idta, h1=flow2.h1, rand2=rng.bits(7)), rng)
+        assert sid in db.sessions
+        assert db.authenticate(sid, flow2, rng)[0].ok
+        assert db.sessions == {}
 
 
 class TestHonestSession:

@@ -6,6 +6,7 @@ import pytest
 
 from rfidlab import fwcfp, lwjx
 from rfidlab.bits import BitString
+from rfidlab.cli import EXIT_THRESHOLD, main
 from rfidlab.replay import TranscriptParamsError, replay_file, verify_transcript
 from rfidlab.rng import Rng
 from rfidlab.session import params_from_dict
@@ -172,6 +173,31 @@ class TestReplay:
         assert caught.value.line_number == line_number
         report = replay_file(path)
         assert [(i.field, i.line) for i in report.issues] == [("format", line_number)]
+
+    @pytest.mark.parametrize("protocol, nonce", [("fwcfp", "rand1"), ("lwjx", "rr")])
+    @pytest.mark.parametrize(
+        "case, field",
+        [("secret-missing", "secrets.k"), ("flow1-emptied", "flow1.{}"),
+         ("nonce-a-number", "flow1.{}")],
+    )
+    def test_incomplete_transcripts_name_the_field(
+        self, tmp_path, capsys, protocol, nonce, case, field
+    ):
+        lines = (FIXTURES / f"{protocol}_honest.jsonl").read_text().splitlines()
+        docs = [json.loads(line) for line in lines]
+        for doc in docs:
+            if doc["type"] == "meta" and case == "secret-missing":
+                del doc["secrets"]["k"]
+            elif doc.get("flow") == "flow1" and case == "flow1-emptied":
+                doc["fields"] = {}
+            elif doc.get("flow") == "flow1" and case == "nonce-a-number":
+                doc["fields"][nonce] = 5
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        field = field.format(nonce)
+        assert {issue.field for issue in replay_file(path).issues} == {field}
+        assert main(["replay", "--input", str(path)]) == EXIT_THRESHOLD
+        assert field in capsys.readouterr().out
 
     def test_undisclosed_transcript_cannot_replay(self):
         rng = Rng(1)
