@@ -13,7 +13,12 @@ from __future__ import annotations
 
 import re
 
-_LITERAL = re.compile(r"(0|[1-9][0-9]*):([0-9a-f]*)")
+# A literal's shape: decimal digits, a colon, lowercase hex digits. The
+# first branch is the canonical syntax (ASCII digits without a leading zero,
+# nothing after the hex) and captures the width and the hex; strings of the
+# shape that are not canonical ("08:ff", a Unicode digit, a final newline,
+# which ``$`` lets through) match the second branch and capture nothing.
+LITERAL_SHAPE = re.compile(r"(0|[1-9][0-9]*):([0-9a-f]*)\Z|\d+:[0-9a-f]*$")
 
 
 class WidthError(ValueError):
@@ -52,25 +57,16 @@ class BitString:
         Only decimal digits before the colon and lowercase hex digits after
         it are accepted, so every literal that parses renders back unchanged.
         """
-        match = _LITERAL.fullmatch(text) if isinstance(text, str) else None
+        match = LITERAL_SHAPE.match(text) if isinstance(text, str) else None
         if match is None:
             raise ValueError(f"not a canonical bit string literal: {text!r}")
-        width_part, hex_part = match.groups()
-        width = int(width_part)
-        digits = (width + 3) // 4 if width > 0 else 0
-        if len(hex_part) != digits:
-            raise ValueError(
-                f"expected {digits} hex digits for width {width}, got {len(hex_part)}"
-            )
-        value = int(hex_part, 16) if hex_part else 0
-        return cls(width, value)
+        return from_literal(match)
 
     def render(self) -> str:
         """Inverse of parse(): zero-padded lowercase hex, width first."""
         if self.width == 0:
             return "0:"
-        digits = (self.width + 3) // 4
-        return f"{self.width}:{self.value:0{digits}x}"
+        return "%d:%0*x" % (self.width, (self.width + 3) // 4, self.value)
 
     def concat(self, other: BitString) -> BitString:
         """Concatenation; self occupies the high-order bits."""
@@ -117,6 +113,24 @@ class BitString:
 
 
 EMPTY = BitString(0, 0)
+
+
+def from_literal(match: re.Match) -> BitString:
+    """The BitString a LITERAL_SHAPE match spells; ValueError unless canonical.
+
+    Canonical also means exactly ceil(width/4) hex digits, whose value fits
+    the width.
+    """
+    width_part, hex_part = match.groups()
+    if width_part is None:
+        raise ValueError(f"not a canonical bit string literal: {match.string!r}")
+    width = int(width_part)
+    digits = (width + 3) // 4
+    if len(hex_part) != digits:
+        raise ValueError(
+            f"expected {digits} hex digits for width {width}, got {len(hex_part)}"
+        )
+    return BitString(width, int(hex_part, 16) if hex_part else 0)
 
 
 def concat_all(*parts: BitString) -> BitString:

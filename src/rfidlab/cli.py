@@ -40,19 +40,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _at_least(low: int, kind=int):
+    """An argparse type: a number of the given kind no smaller than ``low``."""
 
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
+    def number(text: str):
+        value = kind(text)
+        if not value >= low:  # NaN included
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
-    return integer
+    number.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return number
 
 
 WIDTH_FLAGS = ("id_bits", "key_bits", "nonce_bits", "hash_bits", "rand0_bits")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_params(args):
@@ -295,21 +300,35 @@ def _cmd_replay(args):
     return (EXIT_OK if report.ok else EXIT_THRESHOLD), None, report.describe()
 
 
+# flags that shape a new snapshot; a snapshot read with --input has its own
+SNAPSHOT_WRITE_FLAGS = ("protocol", "seed", "tags", "m_limit") + WIDTH_FLAGS
+
+
 def _cmd_snapshot(args):
     if args.input:
+        for name in SNAPSHOT_WRITE_FLAGS:
+            if getattr(args, name) is not None:
+                raise ConfigError(f"{_flag(name)} applies to writing a snapshot, not to --input")
+        if args.include_master_key and not args.output:
+            raise ConfigError("--include-master-key needs --output")
         try:
             master = bytes.fromhex(args.master_key) if args.master_key else None
         except ValueError:
             raise ConfigError("--master-key must be hex") from None
         db = snapshots.load_db(args.input, master_key=master)
+        original = _read_json(args.input)
+        is_fwcfp = isinstance(db, fwcfp.FwcfpReaderDb)
+        if master is not None and (not is_fwcfp or "master_key" in original):
+            raise ConfigError("--master-key applies to a redacted FWCFP snapshot only")
+        if args.include_master_key and not is_fwcfp:
+            raise ConfigError("--include-master-key applies to FWCFP snapshots only")
         if args.output:
             snapshots.snapshot_db(
                 db, args.output, include_master_key=args.include_master_key
             )
-        original = _read_json(args.input)
         regenerated = (
             snapshots.fwcfp_db_to_doc(db, include_master_key="master_key" in original)
-            if isinstance(db, fwcfp.FwcfpReaderDb)
+            if is_fwcfp
             else snapshots.lwjx_db_to_doc(db)
         )
         ok = regenerated == original
@@ -320,6 +339,12 @@ def _cmd_snapshot(args):
         )
     if not args.output:
         raise ConfigError("snapshot needs --output (or --input to verify)")
+    if args.master_key is not None:
+        raise ConfigError("--master-key applies to --input only")
+    args.protocol = args.protocol or "fwcfp"
+    args.tags = 3 if args.tags is None else args.tags
+    if args.include_master_key and args.protocol != "fwcfp":
+        raise ConfigError("--include-master-key applies to FWCFP snapshots only")
     params = build_params(args)
     rng = Rng(_resolve_seed(args))
     protocol = game.PROTOCOLS[args.protocol]
@@ -342,7 +367,7 @@ def _add_command(commands, name, run, help, protocols=("fwcfp", "lwjx")):
     parser.add_argument("--protocol", choices=protocols, default="fwcfp")
     parser.add_argument("--seed", type=int, default=None)
     for width in WIDTH_FLAGS:
-        parser.add_argument(f"--{width.replace('_', '-')}", type=int, default=None)
+        parser.add_argument(_flag(width), type=int, default=None)
     if "lwjx" in protocols:
         parser.add_argument("--m-limit", type=int, default=None)
     return parser
@@ -381,13 +406,13 @@ def build_parser() -> _Parser:
 
     trace = _add_command(commands, "trace", _cmd_trace, "untraceability advantage")
     trace.add_argument("--guess-mode", choices=("id-hash", "key-hash"), default=None)
-    trace.add_argument("--tolerance", type=float, default=None)
+    trace.add_argument("--tolerance", type=_at_least(0, float), default=None)
     _add_report_flags(trace, trials=True, workers=True)
 
     backtrace = _add_command(
         commands, "backtrace", _cmd_trace, "backward-untraceability advantage", ("fwcfp",)
     )
-    backtrace.add_argument("--tolerance", type=float, default=None)
+    backtrace.add_argument("--tolerance", type=_at_least(0, float), default=None)
     _add_report_flags(backtrace, trials=True, workers=True)
 
     replay_cmd = commands.add_parser("replay", help="verify a transcript file")
@@ -397,7 +422,10 @@ def build_parser() -> _Parser:
     snapshot = _add_command(
         commands, "snapshot", _cmd_snapshot, "write or verify a reader database snapshot"
     )
-    snapshot.add_argument("--tags", type=_at_least(0), default=3)
+    # None marks a flag as not given, which --input checks (the defaults
+    # when writing are fwcfp and 3 tags)
+    snapshot.set_defaults(protocol=None)
+    snapshot.add_argument("--tags", type=_at_least(0), default=None)
     snapshot.add_argument("--include-master-key", action="store_true")
     snapshot.add_argument("--input", default=None)
     snapshot.add_argument("--master-key", default=None)

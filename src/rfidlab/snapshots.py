@@ -121,8 +121,9 @@ def lwjx_db_from_doc(doc: dict) -> LwjxReaderDb:
 def _validate(doc: dict, protocol: str):
     if not isinstance(doc, dict) or "schema" not in doc:
         raise SnapshotError("not a snapshot document")
-    if doc["schema"] != SCHEMA_VERSION:
-        raise SnapshotError(f"unsupported snapshot schema {doc['schema']!r}")
+    schema = doc["schema"]
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise SnapshotError(f"unsupported snapshot schema {schema!r}")
     if doc.get("protocol") != protocol:
         raise SnapshotError(
             f"snapshot is for {doc.get('protocol')!r}, expected {protocol!r}"

@@ -13,21 +13,21 @@ entry, with every BitString in canonical "<width>:<hex>" text.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .bits import BitString
+from .bits import LITERAL_SHAPE, BitString, from_literal
 from .crypto import HASH_NAME
 
 SCHEMA_VERSION = 1
 
-_BITS_RE = re.compile(r"^\d+:[0-9a-f]*$")
-
 FLOW_NAMES = ("flow1", "flow2", "flow3", "flow4")
 
+# what json.dumps(doc, sort_keys=True) builds on every call, built once
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
-@dataclass
+
+@dataclass(slots=True)
 class TranscriptEntry:
     flow: str  # "flow1".."flow4", "reject" or "verdict"
     sender: str  # "reader", "tag" or "adversary"
@@ -35,7 +35,7 @@ class TranscriptEntry:
     note: str | None = None  # e.g. "tampered", "blocked"
 
 
-@dataclass
+@dataclass(slots=True)
 class Transcript:
     session: str
     protocol: str
@@ -56,35 +56,25 @@ class Transcript:
         When an adversary entry for the flow exists it supersedes the
         honest sender's entry; a "blocked" entry means nothing arrived.
         """
-        chosen = None
-        for entry in self.entries:
+        for entry in reversed(self.entries):
             if entry.flow == flow:
-                chosen = entry
-        if chosen is None or chosen.note == "blocked":
-            return None
-        return chosen.fields
-
-
-def _encode_value(value):
-    if isinstance(value, BitString):
-        return value.render()
-    return value
-
-
-def _decode_value(value):
-    if isinstance(value, str) and _BITS_RE.match(value):
-        return BitString.parse(value)
-    return value
+                return None if entry.note == "blocked" else entry.fields
+        return None
 
 
 def _encode_fields(fields: dict) -> dict:
-    return {k: _encode_value(v) for k, v in fields.items()}
+    return {k: v.render() if isinstance(v, BitString) else v for k, v in fields.items()}
 
 
 def _decode_fields(fields: dict) -> dict:
+    """Fields with every string of a literal's shape parsed to a BitString."""
     if not isinstance(fields, dict):
         raise ValueError(f"expected an object of fields, got {fields!r}")
-    return {k: _decode_value(v) for k, v in fields.items()}
+    shape = LITERAL_SHAPE.match
+    return {
+        k: from_literal(match) if isinstance(v, str) and (match := shape(v)) else v
+        for k, v in fields.items()
+    }
 
 
 def _text(doc: dict, key: str) -> str:
@@ -105,7 +95,8 @@ def transcript_to_lines(transcript: Transcript) -> list[str]:
     }
     if transcript.secrets is not None:
         meta["secrets"] = _encode_fields(transcript.secrets)
-    lines = [json.dumps(meta, sort_keys=True)]
+    encode = _ENCODER.encode
+    lines = [encode(meta)]
     for entry in transcript.entries:
         doc = {
             "type": "entry",
@@ -116,15 +107,16 @@ def transcript_to_lines(transcript: Transcript) -> list[str]:
         }
         if entry.note is not None:
             doc["note"] = entry.note
-        lines.append(json.dumps(doc, sort_keys=True))
+        lines.append(encode(doc))
     return lines
 
 
 def write_jsonl(path, transcripts: Iterable[Transcript]):
     with open(path, "w", encoding="utf-8") as handle:
         for transcript in transcripts:
-            for line in transcript_to_lines(transcript):
-                handle.write(line + "\n")
+            lines = transcript_to_lines(transcript)
+            lines.append("")  # so that the join ends the last line too
+            handle.write("\n".join(lines))
 
 
 class TranscriptFormatError(ValueError):
@@ -150,10 +142,9 @@ def read_jsonl(path) -> list[Transcript]:
                 raise TranscriptFormatError(number, "not a JSON object")
             kind = doc.get("type")
             if kind == "meta":
-                if doc.get("schema") != SCHEMA_VERSION:
-                    raise TranscriptFormatError(
-                        number, f"unsupported schema {doc.get('schema')!r}"
-                    )
+                schema = doc.get("schema")
+                if type(schema) is not int or schema != SCHEMA_VERSION:
+                    raise TranscriptFormatError(number, f"unsupported schema {schema!r}")
                 try:
                     current = Transcript(
                         session=_text(doc, "session"),
@@ -171,10 +162,10 @@ def read_jsonl(path) -> list[Transcript]:
                     raise TranscriptFormatError(number, "entry before any meta line")
                 try:
                     current.add(
-                        doc["flow"],
-                        doc["sender"],
+                        _text(doc, "flow"),
+                        _text(doc, "sender"),
                         _decode_fields(doc["fields"]),
-                        doc.get("note"),
+                        _text(doc, "note") if "note" in doc else None,
                     )
                 except (KeyError, ValueError) as exc:
                     raise TranscriptFormatError(number, f"bad entry ({exc})")

@@ -107,11 +107,41 @@ class TestConfigValidation:
             ["snapshot", "--format", "csv", "--output", "{tmp}"],
             ["snapshot", "--no-timestamp", "--output", "{tmp}"],
             ["replay", "--input", str(FIXTURES / "fwcfp_honest.jsonl"), "--seed", "3"],
+            # snapshot flags that went unhonoured: writing flags on --input,
+            # a master key that no load needs, a master key to include for
+            # LWJX or without an output
+            ["snapshot", "--input", "{lwjx}", "--protocol", "lwjx"],
+            ["snapshot", "--input", "{lwjx}", "--seed", "4"],
+            ["snapshot", "--input", "{lwjx}", "--tags", "9"],
+            ["snapshot", "--input", "{lwjx}", "--m-limit", "3"],
+            ["snapshot", "--input", "{lwjx}", "--hash-bits", "8"],
+            ["snapshot", "--input", "{fwcfp}", "--rand0-bits", "8"],
+            ["snapshot", "--input", "{lwjx}", "--tags", "9", "--seed", "4",
+             "--hash-bits", "8", "--protocol", "fwcfp"],
+            ["snapshot", "--input", "{fwcfp}", "--include-master-key"],
+            ["snapshot", "--input", "{lwjx}", "--include-master-key", "--output", "{tmp}"],
+            ["snapshot", "--protocol", "fwcfp", "--master-key", "00ff", "--output", "{tmp}"],
+            ["snapshot", "--input", "{lwjx}", "--master-key", "00ff"],
+            ["snapshot", "--input", "{fwcfp}", "--master-key", "00ff", "--output", "{tmp}"],
+            ["snapshot", "--protocol", "lwjx", "--include-master-key", "--output", "{tmp}"],
+            # a tolerance that no result can meet, or that compares false
+            ["trace", "--tolerance", "-1"],
+            ["trace", "--tolerance", "nan"],
+            ["backtrace", "--tolerance", "-1"],
+            ["backtrace", "--tolerance", "nan"],
         ],
     )
     def test_bad_configs_exit_1(self, args, capsys, tmp_path):
         target = tmp_path / "out.json"
-        assert run([str(target) if a == "{tmp}" else a for a in args]) == EXIT_CONFIG
+        paths = {"{tmp}": str(target)}
+        for protocol, extra in (("fwcfp", ["--include-master-key"]), ("lwjx", [])):
+            if "{%s}" % protocol in args:
+                path = tmp_path / f"{protocol}.json"
+                assert run(["snapshot", "--protocol", protocol, "--output", str(path)]
+                           + extra) == EXIT_OK
+                paths["{%s}" % protocol] = str(path)
+        capsys.readouterr()
+        assert run([paths.get(a, a) for a in args]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
         assert not target.exists()
 
@@ -266,6 +296,34 @@ class TestMalformedInputs:
         assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "line_number, key, value",
+        [(2, "flow", 5), (2, "sender", []), (2, "note", {}), (2, "note", None),
+         (1, "schema", True), (1, "schema", 1.0)],
+        ids=["flow-number", "sender-array", "note-object", "note-null",
+             "schema-true", "schema-float"],
+    )
+    def test_transcript_value_of_the_wrong_type(
+        self, tmp_path, capsys, line_number, key, value
+    ):
+        lines = (FIXTURES / "fwcfp_honest.jsonl").read_text().splitlines()
+        doc = json.loads(lines[line_number - 1])
+        doc[key] = value
+        lines[line_number - 1] = json.dumps(doc)
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["replay", "--input", str(path)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_snapshot_schema_that_is_not_the_int_1(self, tmp_path, capsys, schema):
+        path, doc = self.lwjx_snapshot(tmp_path)
+        doc["schema"] = schema
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
     @pytest.mark.parametrize("bad_line", ["[1, 2]", "5"])
     def test_transcript_line_that_is_not_an_object(self, tmp_path, capsys, bad_line):
         lines = (FIXTURES / "fwcfp_honest.jsonl").read_text().splitlines()
@@ -299,6 +357,19 @@ class TestSnapshotCommand:
         run(["snapshot", "--protocol", "fwcfp", "--output", str(path2),
              "--seed", "5", "--include-master-key"])
         assert "master_key" in json.loads(path2.read_text())
+
+    def test_input_rewritten_with_the_master_key(self, tmp_path):
+        keyed = tmp_path / "keyed.json"
+        run(["snapshot", "--protocol", "fwcfp", "--output", str(keyed),
+             "--seed", "5", "--include-master-key"])
+        redacted = tmp_path / "redacted.json"
+        assert run(["snapshot", "--input", str(keyed), "--output", str(redacted)]) == EXIT_OK
+        assert "master_key" not in json.loads(redacted.read_text())
+        key = json.loads(keyed.read_text())["master_key"]
+        again = tmp_path / "again.json"
+        assert run(["snapshot", "--input", str(redacted), "--master-key", key,
+                    "--include-master-key", "--output", str(again)]) == EXIT_OK
+        assert again.read_bytes() == keyed.read_bytes()
 
 
 class TestReproducibility:

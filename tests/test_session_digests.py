@@ -150,3 +150,22 @@ def test_command_output_bytes(case, tmp_path):
     code = main(CLI_ARGS[case] + ["--seed", str(SEED), "--output", str(out)])
     assert code == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_DIGESTS[case]
+
+
+# one file, many transcripts: pins the join within and between transcripts
+MIXED_FILE_DIGEST = "bf12857e246f4bc83d146cfd4cbc4e70aa7058fb3ebd6c8bed74ceb0183585f5"
+
+
+def test_mixed_file_bytes(tmp_path):
+    f_rng = Rng(SEED, stream=0)
+    f_db = fwcfp.FwcfpReaderDb.create(fwcfp.FwcfpParams(), f_rng)
+    f_tag = f_db.provision_tag(f_rng)
+    l_rng = Rng(SEED, stream=1)
+    l_db = lwjx.LwjxReaderDb(lwjx.LwjxParams())
+    l_tag = l_db.provision(l_rng)
+    transcripts = []
+    for _ in range(100):
+        for protocol, tag, db, rng in ((fwcfp, f_tag, f_db, f_rng), (lwjx, l_tag, l_db, l_rng)):
+            result = protocol.run_honest_session(tag, db, rng, disclose_secrets=True)
+            transcripts.append(result.transcript)
+    assert _digest_of(transcripts, tmp_path) == MIXED_FILE_DIGEST

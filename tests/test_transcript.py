@@ -1,8 +1,11 @@
 import importlib.util
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rfidlab import fwcfp, lwjx
 from rfidlab.bits import BitString
@@ -21,6 +24,7 @@ from rfidlab.snapshots import (
 )
 from rfidlab.transcript import (
     Transcript,
+    TranscriptEntry,
     TranscriptFormatError,
     read_jsonl,
     transcript_to_lines,
@@ -92,6 +96,128 @@ class TestSerialization:
         t.add("flow3", "reader", {"h2": BitString(8, 1)})
         t.add("flow3", "adversary", {}, note="blocked")
         assert t.delivered("flow3") is None
+
+
+def with_field(tmp_path, value):
+    """The FWCFP fixture with line 2's fields replaced by {"x": value}."""
+    lines = (FIXTURES / "fwcfp_honest.jsonl").read_text().splitlines()
+    doc = json.loads(lines[1])
+    doc["fields"] = {"x": value}
+    lines[1] = json.dumps(doc)
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def reference_render(bits):
+    digits = (bits.width + 3) // 4
+    return f"{bits.width}:{bits.value:0{digits}x}" if bits.width else "0:"
+
+
+def reference_lines(t):
+    """The transcript lines as json.dumps(..., sort_keys=True) writes them."""
+
+    def encode(fields):
+        return {
+            k: reference_render(v) if isinstance(v, BitString) else v
+            for k, v in fields.items()
+        }
+
+    meta = {
+        "type": "meta",
+        "schema": 1,
+        "session": t.session,
+        "protocol": t.protocol,
+        "hash": "sha256",
+        "params": t.params,
+    }
+    if t.secrets is not None:
+        meta["secrets"] = encode(t.secrets)
+    lines = [json.dumps(meta, sort_keys=True)]
+    for e in t.entries:
+        doc = {
+            "type": "entry",
+            "session": t.session,
+            "flow": e.flow,
+            "sender": e.sender,
+            "fields": encode(e.fields),
+        }
+        if e.note is not None:
+            doc["note"] = e.note
+        lines.append(json.dumps(doc, sort_keys=True))
+    return lines
+
+
+LOOKS_LIKE_BITS = re.compile(r"^\d+:[0-9a-f]*$")
+BITS = st.integers(0, 300).flatmap(
+    lambda w: st.integers(0, (1 << w) - 1).map(lambda v: BitString(w, v))
+)
+FIELD_VALUES = (
+    BITS
+    | st.text().filter(lambda s: not LOOKS_LIKE_BITS.match(s))
+    | st.integers()
+    | st.booleans()
+    | st.none()
+)
+FIELDS = st.dictionaries(st.text(max_size=8), FIELD_VALUES, max_size=4)
+ENTRIES = st.builds(
+    TranscriptEntry, st.text(max_size=8), st.text(max_size=8), FIELDS,
+    st.none() | st.text(max_size=8),
+)
+TRANSCRIPTS = st.builds(
+    Transcript,
+    session=st.text(max_size=8),
+    protocol=st.text(max_size=8),
+    params=st.dictionaries(st.text(max_size=8), st.integers(), max_size=3),
+    entries=st.lists(ENTRIES, max_size=5),
+    secrets=st.none() | FIELDS,
+)
+
+
+class TestDecodeSemantics:
+    """Which field values decode to bit strings, stay text, or fail the line."""
+
+    @pytest.mark.parametrize("text", ["8:ff", "0:", "16:00ff", "1:1"])
+    def test_canonical_literals_become_bit_strings(self, tmp_path, text):
+        t = read_jsonl(with_field(tmp_path, text))[0]
+        assert t.entries[0].fields["x"] == BitString.parse(text)
+
+    @pytest.mark.parametrize("text", ["8:FF", " 8:ff", "+8:ff", "accept"])
+    def test_other_text_stays_a_string(self, tmp_path, text):
+        t = read_jsonl(with_field(tmp_path, text))[0]
+        assert t.entries[0].fields["x"] == text
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("08:ff", "not a canonical bit string literal: '08:ff'"),
+            ("\u0663:f", "not a canonical bit string literal: '\u0663:f'"),
+            ("8:ff\n", "not a canonical bit string literal: '8:ff\\n'"),
+            ("8:f", "expected 2 hex digits for width 8, got 1"),
+            ("4:", "expected 1 hex digits for width 4, got 0"),
+            ("1:2", "value 0x2 does not fit in 1 bits"),
+        ],
+        ids=["leading-zero", "arabic-digit", "trailing-newline", "short", "empty", "too-big"],
+    )
+    def test_non_canonical_literals_fail_the_line(self, tmp_path, text, message):
+        with pytest.raises(TranscriptFormatError) as caught:
+            read_jsonl(with_field(tmp_path, text))
+        assert caught.value.line_number == 2
+        assert str(caught.value) == f"line 2: bad entry ({message})"
+
+    @settings(max_examples=200, deadline=None)
+    @given(transcripts=st.lists(TRANSCRIPTS, min_size=1, max_size=3))
+    def test_lines_and_round_trip_match_the_reference(self, transcripts):
+        for t in transcripts:
+            assert transcript_to_lines(t) == reference_lines(t)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.jsonl"
+            write_jsonl(path, transcripts)
+            text = path.read_text(encoding="utf-8")
+            assert text == "".join(
+                line + "\n" for t in transcripts for line in reference_lines(t)
+            )
+            assert read_jsonl(path) == transcripts
 
 
 class TestReplay:
@@ -166,6 +292,27 @@ class TestReplay:
     def test_non_object_values_are_format_errors(self, tmp_path, line_number, spoil):
         lines = transcript_to_lines(fwcfp_disclosed_session().transcript)
         spoil(lines)
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TranscriptFormatError) as caught:
+            read_jsonl(path)
+        assert caught.value.line_number == line_number
+        report = replay_file(path)
+        assert [(i.field, i.line) for i in report.issues] == [("format", line_number)]
+
+    @pytest.mark.parametrize("name", ["fwcfp_honest.jsonl", "lwjx_honest.jsonl"])
+    @pytest.mark.parametrize(
+        "line_number, key, value",
+        [(2, "flow", 5), (2, "sender", []), (2, "note", {}), (2, "note", None),
+         (1, "schema", True), (1, "schema", 1.0), (1, "schema", 2)],
+        ids=["flow-number", "sender-array", "note-object", "note-null",
+             "schema-true", "schema-float", "schema-2"],
+    )
+    def test_values_of_the_wrong_type_are_format_errors(
+        self, tmp_path, name, line_number, key, value
+    ):
+        lines = (FIXTURES / name).read_text().splitlines()
+        lines[line_number - 1] = retyped(lines[line_number - 1], **{key: value})
         path = tmp_path / "t.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TranscriptFormatError) as caught:
@@ -292,6 +439,18 @@ class TestSnapshots:
         doc["schema"] = 99
         with pytest.raises(SnapshotError):
             fwcfp_db_from_doc(doc)
+
+    @pytest.mark.parametrize("schema", [True, 1.0, "1"])
+    def test_schema_must_be_the_int_1(self, schema):
+        db, _ = self.make_fwcfp_db()
+        doc = fwcfp_db_to_doc(db, include_master_key=True)
+        doc["schema"] = schema
+        with pytest.raises(SnapshotError):
+            fwcfp_db_from_doc(doc)
+        lwjx_doc = lwjx_db_to_doc(self.make_lwjx_db()[0])
+        lwjx_doc["schema"] = schema
+        with pytest.raises(SnapshotError):
+            lwjx_db_from_doc(lwjx_doc)
 
     @pytest.mark.parametrize(
         "spoil",
