@@ -315,8 +315,8 @@ def _cmd_snapshot(args):
             master = bytes.fromhex(args.master_key) if args.master_key else None
         except ValueError:
             raise ConfigError("--master-key must be hex") from None
-        db = snapshots.load_db(args.input, master_key=master)
-        original = _read_json(args.input)
+        original = snapshots.read_doc(args.input)
+        db = snapshots.db_from_doc(original, master_key=master)
         is_fwcfp = isinstance(db, fwcfp.FwcfpReaderDb)
         if master is not None and (not is_fwcfp or "master_key" in original):
             raise ConfigError("--master-key applies to a redacted FWCFP snapshot only")
@@ -353,11 +353,6 @@ def _cmd_snapshot(args):
         protocol.provision(db, rng)
     snapshots.snapshot_db(db, args.output, include_master_key=args.include_master_key)
     return EXIT_OK, None, f"wrote {args.protocol} snapshot with {args.tags} tags to {args.output}"
-
-
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def _add_command(commands, name, run, help, protocols=("fwcfp", "lwjx")):

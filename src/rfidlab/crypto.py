@@ -20,8 +20,9 @@ round parameters and its key shifted above the half block, so a round
 builds one message BitString and no HashParams.
 
 The call boundaries are kept on purpose, so that wrapping the module-level
-names counts every oracle call: each Feistel round goes through
-``truncated_hash``, and ``truncated_hash`` goes through ``expand_mask``.
+names counts every oracle call: the Feistel loop in ``permute`` and
+``invert`` calls ``truncated_hash`` directly, once per round, and
+``truncated_hash`` goes through ``expand_mask``.
 The HashParams that ``h_params``, ``g_params`` and the Feistel rounds use
 are memoised per width; HashParams are immutable, so sharing them is safe.
 """
@@ -127,21 +128,21 @@ class PermKey:
         return cls(rng.bytes(key_bytes), width)
 
 
-def _round_value(key: PermKey, rnd: int, right: int) -> int:
-    """Round function: truncated hash of key bytes || right half, as one message."""
-    message = BitString(key.message_width, key.shifted_key | right)
-    return truncated_hash(key.round_params[rnd], message).value
-
-
 def permute(key: PermKey, block: BitString) -> BitString:
-    """Forward evaluation of the keyed permutation on a W-bit block."""
+    """Forward evaluation of the keyed permutation on a W-bit block.
+
+    Round r maps (L, R) to (R, L ^ F_r(R)), where F_r is the truncated hash
+    under round tag r of key bytes || R, hashed as one message.
+    """
     if block.width != key.width:
         raise WidthError(f"block width {block.width} != key width {key.width}")
     half = key.width // 2
-    mask = (1 << half) - 1
-    left, right = block.value >> half, block.value & mask
-    for rnd in range(FEISTEL_ROUNDS):
-        left, right = right, left ^ _round_value(key, rnd, right)
+    left, right = block.value >> half, block.value & ((1 << half) - 1)
+    shifted_key, message_width = key.shifted_key, key.message_width
+    for params in key.round_params:
+        left, right = right, left ^ truncated_hash(
+            params, BitString(message_width, shifted_key | right)
+        ).value
     return BitString(key.width, (left << half) | right)
 
 
@@ -150,8 +151,10 @@ def invert(key: PermKey, block: BitString) -> BitString:
     if block.width != key.width:
         raise WidthError(f"block width {block.width} != key width {key.width}")
     half = key.width // 2
-    mask = (1 << half) - 1
-    left, right = block.value >> half, block.value & mask
-    for rnd in reversed(range(FEISTEL_ROUNDS)):
-        left, right = right ^ _round_value(key, rnd, left), left
+    left, right = block.value >> half, block.value & ((1 << half) - 1)
+    shifted_key, message_width = key.shifted_key, key.message_width
+    for params in reversed(key.round_params):
+        left, right = right ^ truncated_hash(
+            params, BitString(message_width, shifted_key | left)
+        ).value, left
     return BitString(key.width, (left << half) | right)

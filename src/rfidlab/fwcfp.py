@@ -31,6 +31,14 @@ from .session import (
 
 PROTOCOL_NAME = "fwcfp"
 
+# every verdict but the reader's accept, which carries the issued alias, is
+# a fixed value; verdicts are frozen, so each is built once and shared
+_TAG_ACCEPT = SessionVerdict("tag", True)
+_TAG_BAD_H2 = SessionVerdict("tag", False, "bad-h2")
+_TAG_ALIAS_MISMATCH = SessionVerdict("tag", False, "alias-mismatch")
+_READER_UNKNOWN_IDT = SessionVerdict("reader", False, "unknown-idt")
+_READER_BAD_H1 = SessionVerdict("reader", False, "bad-h1")
+
 
 @dataclass(frozen=True)
 class FwcfpParams:
@@ -44,15 +52,11 @@ class FwcfpParams:
         for name in ("id_bits", "key_bits", "nonce_bits", "hash_bits", "rand0_bits"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-
-    @property
-    def alias_bits(self) -> int:
-        """Alias block width: the ciphertext encodes IDT and the alias nonce."""
-        return self.id_bits + self.rand0_bits
-
-    @property
-    def hash(self):
-        return h_params(self.hash_bits)
+        # not fields: equality, hashing, repr and to_dict stay on the widths.
+        # alias_bits is the alias block width (the ciphertext encodes IDT and
+        # the alias nonce); hash is the H oracle every session calls.
+        object.__setattr__(self, "alias_bits", self.id_bits + self.rand0_bits)
+        object.__setattr__(self, "hash", h_params(self.hash_bits))
 
     def to_dict(self) -> dict:
         return {
@@ -146,16 +150,16 @@ class FwcfpTag:
             raise ProtocolError("no session in progress")
         rand1, rand2 = self._session
         if truncated_hash(p.hash, self.k.concat(rand2)) != flow3.h2:
-            return SessionVerdict("tag", False, "bad-h2"), RejectMessage()
+            return _TAG_BAD_H2, RejectMessage()
         mask1 = expand_mask(p.hash, concat_all(self.k, rand1, rand2), p.alias_bits)
         mask2 = expand_mask(p.hash, concat_all(self.k, rand2, rand1), p.alias_bits)
         alias1 = flow3.a ^ mask1
         alias2 = flow3.b ^ mask2
         if alias1 != alias2:
-            return SessionVerdict("tag", False, "alias-mismatch"), RejectMessage()
+            return _TAG_ALIAS_MISMATCH, RejectMessage()
         self.idta = alias1
         self._session = None
-        return SessionVerdict("tag", True), Flow4()
+        return _TAG_ACCEPT, Flow4()
 
 
 @dataclass
@@ -236,9 +240,9 @@ class FwcfpReaderDb:
         idt, _ = invert(self.ks, flow2.idta).split(p.id_bits)
         k = self.registry.get(idt)
         if k is None:
-            return SessionVerdict("reader", False, "unknown-idt"), RejectMessage()
+            return _READER_UNKNOWN_IDT, RejectMessage()
         if truncated_hash(p.hash, k.concat(sess.rand1)) != flow2.h1:
-            return SessionVerdict("reader", False, "bad-h1"), RejectMessage()
+            return _READER_BAD_H1, RejectMessage()
         alias = permute(self.ks, idt.concat(rng.bits(p.rand0_bits)))
         mask1 = expand_mask(p.hash, concat_all(k, sess.rand1, flow2.rand2), p.alias_bits)
         mask2 = expand_mask(p.hash, concat_all(k, flow2.rand2, sess.rand1), p.alias_bits)

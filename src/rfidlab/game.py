@@ -25,7 +25,6 @@ challenge bit, where a collision only misleads when b = 1.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 
@@ -64,9 +63,6 @@ class ChallengeHandle:
     """Opaque routing token for the hidden tag; the token is fresh randomness."""
 
     token: BitString
-
-    def serialized(self) -> str:
-        return self.token.render()
 
 
 PROTOCOLS = {fwcfp.PROTOCOL_NAME: fwcfp.PROTOCOL, lwjx.PROTOCOL_NAME: lwjx.PROTOCOL}
@@ -429,6 +425,10 @@ def estimate_advantage(
             (protocol_name, strategy_name, params, seed, lo, min(lo + step, trials), budget)
             for lo in range(0, trials, step)
         ]
+        # imported here, not at module level: only a pool needs it, and it
+        # is a sizeable import for every CLI run and benchmark set-up
+        import multiprocessing
+
         with multiprocessing.Pool(workers) as pool:
             outcomes = [item for chunk in pool.map(_trial_range, ranges) for item in chunk]
 

@@ -44,6 +44,16 @@ from .session import (
 
 PROTOCOL_NAME = "lwjx"
 
+# verdicts are frozen and none carries per-session data, so each is built
+# once and shared
+_TAG_ACCEPT = SessionVerdict("tag", True)
+_TAG_BAD_HKT = SessionVerdict("tag", False, "bad-hkt")
+_READER_NEW_BRANCH = SessionVerdict("reader", True, "new-branch")
+_READER_OLD_BRANCH = SessionVerdict("reader", True, "old-branch")
+_READER_WARN_LIMIT = SessionVerdict("reader", False, "warn-limit")
+_READER_BAD_KEY_HASH = SessionVerdict("reader", False, "bad-key-hash")
+_READER_NO_MATCH = SessionVerdict("reader", False, "no-match")
+
 
 @dataclass(frozen=True)
 class LwjxParams:
@@ -58,14 +68,9 @@ class LwjxParams:
             raise ValueError("hash_bits must be positive")
         if self.m_limit < 0:
             raise ValueError("m_limit must be >= 0")
-
-    @property
-    def h(self):
-        return h_params(self.hash_bits)
-
-    @property
-    def g(self):
-        return g_params(self.bits)
+        # not fields: equality, hashing, repr and to_dict stay on the widths
+        object.__setattr__(self, "h", h_params(self.hash_bits))
+        object.__setattr__(self, "g", g_params(self.bits))
 
     def to_dict(self) -> dict:
         return {"bits": self.bits, "hash_bits": self.hash_bits, "m_limit": self.m_limit}
@@ -129,11 +134,11 @@ class LwjxTag:
             raise ProtocolError("no session in progress")
         rr, rt = self._session
         if truncated_hash(p.h, self.k.concat(rt)) != flow3.hkt:
-            return SessionVerdict("tag", False, "bad-hkt")
+            return _TAG_BAD_HKT
         self.id = truncated_hash(p.g, self.id)
         self.k = self.id ^ rr ^ rt
         self._session = None
-        return SessionVerdict("tag", True)
+        return _TAG_ACCEPT
 
 
 @dataclass
@@ -273,7 +278,7 @@ class LwjxReaderDb:
                     rec.k_new = rec.id ^ rr ^ rt
                     _index(self._by_old, key, pos)
                     _index(self._by_new, rec.h_id_new.value, pos)
-                    return SessionVerdict("reader", True, "new-branch"), Flow3(reply)
+                    return _READER_NEW_BRANCH, Flow3(reply)
         old_bucket = self._by_old.get(key)
         limit_hit = False
         if old_bucket is not None:
@@ -289,12 +294,12 @@ class LwjxReaderDb:
                     # current nonces; the stored new key must follow or the next
                     # new-epoch check could never verify again
                     rec.k_new = rec.id ^ rr ^ rt
-                    return SessionVerdict("reader", True, "old-branch"), Flow3(reply)
+                    return _READER_OLD_BRANCH, Flow3(reply)
         if limit_hit:
-            return SessionVerdict("reader", False, "warn-limit"), RejectMessage()
+            return _READER_WARN_LIMIT, RejectMessage()
         if new_bucket is not None or old_bucket is not None:
-            return SessionVerdict("reader", False, "bad-key-hash"), RejectMessage()
-        return SessionVerdict("reader", False, "no-match"), RejectMessage()
+            return _READER_BAD_KEY_HASH, RejectMessage()
+        return _READER_NO_MATCH, RejectMessage()
 
 
 def _index(index: dict[int, list[int]], key: int, pos: int):

@@ -142,15 +142,26 @@ def snapshot_db(db, path, *, include_master_key: bool = False):
         handle.write("\n")
 
 
-def load_db(path, *, master_key: bytes | None = None):
+def read_doc(path):
+    """Parse a snapshot file; text that is not UTF-8 JSON is a SnapshotError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise SnapshotError(f"malformed snapshot: {exc.msg}") from None
+        except UnicodeDecodeError:
+            raise SnapshotError("malformed snapshot: not UTF-8 text") from None
+
+
+def db_from_doc(doc, *, master_key: bytes | None = None):
+    """Build the reader a parsed snapshot document describes."""
     protocol = doc.get("protocol") if isinstance(doc, dict) else None
     if protocol == "fwcfp":
         return fwcfp_db_from_doc(doc, master_key)
     if protocol == "lwjx":
         return lwjx_db_from_doc(doc)
     raise SnapshotError(f"unknown snapshot protocol {protocol!r}")
+
+
+def load_db(path, *, master_key: bytes | None = None):
+    return db_from_doc(read_doc(path), master_key=master_key)

@@ -333,6 +333,12 @@ class TestMalformedInputs:
         assert run(["replay", "--input", str(path)]) == EXIT_CONFIG
         assert_one_error_line(capsys)
 
+    def test_snapshot_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "db.json"
+        path.write_bytes(b'\xff\xfe{"schema": 1}')
+        assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
     def test_master_key_that_is_not_hex(self, tmp_path, capsys):
         path = tmp_path / "db.json"
         run(["snapshot", "--protocol", "fwcfp", "--output", str(path), "--seed", "5"])
@@ -370,6 +376,18 @@ class TestSnapshotCommand:
         assert run(["snapshot", "--input", str(redacted), "--master-key", key,
                     "--include-master-key", "--output", str(again)]) == EXIT_OK
         assert again.read_bytes() == keyed.read_bytes()
+
+
+    @pytest.mark.parametrize("protocol", ["fwcfp", "lwjx"])
+    def test_input_is_parsed_once(self, tmp_path, monkeypatch, protocol):
+        path = tmp_path / "db.json"
+        keyed = ["--include-master-key"] if protocol == "fwcfp" else []
+        assert run(["snapshot", "--protocol", protocol, "--output", str(path)] + keyed) == EXIT_OK
+        parses = []
+        load = json.load
+        monkeypatch.setattr(json, "load", lambda *a, **kw: parses.append(a) or load(*a, **kw))
+        assert run(["snapshot", "--input", str(path)]) == EXIT_OK
+        assert len(parses) == 1
 
 
 class TestReproducibility:

@@ -4,8 +4,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rfidlab import crypto
 from rfidlab.bits import BitString, WidthError
 from rfidlab.crypto import (
+    FEISTEL_ROUNDS,
     FEISTEL_TAG_BASE,
     G_TAG,
     H_TAG,
@@ -268,6 +270,50 @@ class TestPermutation:
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
             PermKey(b"", 8)
+
+
+class TestFeistelOracleCalls:
+    """Each Feistel round is one counted hash call, made through the module names.
+
+    The benchmark counts oracle calls by wrapping ``truncated_hash`` and
+    ``expand_mask`` from outside; these tests pin the calls it sees.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+        hash_fn, expand_fn = crypto.truncated_hash, crypto.expand_mask
+
+        def counted_hash(params, message):
+            log.append(("hash", params.domain_tag, message.width))
+            return hash_fn(params, message)
+
+        def counted_expand(params, message, target_width):
+            log.append(("mask", params.domain_tag, message.width))
+            return expand_fn(params, message, target_width)
+
+        monkeypatch.setattr(crypto, "truncated_hash", counted_hash)
+        monkeypatch.setattr(crypto, "expand_mask", counted_expand)
+        return log
+
+    @staticmethod
+    def expected(key, rounds):
+        width = 8 * len(key.key) + key.width // 2
+        return [
+            (kind, FEISTEL_TAG_BASE + rnd, width) for rnd in rounds for kind in ("hash", "mask")
+        ]
+
+    @pytest.mark.parametrize("width, key_bytes", [(8, 16), (34, 3), (128, 16)])
+    def test_permute_and_invert_hash_once_per_round(self, calls, width, key_bytes):
+        rng = Rng(width)
+        key = PermKey(rng.bytes(key_bytes), width)
+        x = rng.bits(width)
+        y = permute(key, x)
+        assert calls == self.expected(key, range(FEISTEL_ROUNDS))
+        assert y == reference_permute(key, x)
+        calls.clear()
+        assert invert(key, y) == x
+        assert calls == self.expected(key, reversed(range(FEISTEL_ROUNDS)))
 
 
 def birthday_bounds(samples: int, n: int) -> tuple[float, float]:

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rfidlab
 from rfidlab import attacks  # noqa: F401  (registers strategies)
 from rfidlab import fwcfp, lwjx
 from rfidlab.game import (
@@ -305,6 +310,21 @@ class TestGameRunner:
         serial = estimate_advantage("lwjx", "lwjx-trace-id", lwjx.LwjxParams(hash_bits=8), 300, seed=11, timestamp=False)
         pooled = estimate_advantage("lwjx", "lwjx-trace-id", lwjx.LwjxParams(hash_bits=8), 300, seed=11, timestamp=False, workers=2)
         assert serial.to_dict() == pooled.to_dict()
+
+    def test_cli_import_leaves_multiprocessing_unloaded(self):
+        # only a worker pool needs multiprocessing; a fresh interpreter shows
+        # whether importing the CLI pulls it in
+        src = Path(rfidlab.__file__).resolve().parent.parent
+        probe = "import sys, rfidlab.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 def enumerated_advantage(hash_bits: int) -> float:
