@@ -377,7 +377,6 @@ class TestSnapshotCommand:
                     "--include-master-key", "--output", str(again)]) == EXIT_OK
         assert again.read_bytes() == keyed.read_bytes()
 
-
     @pytest.mark.parametrize("protocol", ["fwcfp", "lwjx"])
     def test_input_is_parsed_once(self, tmp_path, monkeypatch, protocol):
         path = tmp_path / "db.json"
