@@ -162,10 +162,10 @@ class FwcfpTraceStrategy(game.AdversaryStrategy):
 class FwcfpBackwardTraceStrategy(game.AdversaryStrategy):
     """Links a past session to a later key read-out.
 
-    The challenge session runs and is archived first; only then is tag 0
-    corrupted. Its key never changes, so H(K0 || rand1) recomputed from
-    the archived opening nonce must match the archived response whenever
-    the hidden tag was tag 0.
+    The challenge session runs first; only then is tag 0 corrupted. Its
+    key never changes, so H(K0 || rand1) recomputed from the challenge
+    transcript's opening nonce must match its response whenever the
+    hidden tag was tag 0.
     """
 
     corrupt_policy = game.CORRUPT_AFTER_ARCHIVE
@@ -232,15 +232,11 @@ class LwjxTraceStrategy(game.AdversaryStrategy):
         return 0 if equal else 1
 
 
-game.register_strategy("fwcfp-trace", lambda rng, params: FwcfpTraceStrategy(rng))
-game.register_strategy(
-    "fwcfp-backtrace", lambda rng, params: FwcfpBackwardTraceStrategy(rng)
-)
-game.register_strategy(
-    "lwjx-trace-id",
-    lambda rng, params: LwjxTraceStrategy(rng, params.bits, "by-id-hash"),
-)
-game.register_strategy(
-    "lwjx-trace-key",
-    lambda rng, params: LwjxTraceStrategy(rng, params.bits, "by-key-hash"),
+game.STRATEGY_FACTORIES.update(
+    {
+        "fwcfp-trace": lambda rng, params: FwcfpTraceStrategy(rng),
+        "fwcfp-backtrace": lambda rng, params: FwcfpBackwardTraceStrategy(rng),
+        "lwjx-trace-id": lambda rng, params: LwjxTraceStrategy(rng, params.bits, "by-id-hash"),
+        "lwjx-trace-key": lambda rng, params: LwjxTraceStrategy(rng, params.bits, "by-key-hash"),
+    }
 )

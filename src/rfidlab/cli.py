@@ -326,11 +326,7 @@ def _cmd_snapshot(args):
             snapshots.snapshot_db(
                 db, args.output, include_master_key=args.include_master_key
             )
-        regenerated = (
-            snapshots.fwcfp_db_to_doc(db, include_master_key="master_key" in original)
-            if is_fwcfp
-            else snapshots.lwjx_db_to_doc(db)
-        )
+        regenerated = snapshots.db_to_doc(db, include_master_key="master_key" in original)
         ok = regenerated == original
         return (
             (EXIT_OK if ok else EXIT_THRESHOLD),

@@ -43,6 +43,7 @@ H_TAG = 0x01
 G_TAG = 0x02
 FEISTEL_TAG_BASE = 0x10
 FEISTEL_ROUNDS = 4
+PERM_KEY_BYTES = 16  # key length of a generated permutation key
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,8 @@ class PermKey:
         object.__setattr__(self, "message_width", 8 * len(self.key) + half)
 
     @classmethod
-    def generate(cls, rng, width: int, key_bytes: int = 16) -> PermKey:
-        return cls(rng.bytes(key_bytes), width)
+    def generate(cls, rng, width: int) -> PermKey:
+        return cls(rng.bytes(PERM_KEY_BYTES), width)
 
 
 def permute(key: PermKey, block: BitString) -> BitString:

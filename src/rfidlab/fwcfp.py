@@ -162,11 +162,6 @@ class FwcfpTag:
         return _TAG_ACCEPT, Flow4()
 
 
-@dataclass
-class ReaderSession:
-    rand1: BitString
-
-
 class FwcfpReaderDb:
     """Reader and backend in one: master permutation key plus IDT registry.
 
@@ -181,7 +176,7 @@ class FwcfpReaderDb:
         self.params = params
         self.ks = ks
         self.registry: dict[BitString, BitString] = {}
-        self.sessions: dict[str, ReaderSession] = {}
+        self.sessions: dict[str, BitString] = {}  # session id -> rand1
         self._next_session = 0
 
     @classmethod
@@ -213,7 +208,7 @@ class FwcfpReaderDb:
         sid = f"s{self._next_session}"
         self._next_session += 1
         rand1 = rng.bits(self.params.nonce_bits)
-        self.sessions[sid] = ReaderSession(rand1)
+        self.sessions[sid] = rand1
         return sid, Flow1(rand1)
 
     def authenticate(
@@ -226,8 +221,8 @@ class FwcfpReaderDb:
         ProtocolError and leaves the session open.
         """
         p = self.params
-        sess = self.sessions.get(sid)
-        if sess is None:
+        rand1 = self.sessions.get(sid)
+        if rand1 is None:
             raise ProtocolError(f"unknown session {sid!r}")
         if (
             not isinstance(flow2, Flow2)
@@ -241,11 +236,11 @@ class FwcfpReaderDb:
         k = self.registry.get(idt)
         if k is None:
             return _READER_UNKNOWN_IDT, RejectMessage()
-        if truncated_hash(p.hash, k.concat(sess.rand1)) != flow2.h1:
+        if truncated_hash(p.hash, k.concat(rand1)) != flow2.h1:
             return _READER_BAD_H1, RejectMessage()
         alias = permute(self.ks, idt.concat(rng.bits(p.rand0_bits)))
-        mask1 = expand_mask(p.hash, concat_all(k, sess.rand1, flow2.rand2), p.alias_bits)
-        mask2 = expand_mask(p.hash, concat_all(k, flow2.rand2, sess.rand1), p.alias_bits)
+        mask1 = expand_mask(p.hash, concat_all(k, rand1, flow2.rand2), p.alias_bits)
+        mask2 = expand_mask(p.hash, concat_all(k, flow2.rand2, rand1), p.alias_bits)
         h2 = truncated_hash(p.hash, k.concat(flow2.rand2))
         return (
             SessionVerdict("reader", True, issued=alias),

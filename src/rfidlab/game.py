@@ -1,18 +1,21 @@
 """The untraceability game: adversary queries, phases, advantage estimation.
 
 An adversary interacts with two tags and a reader through four queries.
-Execute runs and archives an honest session; Send delivers a chosen
-message to a tag or to the reader (and, through the session drivers'
-interposers, can block or alter in-flight messages); Corrupt reads and
-overwrites a tag's stored secrets; Test draws the hidden bit b and hands
-back an opaque handle that routes to one of the two candidate tags.
+Execute runs an honest session and returns its transcript; Send delivers
+a chosen message to a tag or to the reader (and, through the session
+drivers' interposers, can block or alter in-flight messages); Corrupt
+reads and overwrites a tag's stored secrets; Test draws the hidden bit b
+and hands back an opaque handle that routes to one of the two candidate
+tags.
 
 A game moves through a learning phase, a challenge phase opened by the
 single Test query, and a guess phase in which the strategy commits to a
 bit. Corrupting a candidate during the challenge phase is normally a
-phase violation; the backward-untraceability variant permits it once the
-challenge session is in the archive, which reproduces the
-corrupt-after-the-fact timeline that attack needs.
+phase violation; the backward-untraceability variant permits it once an
+Execute through the challenge handle has completed, which reproduces the
+corrupt-after-the-fact timeline that attack needs. Every game allows the
+same fixed number of queries, ``BUDGET``; a strategy that spends more has
+its trial discarded.
 
 Advantage runs execute many independent trials, each with fresh tags,
 its own reader and disjoint randomness streams, and compare the measured
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import fwcfp, lwjx
 from .bits import BitString
@@ -36,7 +39,7 @@ from .session import Protocol, ProtocolError, RejectMessage
 from .transcript import Transcript
 
 SCHEMA_VERSION = 1
-DEFAULT_BUDGET = 64
+BUDGET = 64
 
 LEARNING = "learning"
 CHALLENGE = "challenge"
@@ -51,7 +54,7 @@ class PhaseViolation(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """The strategy spent more queries than the configured budget."""
+    """The strategy spent more queries than ``BUDGET``."""
 
 
 class TrialAbort(RuntimeError):
@@ -96,7 +99,6 @@ class UprivGame:
         rng: Rng,
         *,
         corrupt_policy: str = CORRUPT_NEVER,
-        budget: int = DEFAULT_BUDGET,
     ):
         self.protocol = protocol
         self.params = params
@@ -105,11 +107,8 @@ class UprivGame:
         self.phase = LEARNING
         self.b: int | None = None
         self.handle: ChallengeHandle | None = None
-        self.archive: dict[str, Transcript] = {}
         self.queries_used = 0
-        self.budget = budget
         self.corrupt_policy = corrupt_policy
-        self.delivery_counts = [0, 0]
         self._challenge_archived = False
 
     def _require_phase(self, *allowed):
@@ -120,8 +119,8 @@ class UprivGame:
 
     def _charge(self):
         self.queries_used += 1
-        if self.queries_used > self.budget:
-            raise BudgetExceeded(f"query budget of {self.budget} exhausted")
+        if self.queries_used > BUDGET:
+            raise BudgetExceeded(f"query budget of {BUDGET} exhausted")
 
     def _tag_index(self, ref) -> tuple[int, bool]:
         if isinstance(ref, ChallengeHandle):
@@ -133,14 +132,12 @@ class UprivGame:
         raise ValueError(f"tag reference must be 0, 1 or the challenge handle: {ref!r}")
 
     def execute(self, ref) -> Transcript:
-        """Run a full honest session with the referenced tag and archive it."""
+        """Run a full honest session with the referenced tag; return its transcript."""
         self._require_phase(LEARNING, CHALLENGE)
         self._charge()
         index, via_handle = self._tag_index(ref)
-        self.delivery_counts[index] += 1
         tag = (self.tag0, self.tag1)[index]
         result = self.protocol.run_session(tag, self.db, self.rng)
-        self.archive[result.session_id] = result.transcript
         if via_handle and self.phase == CHALLENGE:
             self._challenge_archived = True
         return result.transcript
@@ -150,7 +147,6 @@ class UprivGame:
         self._require_phase(LEARNING, CHALLENGE)
         self._charge()
         index, _ = self._tag_index(ref)
-        self.delivery_counts[index] += 1
         tag = (self.tag0, self.tag1)[index]
         try:
             if isinstance(message, self.protocol.flow1):
@@ -261,32 +257,15 @@ class CoinFlipStrategy(AdversaryStrategy):
         return self.rng.bit()
 
 
+# strategy name -> factory(adversary rng, params); attacks.py adds its entries
 STRATEGY_FACTORIES = {
     "coin-flip": lambda rng, params: CoinFlipStrategy(rng),
 }
 
 
-def register_strategy(name: str, factory):
-    STRATEGY_FACTORIES[name] = factory
-
-
-def _strategy_factory(name: str):
-    if name not in STRATEGY_FACTORIES:
-        from . import attacks  # noqa: F401  (registers the attack strategies)
-    return STRATEGY_FACTORIES[name]
-
-
-def run_upriv_game(
-    protocol, params, strategy: AdversaryStrategy, world_rng: Rng, *, budget: int = DEFAULT_BUDGET
-):
+def run_upriv_game(protocol, params, strategy: AdversaryStrategy, world_rng: Rng):
     """Learning, test, challenge, guess. Returns ("ok", b, guess) or a discard."""
-    game = UprivGame(
-        protocol,
-        params,
-        world_rng,
-        corrupt_policy=strategy.corrupt_policy,
-        budget=budget,
-    )
+    game = UprivGame(protocol, params, world_rng, corrupt_policy=strategy.corrupt_policy)
     driver = GameDriver(game)
     try:
         strategy.learning(driver)
@@ -303,18 +282,20 @@ def run_upriv_game(
     return ("ok", game.b, guess)
 
 
-def run_single_trial(protocol_name, strategy_name, params, seed, index, budget=DEFAULT_BUDGET):
+def run_single_trial(protocol_name, strategy_name, params, seed, index):
     """One trial on its own pair of randomness streams; order-independent."""
     world = Rng(seed, stream=2 * index)
     adversary = Rng(seed, stream=2 * index + 1)
-    strategy = _strategy_factory(strategy_name)(adversary, params)
-    return run_upriv_game(PROTOCOLS[protocol_name], params, strategy, world, budget=budget)
+    if strategy_name not in STRATEGY_FACTORIES:
+        from . import attacks  # noqa: F401  (adds the attack strategies)
+    strategy = STRATEGY_FACTORIES[strategy_name](adversary, params)
+    return run_upriv_game(PROTOCOLS[protocol_name], params, strategy, world)
 
 
 def _trial_range(args):
-    protocol_name, strategy_name, params, seed, lo, hi, budget = args
+    protocol_name, strategy_name, params, seed, lo, hi = args
     return [
-        run_single_trial(protocol_name, strategy_name, params, seed, i, budget)
+        run_single_trial(protocol_name, strategy_name, params, seed, i)
         for i in range(lo, hi)
     ]
 
@@ -353,30 +334,9 @@ class AdvantageReport:
     generated_at: str | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "schema": self.schema,
-            "kind": "advantage-report",
-            "protocol": self.protocol,
-            "strategy": self.strategy,
-            "params": self.params,
-            "seed": self.seed,
-            "hash_name": self.hash_name,
-            "trials_requested": self.trials_requested,
-            "trials_completed": self.trials_completed,
-            "discarded": self.discarded,
-            "discard_reasons": self.discard_reasons,
-            "correct": self.correct,
-            "empirical_p": self.empirical_p,
-            "empirical_adv": self.empirical_adv,
-            "ci95": self.ci95,
-            "ci_method": self.ci_method,
-            "nominal_adv": self.nominal_adv,
-            "exact_adv": self.exact_adv,
-            "nominal_within_ci": self.nominal_within_ci,
-            "exact_within_ci": self.exact_within_ci,
-        }
-        if self.generated_at is not None:
-            doc["generated_at"] = self.generated_at
+        doc = {"kind": "advantage-report", **asdict(self)}
+        if self.generated_at is None:
+            del doc["generated_at"]
         return doc
 
     def summary_line(self) -> str:
@@ -407,7 +367,6 @@ def estimate_advantage(
     trials: int,
     seed: int,
     *,
-    budget: int = DEFAULT_BUDGET,
     workers: int = 1,
     timestamp: bool = True,
 ) -> AdvantageReport:
@@ -416,13 +375,11 @@ def estimate_advantage(
         raise ValueError("trials must be >= 1")
     hash_bits = params.hash_bits
     if workers <= 1:
-        outcomes = _trial_range(
-            (protocol_name, strategy_name, params, seed, 0, trials, budget)
-        )
+        outcomes = _trial_range((protocol_name, strategy_name, params, seed, 0, trials))
     else:
         step = max(1, trials // (workers * 8))
         ranges = [
-            (protocol_name, strategy_name, params, seed, lo, min(lo + step, trials), budget)
+            (protocol_name, strategy_name, params, seed, lo, min(lo + step, trials))
             for lo in range(0, trials, step)
         ]
         # imported here, not at module level: only a pool needs it, and it

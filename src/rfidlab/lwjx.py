@@ -151,11 +151,6 @@ class LwjxReaderRecord:
     m: int = 0
 
 
-@dataclass
-class ReaderSession:
-    rr: BitString
-
-
 class LwjxReaderDb:
     """The reader: per-tag records in provisioning order, indexed by H(ID).
 
@@ -173,7 +168,7 @@ class LwjxReaderDb:
         self.records: list[LwjxReaderRecord] = []
         self._by_new: dict[int, list[int]] = {}
         self._by_old: dict[int, list[int]] = {}
-        self.sessions: dict[str, ReaderSession] = {}
+        self.sessions: dict[str, BitString] = {}  # session id -> rr
         self._next_session = 0
 
     def add_record(self, rec: LwjxReaderRecord):
@@ -227,7 +222,7 @@ class LwjxReaderDb:
         sid = f"s{self._next_session}"
         self._next_session += 1
         rr = rng.bits(self.params.bits)
-        self.sessions[sid] = ReaderSession(rr)
+        self.sessions[sid] = rr
         return sid, Flow1(rr)
 
     def authenticate(
@@ -245,8 +240,8 @@ class LwjxReaderDb:
         ProtocolError and leaves it open.
         """
         p = self.params
-        sess = self.sessions.get(sid)
-        if sess is None:
+        rr = self.sessions.get(sid)
+        if rr is None:
             raise ProtocolError(f"unknown session {sid!r}")
         if (
             not isinstance(flow2, Flow2)
@@ -256,7 +251,7 @@ class LwjxReaderDb:
         ):
             raise ProtocolError("flow2 shape or widths invalid")
         del self.sessions[sid]
-        rr, rt = sess.rr, flow2.rt
+        rt = flow2.rt
         key = flow2.hid.value
         records = self.records
         new_bucket = self._by_new.get(key)

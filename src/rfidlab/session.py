@@ -74,7 +74,6 @@ class SessionVerdict:
 @dataclass
 class SessionResult:
     transcript: Transcript
-    session_id: str
     reader_verdict: SessionVerdict | None
     tag_verdict: SessionVerdict | None
 
@@ -138,19 +137,19 @@ def drive(
 
     message = deliver("flow1", "reader", flow1)
     if message is None:
-        return SessionResult(transcript, sid, None, None)
+        return SessionResult(transcript, None, None)
     message = deliver("flow2", "tag", tag.respond(message, rng))
     if message is None:
-        return SessionResult(transcript, sid, None, None)
+        return SessionResult(transcript, None, None)
     reader_verdict, reply = protocol.authenticate(db, sid, message, rng)
     if not reader_verdict.ok:
         transcript.add("reject", "reader", {})
         transcript.add("verdict", "reader", reader_verdict.fields())
-        return SessionResult(transcript, sid, reader_verdict, None)
+        return SessionResult(transcript, reader_verdict, None)
     message = deliver("flow3", "reader", reply)
     transcript.add("verdict", "reader", reader_verdict.fields())
     if message is None:
-        return SessionResult(transcript, sid, reader_verdict, None)
+        return SessionResult(transcript, reader_verdict, None)
     tag_verdict, final = protocol.finalize(tag, message)
     if isinstance(final, RejectMessage):
         transcript.add("reject", "tag", {})
@@ -159,4 +158,4 @@ def drive(
     transcript.add("verdict", "tag", tag_verdict.fields())
     if disclose_secrets:
         transcript.secrets.update(protocol.disclose_after(tag))
-    return SessionResult(transcript, sid, reader_verdict, tag_verdict)
+    return SessionResult(transcript, reader_verdict, tag_verdict)

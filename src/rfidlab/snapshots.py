@@ -130,13 +130,17 @@ def _validate(doc: dict, protocol: str):
         )
 
 
-def snapshot_db(db, path, *, include_master_key: bool = False):
+def db_to_doc(db, *, include_master_key: bool = False) -> dict:
+    """The snapshot document of either protocol's reader."""
     if isinstance(db, FwcfpReaderDb):
-        doc = fwcfp_db_to_doc(db, include_master_key)
-    elif isinstance(db, LwjxReaderDb):
-        doc = lwjx_db_to_doc(db)
-    else:
-        raise SnapshotError(f"cannot snapshot {type(db).__name__}")
+        return fwcfp_db_to_doc(db, include_master_key)
+    if isinstance(db, LwjxReaderDb):
+        return lwjx_db_to_doc(db)
+    raise SnapshotError(f"cannot snapshot {type(db).__name__}")
+
+
+def snapshot_db(db, path, *, include_master_key: bool = False):
+    doc = db_to_doc(db, include_master_key=include_master_key)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")

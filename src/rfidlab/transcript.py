@@ -129,46 +129,51 @@ def read_jsonl(path) -> list[Transcript]:
     """Parse a transcript file; malformed lines report their line number."""
     transcripts: list[Transcript] = []
     current: Transcript | None = None
+    number = 0
     with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise TranscriptFormatError(number, f"invalid JSON ({exc.msg})")
-            if not isinstance(doc, dict):
-                raise TranscriptFormatError(number, "not a JSON object")
-            kind = doc.get("type")
-            if kind == "meta":
-                schema = doc.get("schema")
-                if type(schema) is not int or schema != SCHEMA_VERSION:
-                    raise TranscriptFormatError(number, f"unsupported schema {schema!r}")
+        try:
+            for number, raw in enumerate(handle, start=1):
+                raw = raw.strip()
+                if not raw:
+                    continue
                 try:
-                    current = Transcript(
-                        session=_text(doc, "session"),
-                        protocol=_text(doc, "protocol"),
-                        params=doc["params"],
-                        secrets=_decode_fields(doc["secrets"])
-                        if "secrets" in doc
-                        else None,
-                    )
-                except (KeyError, ValueError) as exc:
-                    raise TranscriptFormatError(number, f"bad meta line ({exc})")
-                transcripts.append(current)
-            elif kind == "entry":
-                if current is None:
-                    raise TranscriptFormatError(number, "entry before any meta line")
-                try:
-                    current.add(
-                        _text(doc, "flow"),
-                        _text(doc, "sender"),
-                        _decode_fields(doc["fields"]),
-                        _text(doc, "note") if "note" in doc else None,
-                    )
-                except (KeyError, ValueError) as exc:
-                    raise TranscriptFormatError(number, f"bad entry ({exc})")
-            else:
-                raise TranscriptFormatError(number, f"unknown record type {kind!r}")
+                    doc = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise TranscriptFormatError(number, f"invalid JSON ({exc.msg})")
+                if not isinstance(doc, dict):
+                    raise TranscriptFormatError(number, "not a JSON object")
+                kind = doc.get("type")
+                if kind == "meta":
+                    schema = doc.get("schema")
+                    if type(schema) is not int or schema != SCHEMA_VERSION:
+                        raise TranscriptFormatError(number, f"unsupported schema {schema!r}")
+                    try:
+                        current = Transcript(
+                            session=_text(doc, "session"),
+                            protocol=_text(doc, "protocol"),
+                            params=doc["params"],
+                            secrets=_decode_fields(doc["secrets"])
+                            if "secrets" in doc
+                            else None,
+                        )
+                    except (KeyError, ValueError) as exc:
+                        raise TranscriptFormatError(number, f"bad meta line ({exc})")
+                    transcripts.append(current)
+                elif kind == "entry":
+                    if current is None:
+                        raise TranscriptFormatError(number, "entry before any meta line")
+                    try:
+                        current.add(
+                            _text(doc, "flow"),
+                            _text(doc, "sender"),
+                            _decode_fields(doc["fields"]),
+                            _text(doc, "note") if "note" in doc else None,
+                        )
+                    except (KeyError, ValueError) as exc:
+                        raise TranscriptFormatError(number, f"bad entry ({exc})")
+                else:
+                    raise TranscriptFormatError(number, f"unknown record type {kind!r}")
+        except UnicodeDecodeError:
+            # the decoder reads ahead, so the bad bytes may lie beyond this line
+            raise TranscriptFormatError(number + 1, "not UTF-8 text") from None
     return transcripts

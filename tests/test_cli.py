@@ -14,6 +14,8 @@ from rfidlab.cli import (
     canonical_report_bytes,
     main,
 )
+from rfidlab.replay import replay_file
+from rfidlab.transcript import TranscriptFormatError, read_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -338,6 +340,18 @@ class TestMalformedInputs:
         path.write_bytes(b'\xff\xfe{"schema": 1}')
         assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
         assert_one_error_line(capsys)
+
+    def test_transcript_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'\xff\xfe{"type": "meta", "schema": 1}\n')
+        assert run(["replay", "--input", str(path)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+        with pytest.raises(TranscriptFormatError, match="not UTF-8 text") as caught:
+            read_jsonl(path)
+        assert caught.value.line_number == 1
+        report = replay_file(path)
+        assert not report.ok
+        assert [(i.field, i.line) for i in report.issues] == [("format", 1)]
 
     def test_master_key_that_is_not_hex(self, tmp_path, capsys):
         path = tmp_path / "db.json"

@@ -24,8 +24,8 @@ from rfidlab.snapshots import lwjx_db_to_doc
 
 def linear_authenticate(db, sid, flow2):
     p = db.params
-    sess = db.sessions.get(sid)
-    if sess is None:
+    rr = db.sessions.get(sid)
+    if rr is None:
         raise ProtocolError(f"unknown session {sid!r}")
     if (
         not isinstance(flow2, Flow2)
@@ -35,7 +35,7 @@ def linear_authenticate(db, sid, flow2):
     ):
         raise ProtocolError("flow2 shape or widths invalid")
     del db.sessions[sid]
-    rr, rt = sess.rr, flow2.rt
+    rt = flow2.rt
     matched = False
     limit_hit = False
     for rec in db.records:
