@@ -1,7 +1,7 @@
 """rfidlab: two RFID mutual-authentication protocols, the untraceability
 game they are judged in, and the attacks that break them."""
 
-from .bits import BitString, WidthError, concat_all
+from .bits import BitString, WidthError
 from .crypto import (
     FEISTEL_ROUNDS,
     G_TAG,
@@ -58,7 +58,6 @@ __all__ = [
     "TranscriptEntry",
     "UprivGame",
     "WidthError",
-    "concat_all",
     "estimate_advantage",
     "exact_advantage",
     "expand_mask",

@@ -181,11 +181,12 @@ class FwcfpBackwardTraceStrategy(game.AdversaryStrategy):
         if flow1 is None or flow2 is None:
             raise game.TrialAbort("missing archived challenge session")
         secrets = driver.corrupt(0)  # read-out; leaves the tag as it was
-        observed = flow2["h1"]
+        observed, k, rand1 = flow2["h1"], secrets["k"], flow1["rand1"]
+        n = rand1.width
         recomputed = truncated_hash(
-            h_params(observed.width), secrets["k"].concat(flow1["rand1"])
+            h_params(observed.width), k.width + n, (k.value << n) | rand1.value
         )
-        self._equal = recomputed == observed
+        self._equal = recomputed == observed.value
 
     def guess(self) -> int:
         return 0 if self._equal else 1

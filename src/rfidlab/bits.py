@@ -131,12 +131,3 @@ def from_literal(match: re.Match) -> BitString:
             f"expected {digits} hex digits for width {width}, got {len(hex_part)}"
         )
     return BitString(width, int(hex_part, 16) if hex_part else 0)
-
-
-def concat_all(*parts: BitString) -> BitString:
-    """Concatenate left to right; leftmost part ends up in the high bits."""
-    width = value = 0
-    for part in parts:
-        width += part.width
-        value = (value << part.width) | part.value
-    return BitString(width, value)

@@ -12,17 +12,27 @@ expansion is always prefix-consistent with the plain hash. Counter blocks
 are hashed only as far as the mask needs, so a mask of up to 256 bits costs
 one SHA-256, the same as the plain hash.
 
+The oracles work on ints: a message is given as its width and its value
+(``truncated_hash(params, width, value)``,
+``expand_mask(params, width, value, target_width)``) and the result is the
+int value of the output bits, so a caller builds a message such as
+K || r1 || r2 with shifts and compares or XORs the result without any
+BitString. Callers wrap a result in a BitString only where they keep it.
+
 The permutation is a 4-round balanced Feistel network whose round function
 is the truncated hash under per-round domain tags. It is a bijection on
 {0,1}^W for every key and cheap to invert; no cryptographic strength is
 claimed for it beyond what the experiments here need. A PermKey caches its
-round parameters and its key shifted above the half block, so a round
-builds one message BitString and no HashParams.
+round parameters, its key shifted above the half block and the message
+width, so a round builds no BitString and no HashParams.
 
 The call boundaries are kept on purpose, so that wrapping the module-level
 names counts every oracle call: the Feistel loop in ``permute`` and
 ``invert`` calls ``truncated_hash`` directly, once per round, and
-``truncated_hash`` goes through ``expand_mask``.
+``truncated_hash`` goes through ``expand_mask``. Folding the hash into
+``expand_mask`` would save a frame per call but change the counts the
+benchmark traces, so it waits for a benchmark change that reads the
+counts another way.
 The HashParams that ``h_params``, ``g_params`` and the Feistel rounds use
 are memoised per width; HashParams are immutable, so sharing them is safe.
 """
@@ -72,19 +82,20 @@ def g_params(output_bits: int) -> HashParams:
     return HashParams(output_bits, G_TAG)
 
 
-def expand_mask(params: HashParams, message: BitString, target_width: int) -> BitString:
+def expand_mask(params: HashParams, width: int, value: int, target_width: int) -> int:
     """First target_width bits of the tagged, counter-extended hash stream.
 
-    Expanding to W and truncating to n gives the same bits as expanding to
-    n directly; in particular the first ``params.output_bits`` bits are
-    exactly ``truncated_hash(params, message)``.
+    The message is the ``width``-bit string with int value ``value``; the
+    mask is returned as an int of ``target_width`` bits. Expanding to W and
+    truncating to n gives the same bits as expanding to n directly; in
+    particular the first ``params.output_bits`` bits are exactly
+    ``truncated_hash(params, width, value)``.
     """
     if target_width < 1:
         raise ValueError(f"mask width must be >= 1, got {target_width}")
-    width = message.width
     prefix = (
         params.tag_byte
-        + message.value.to_bytes((width + 7) // 8, "big")
+        + value.to_bytes((width + 7) // 8, "big")
         + width.to_bytes(8, "big")
     )
     stream = _sha256(prefix).digest()
@@ -92,13 +103,12 @@ def expand_mask(params: HashParams, message: BitString, target_width: int) -> Bi
     while 8 * len(stream) < target_width:
         stream += _sha256(prefix + counter.to_bytes(4, "big")).digest()
         counter += 1
-    value = int.from_bytes(stream, "big") >> (8 * len(stream) - target_width)
-    return BitString(target_width, value)
+    return int.from_bytes(stream, "big") >> (8 * len(stream) - target_width)
 
 
-def truncated_hash(params: HashParams, message: BitString) -> BitString:
-    """The n-bit hash oracle: first n bits of the domain-tagged SHA-256."""
-    return expand_mask(params, message, params.output_bits)
+def truncated_hash(params: HashParams, width: int, value: int) -> int:
+    """The n-bit hash oracle: first n bits of the domain-tagged SHA-256, as an int."""
+    return expand_mask(params, width, value, params.output_bits)
 
 
 @lru_cache
@@ -141,9 +151,7 @@ def permute(key: PermKey, block: BitString) -> BitString:
     left, right = block.value >> half, block.value & ((1 << half) - 1)
     shifted_key, message_width = key.shifted_key, key.message_width
     for params in key.round_params:
-        left, right = right, left ^ truncated_hash(
-            params, BitString(message_width, shifted_key | right)
-        ).value
+        left, right = right, left ^ truncated_hash(params, message_width, shifted_key | right)
     return BitString(key.width, (left << half) | right)
 
 
@@ -155,7 +163,5 @@ def invert(key: PermKey, block: BitString) -> BitString:
     left, right = block.value >> half, block.value & ((1 << half) - 1)
     shifted_key, message_width = key.shifted_key, key.message_width
     for params in reversed(key.round_params):
-        left, right = right ^ truncated_hash(
-            params, BitString(message_width, shifted_key | left)
-        ).value, left
+        left, right = right ^ truncated_hash(params, message_width, shifted_key | left), left
     return BitString(key.width, (left << half) | right)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import BitString, concat_all
+from .bits import BitString
 from .crypto import PermKey, expand_mask, h_params, invert, permute, truncated_hash
 from .rng import Rng
 from .session import (
@@ -104,6 +104,20 @@ class Flow4:
         return {"ok": self.ok}
 
 
+def alias_masks(p: FwcfpParams, k: int, rand1: int, rand2: int) -> tuple[int, int]:
+    """The two alias masks, as ints.
+
+    The mask over A is the hash of K || rand1 || rand2 and the mask over B
+    that of K || rand2 || rand1, each expanded to the alias width.
+    """
+    n = p.nonce_bits
+    width = p.key_bits + 2 * n
+    return (
+        expand_mask(p.hash, width, (((k << n) | rand1) << n) | rand2, p.alias_bits),
+        expand_mask(p.hash, width, (((k << n) | rand2) << n) | rand1, p.alias_bits),
+    )
+
+
 class FwcfpTag:
     """Tag side: secrets (K, IDTA) plus a pending-session nonce pair.
 
@@ -133,8 +147,9 @@ class FwcfpTag:
             raise ProtocolError("flow1 must carry a nonce of the configured width")
         rand2 = rng.bits(p.nonce_bits)
         self._session = (flow1.rand1, rand2)
-        h1 = truncated_hash(p.hash, self.k.concat(flow1.rand1))
-        return Flow2(idta=self.idta, h1=h1, rand2=rand2)
+        n = p.nonce_bits
+        h1 = truncated_hash(p.hash, p.key_bits + n, (self.k.value << n) | flow1.rand1.value)
+        return Flow2(idta=self.idta, h1=BitString(p.hash_bits, h1), rand2=rand2)
 
     def finalize(self, flow3: Flow3) -> tuple[SessionVerdict, Flow4 | RejectMessage]:
         """Check the reader's reply and, if both maskings agree, rotate the alias."""
@@ -149,15 +164,14 @@ class FwcfpTag:
         if self._session is None:
             raise ProtocolError("no session in progress")
         rand1, rand2 = self._session
-        if truncated_hash(p.hash, self.k.concat(rand2)) != flow3.h2:
+        n, k, rand1, rand2 = p.nonce_bits, self.k.value, rand1.value, rand2.value
+        if truncated_hash(p.hash, p.key_bits + n, (k << n) | rand2) != flow3.h2.value:
             return _TAG_BAD_H2, RejectMessage()
-        mask1 = expand_mask(p.hash, concat_all(self.k, rand1, rand2), p.alias_bits)
-        mask2 = expand_mask(p.hash, concat_all(self.k, rand2, rand1), p.alias_bits)
-        alias1 = flow3.a ^ mask1
-        alias2 = flow3.b ^ mask2
-        if alias1 != alias2:
+        mask1, mask2 = alias_masks(p, k, rand1, rand2)
+        alias1 = flow3.a.value ^ mask1
+        if alias1 != flow3.b.value ^ mask2:
             return _TAG_ALIAS_MISMATCH, RejectMessage()
-        self.idta = alias1
+        self.idta = BitString(p.alias_bits, alias1)
         self._session = None
         return _TAG_ACCEPT, Flow4()
 
@@ -232,26 +246,31 @@ class FwcfpReaderDb:
         ):
             raise ProtocolError("flow2 shape or widths invalid")
         del self.sessions[sid]
-        idt, _ = invert(self.ks, flow2.idta).split(p.id_bits)
-        k = self.registry.get(idt)
-        if k is None:
+        idt = BitString(p.id_bits, invert(self.ks, flow2.idta).value >> p.rand0_bits)
+        key = self.registry.get(idt)
+        if key is None:
             return _READER_UNKNOWN_IDT, RejectMessage()
-        if truncated_hash(p.hash, k.concat(rand1)) != flow2.h1:
+        n, width = p.nonce_bits, p.key_bits + p.nonce_bits
+        k, rand1, rand2 = key.value, rand1.value, flow2.rand2.value
+        if truncated_hash(p.hash, width, (k << n) | rand1) != flow2.h1.value:
             return _READER_BAD_H1, RejectMessage()
         alias = permute(self.ks, idt.concat(rng.bits(p.rand0_bits)))
-        mask1 = expand_mask(p.hash, concat_all(k, rand1, flow2.rand2), p.alias_bits)
-        mask2 = expand_mask(p.hash, concat_all(k, flow2.rand2, rand1), p.alias_bits)
-        h2 = truncated_hash(p.hash, k.concat(flow2.rand2))
+        mask1, mask2 = alias_masks(p, k, rand1, rand2)
+        h2 = truncated_hash(p.hash, width, (k << n) | rand2)
         return (
             SessionVerdict("reader", True, issued=alias),
-            Flow3(h2=h2, a=alias ^ mask1, b=alias ^ mask2),
+            Flow3(
+                h2=BitString(p.hash_bits, h2),
+                a=BitString(p.alias_bits, alias.value ^ mask1),
+                b=BitString(p.alias_bits, alias.value ^ mask2),
+            ),
         )
 
 
 def alias_identity(db: FwcfpReaderDb, tag: FwcfpTag) -> BitString:
     """Decrypt the tag's current alias back to its identifier (test oracle)."""
-    idt, _ = invert(db.ks, tag.idta).split(db.params.id_bits)
-    return idt
+    p = db.params
+    return BitString(p.id_bits, invert(db.ks, tag.idta).value >> p.rand0_bits)
 
 
 def run_honest_session(

@@ -101,7 +101,6 @@ class UprivGame:
         corrupt_policy: str = CORRUPT_NEVER,
     ):
         self.protocol = protocol
-        self.params = params
         self.rng = rng
         self.tag0, self.tag1, self.db = fresh_trial(protocol, params, rng)
         self.phase = LEARNING

@@ -119,9 +119,12 @@ class LwjxTag:
             raise ProtocolError("flow1 must carry a nonce of the protocol width")
         rt = rng.bits(p.bits)
         self._session = (flow1.rr, rt)
+        n = p.bits
         return Flow2(
-            hid=truncated_hash(p.h, self.id),
-            hk=truncated_hash(p.h, self.k.concat(flow1.rr)),
+            hid=BitString(p.hash_bits, truncated_hash(p.h, n, self.id.value)),
+            hk=BitString(
+                p.hash_bits, truncated_hash(p.h, 2 * n, (self.k.value << n) | flow1.rr.value)
+            ),
             rt=rt,
         )
 
@@ -133,10 +136,12 @@ class LwjxTag:
         if self._session is None:
             raise ProtocolError("no session in progress")
         rr, rt = self._session
-        if truncated_hash(p.h, self.k.concat(rt)) != flow3.hkt:
+        n = p.bits
+        if truncated_hash(p.h, 2 * n, (self.k.value << n) | rt.value) != flow3.hkt.value:
             return _TAG_BAD_HKT
-        self.id = truncated_hash(p.g, self.id)
-        self.k = self.id ^ rr ^ rt
+        new_id = truncated_hash(p.g, n, self.id.value)
+        self.id = BitString(n, new_id)
+        self.k = BitString(n, new_id ^ rr.value ^ rt.value)
         self._session = None
         return _TAG_ACCEPT
 
@@ -209,7 +214,7 @@ class LwjxReaderDb:
         self.add_record(
             LwjxReaderRecord(
                 id=id_,
-                h_id_new=truncated_hash(p.h, id_),
+                h_id_new=BitString(p.hash_bits, truncated_hash(p.h, id_.width, id_.value)),
                 h_id_old=None,
                 k_new=k,
                 k_old=None,
@@ -251,29 +256,33 @@ class LwjxReaderDb:
         ):
             raise ProtocolError("flow2 shape or widths invalid")
         del self.sessions[sid]
-        rt = flow2.rt
+        n, width = p.bits, 2 * p.bits
+        rr, rt, hk = rr.value, flow2.rt.value, flow2.hk.value
         key = flow2.hid.value
         records = self.records
         new_bucket = self._by_new.get(key)
         if new_bucket is not None:
             for pos in new_bucket:
                 rec = records[pos]
-                if truncated_hash(p.h, rec.k_new.concat(rr)) == flow2.hk:
-                    reply = truncated_hash(p.h, rec.k_new.concat(rt))
+                shifted_key = rec.k_new.value << n
+                if truncated_hash(p.h, width, shifted_key | rr) == hk:
+                    reply = truncated_hash(p.h, width, shifted_key | rt)
                     # unindex both epochs before reindexing: at narrow hash
                     # widths the old, current and next H(ID) may coincide
                     _unindex(self._by_new, key, pos)
                     if rec.h_id_old is not None:
                         _unindex(self._by_old, rec.h_id_old.value, pos)
                     rec.m = 0
-                    rec.id = truncated_hash(p.g, rec.id)
+                    new_id = truncated_hash(p.g, n, rec.id.value)
+                    new_hash = truncated_hash(p.h, n, new_id)
+                    rec.id = BitString(n, new_id)
                     rec.h_id_old = rec.h_id_new
-                    rec.h_id_new = truncated_hash(p.h, rec.id)
+                    rec.h_id_new = BitString(p.hash_bits, new_hash)
                     rec.k_old = rec.k_new
-                    rec.k_new = rec.id ^ rr ^ rt
+                    rec.k_new = BitString(n, new_id ^ rr ^ rt)
                     _index(self._by_old, key, pos)
-                    _index(self._by_new, rec.h_id_new.value, pos)
-                    return _READER_NEW_BRANCH, Flow3(reply)
+                    _index(self._by_new, new_hash, pos)
+                    return _READER_NEW_BRANCH, Flow3(BitString(p.hash_bits, reply))
         old_bucket = self._by_old.get(key)
         limit_hit = False
         if old_bucket is not None:
@@ -283,13 +292,14 @@ class LwjxReaderDb:
                     limit_hit = True
                     continue
                 rec.m += 1
-                if truncated_hash(p.h, rec.k_old.concat(rr)) == flow2.hk:
-                    reply = truncated_hash(p.h, rec.k_old.concat(rt))
+                shifted_key = rec.k_old.value << n
+                if truncated_hash(p.h, width, shifted_key | rr) == hk:
+                    reply = truncated_hash(p.h, width, shifted_key | rt)
                     # a tag that verifies this reply rebuilds its key from the
                     # current nonces; the stored new key must follow or the next
                     # new-epoch check could never verify again
-                    rec.k_new = rec.id ^ rr ^ rt
-                    return _READER_OLD_BRANCH, Flow3(reply)
+                    rec.k_new = BitString(n, rec.id.value ^ rr ^ rt)
+                    return _READER_OLD_BRANCH, Flow3(BitString(p.hash_bits, reply))
         if limit_hit:
             return _READER_WARN_LIMIT, RejectMessage()
         if new_bucket is not None or old_bucket is not None:
@@ -317,7 +327,7 @@ def _unindex(index: dict[int, list[int]], key: int, pos: int):
 
 def is_synchronized(db: LwjxReaderDb, tag: LwjxTag) -> bool:
     """Some record's new or old epoch matches the tag's (H(ID), K)."""
-    key = truncated_hash(db.params.h, tag.id).value
+    key = truncated_hash(db.params.h, tag.id.width, tag.id.value)
     records = db.records
     return any(records[pos].k_new == tag.k for pos in db._by_new.get(key, ())) or any(
         records[pos].k_old == tag.k for pos in db._by_old.get(key, ())

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import fwcfp, lwjx
-from .bits import BitString, concat_all
-from .crypto import expand_mask, truncated_hash
+from .bits import BitString
+from .crypto import truncated_hash
 from .session import params_from_dict
 from .transcript import Transcript, TranscriptFormatError, read_jsonl
 
@@ -88,18 +88,19 @@ def _verify_fwcfp(
     alias_before = _bits(secrets, "secrets", "alias_before", alias_bits)
     _check(issues, checked, "idta", alias_before, _bits(flow2, "flow2", "idta", alias_bits))
     h1 = _bits(flow2, "flow2", "h1", params.hash_bits)
-    _check(issues, checked, "h1", truncated_hash(hp, k.concat(rand1)), h1)
+    n, k, rand1 = params.nonce_bits, k.value, rand1.value
+    width = params.key_bits + n
+    _check(issues, checked, "h1", truncated_hash(hp, width, (k << n) | rand1), h1.value)
     if flow3 is None:
         return
-    rand2 = _bits(flow2, "flow2", "rand2", params.nonce_bits)
+    rand2 = _bits(flow2, "flow2", "rand2", params.nonce_bits).value
     h2 = _bits(flow3, "flow3", "h2", params.hash_bits)
-    _check(issues, checked, "h2", truncated_hash(hp, k.concat(rand2)), h2)
-    mask1 = expand_mask(hp, concat_all(k, rand1, rand2), alias_bits)
-    mask2 = expand_mask(hp, concat_all(k, rand2, rand1), alias_bits)
-    alias1 = _bits(flow3, "flow3", "a", alias_bits) ^ mask1
-    alias2 = _bits(flow3, "flow3", "b", alias_bits) ^ mask2
+    _check(issues, checked, "h2", truncated_hash(hp, width, (k << n) | rand2), h2.value)
+    mask1, mask2 = fwcfp.alias_masks(params, k, rand1, rand2)
+    alias1 = _bits(flow3, "flow3", "a", alias_bits).value ^ mask1
+    alias2 = _bits(flow3, "flow3", "b", alias_bits).value ^ mask2
     if "alias_after" in secrets:
-        alias_after = _bits(secrets, "secrets", "alias_after", alias_bits)
+        alias_after = _bits(secrets, "secrets", "alias_after", alias_bits).value
         _check(issues, checked, "A", alias1, alias_after)
         _check(issues, checked, "B", alias2, alias_after)
     else:
@@ -124,22 +125,23 @@ def _verify_lwjx(
     if flow1 is None or flow2 is None:
         issues.append(ReplayIssue("transcript", "session has no complete exchange"))
         return
-    rr = _bits(flow1, "flow1", "rr", params.bits)
+    rr = _bits(flow1, "flow1", "rr", params.bits).value
+    n, id_, k = params.bits, id_.value, k.value
     hid = _bits(flow2, "flow2", "hid", params.hash_bits)
-    _check(issues, checked, "hid", truncated_hash(hp, id_), hid)
+    _check(issues, checked, "hid", truncated_hash(hp, n, id_), hid.value)
     hk = _bits(flow2, "flow2", "hk", params.hash_bits)
-    _check(issues, checked, "hk", truncated_hash(hp, k.concat(rr)), hk)
+    _check(issues, checked, "hk", truncated_hash(hp, 2 * n, (k << n) | rr), hk.value)
     if flow3 is None:
         return
-    rt = _bits(flow2, "flow2", "rt", params.bits)
+    rt = _bits(flow2, "flow2", "rt", params.bits).value
     hkt = _bits(flow3, "flow3", "hkt", params.hash_bits)
-    _check(issues, checked, "hkt", truncated_hash(hp, k.concat(rt)), hkt)
+    _check(issues, checked, "hkt", truncated_hash(hp, 2 * n, (k << n) | rt), hkt.value)
     if "id_after" in secrets:
-        id_after = truncated_hash(gp, id_)
+        id_after = truncated_hash(gp, n, id_)
         observed = _bits(secrets, "secrets", "id_after", params.bits)
-        _check(issues, checked, "id_after", id_after, observed)
+        _check(issues, checked, "id_after", id_after, observed.value)
         observed = _bits(secrets, "secrets", "k_after", params.bits)
-        _check(issues, checked, "k_after", id_after ^ rr ^ rt, observed)
+        _check(issues, checked, "k_after", id_after ^ rr ^ rt, observed.value)
 
 
 _PROTOCOLS = {

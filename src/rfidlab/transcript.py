@@ -129,7 +129,6 @@ def read_jsonl(path) -> list[Transcript]:
     """Parse a transcript file; malformed lines report their line number."""
     transcripts: list[Transcript] = []
     current: Transcript | None = None
-    number = 0
     with open(path, "r", encoding="utf-8") as handle:
         try:
             for number, raw in enumerate(handle, start=1):
@@ -174,6 +173,26 @@ def read_jsonl(path) -> list[Transcript]:
                 else:
                     raise TranscriptFormatError(number, f"unknown record type {kind!r}")
         except UnicodeDecodeError:
-            # the decoder reads ahead, so the bad bytes may lie beyond this line
-            raise TranscriptFormatError(number + 1, "not UTF-8 text") from None
+            # the decoder reads ahead of the line it hands out, so the bad
+            # bytes are found again in the raw file
+            raise TranscriptFormatError(_first_non_utf8_line(path), "not UTF-8 text") from None
     return transcripts
+
+
+def _first_non_utf8_line(path) -> int:
+    """The line, numbered as text mode numbers it, of the first non-UTF-8 byte.
+
+    Text mode ends a line at LF, CR LF or a lone CR. No UTF-8 multibyte
+    sequence contains either byte, so the file is scanned in LF-ended
+    pieces, each decoded on its own, and line ends are counted up to the
+    bad byte.
+    """
+    ends = 0
+    with open(path, "rb") as handle:
+        for piece in handle:
+            try:
+                piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ends + piece.count(b"\r", 0, exc.start) + 1
+            ends += piece.count(b"\r") + piece.count(b"\n") - piece.endswith(b"\r\n")
+    return ends + 1

@@ -174,10 +174,10 @@ def test_criterion_7_primitive_oracles():
             rng = Rng(SEED + n)
             inputs = set()
             while len(inputs) < samples:
-                inputs.add(rng.bits(64))
+                inputs.add(rng.bits(64).value)
             counts = {}
             for m in inputs:
-                v = truncated_hash(h_params(n), m).value
+                v = truncated_hash(h_params(n), 64, m)
                 counts[v] = counts.get(v, 0) + 1
             collisions = sum(c * (c - 1) // 2 for c in counts.values())
             pairs = math.comb(samples, 2)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rfidlab.bits import EMPTY, BitString, WidthError, concat_all
+from rfidlab.bits import EMPTY, BitString, WidthError
 
 
 def xor_by_truth_table(a: BitString, b: BitString) -> BitString:
@@ -91,10 +91,6 @@ class TestConcat:
         a, b = pair
         high, low = a.concat(b).split(a.width)
         assert (high, low) == (a, b)
-
-    def test_concat_all(self):
-        parts = [BitString(4, 0xA), BitString(4, 0xB), BitString(4, 0xC)]
-        assert concat_all(*parts) == BitString(12, 0xABC)
 
     def test_split_bounds(self):
         with pytest.raises(WidthError):

@@ -252,6 +252,7 @@ class TestReplayCommand:
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestMalformedInputs:
@@ -352,6 +353,27 @@ class TestMalformedInputs:
         report = replay_file(path)
         assert not report.ok
         assert [(i.field, i.line) for i in report.issues] == [("format", 1)]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_transcript_that_is_not_utf8_names_the_line_of_the_bad_bytes(
+        self, tmp_path, capsys, newline
+    ):
+        # the text decoder reads ahead, past the line it hands out
+        lines = (FIXTURES / "fwcfp_honest.jsonl").read_text().splitlines()
+        assert len(lines) == 14
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(newline.join(lines + [""]).encode() + b"\xff\xfe")
+        assert run(["replay", "--input", str(path)]) == EXIT_CONFIG
+        assert "line 15: not UTF-8 text" in assert_one_error_line(capsys)
+        with pytest.raises(TranscriptFormatError, match="not UTF-8 text") as caught:
+            read_jsonl(path)
+        assert caught.value.line_number == 15
+        # a bad byte inside a line: that line, not the next
+        lines[4] = lines[4][:10] + "\udcff" + lines[4][10:]
+        path.write_bytes(newline.join(lines).encode("utf-8", "surrogateescape"))
+        with pytest.raises(TranscriptFormatError, match="not UTF-8 text") as caught:
+            read_jsonl(path)
+        assert caught.value.line_number == 5
 
     def test_master_key_that_is_not_hex(self, tmp_path, capsys):
         path = tmp_path / "db.json"

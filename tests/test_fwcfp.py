@@ -1,6 +1,6 @@
 import pytest
 
-from rfidlab.bits import BitString, concat_all
+from rfidlab.bits import BitString
 from rfidlab.crypto import PermKey, expand_mask, permute, truncated_hash
 from rfidlab.fwcfp import (
     Flow1,
@@ -13,6 +13,16 @@ from rfidlab.fwcfp import (
 )
 from rfidlab.rng import Rng
 from rfidlab.session import ProtocolError, RejectMessage
+
+
+def hash_of(params, message: BitString) -> BitString:
+    """The hash oracle over a BitString message, as a flow carries it."""
+    return BitString(params.output_bits, truncated_hash(params, message.width, message.value))
+
+
+def mask_of(params, message: BitString, width: int) -> BitString:
+    """The mask over a BitString message, as a BitString of the given width."""
+    return BitString(width, expand_mask(params, message.width, message.value, width))
 
 
 def make_world(seed=1, **params):
@@ -54,7 +64,7 @@ class TestTagRespond:
         tag, db, rng = make_world()
         _, f1 = db.begin(rng)
         flow2 = tag.respond(f1, rng)
-        expected = truncated_hash(db.params.hash, tag.k.concat(f1.rand1))
+        expected = hash_of(db.params.hash, tag.k.concat(f1.rand1))
         assert flow2.h1 == expected
 
     def test_distinct_challenges_distinct_h1(self):
@@ -79,8 +89,8 @@ class TestReaderAuthenticate:
         flow2 = tag.respond(f1, rng)
         verdict, flow3 = db.authenticate(sid, flow2, rng)
         assert verdict.ok
-        mask1 = expand_mask(p.hash, concat_all(tag.k, f1.rand1, flow2.rand2), p.alias_bits)
-        mask2 = expand_mask(p.hash, concat_all(tag.k, flow2.rand2, f1.rand1), p.alias_bits)
+        mask1 = mask_of(p.hash, tag.k.concat(f1.rand1).concat(flow2.rand2), p.alias_bits)
+        mask2 = mask_of(p.hash, tag.k.concat(flow2.rand2).concat(f1.rand1), p.alias_bits)
         assert flow3.a ^ flow3.b == mask1 ^ mask2
 
     def test_random_h1_rejected_with_bad_h1(self):
@@ -244,17 +254,17 @@ class TestHonestSession:
         rand1 = ref.bits(params.nonce_bits)
         rand2 = ref.bits(params.nonce_bits)
         alias1 = permute(ref_ks, ref_idt.concat(ref.bits(params.rand0_bits)))
-        mask1 = expand_mask(params.hash, concat_all(ref_k, rand1, rand2), params.alias_bits)
-        mask2 = expand_mask(params.hash, concat_all(ref_k, rand2, rand1), params.alias_bits)
+        mask1 = mask_of(params.hash, ref_k.concat(rand1).concat(rand2), params.alias_bits)
+        mask2 = mask_of(params.hash, ref_k.concat(rand2).concat(rand1), params.alias_bits)
         expected = {
             "flow1": {"rand1": rand1},
             "flow2": {
                 "idta": ref_alias0,
-                "h1": truncated_hash(params.hash, ref_k.concat(rand1)),
+                "h1": hash_of(params.hash, ref_k.concat(rand1)),
                 "rand2": rand2,
             },
             "flow3": {
-                "h2": truncated_hash(params.hash, ref_k.concat(rand2)),
+                "h2": hash_of(params.hash, ref_k.concat(rand2)),
                 "a": alias1 ^ mask1,
                 "b": alias1 ^ mask2,
             },

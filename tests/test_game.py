@@ -103,7 +103,7 @@ class TestSendQuery:
         # relay a full session, XORing one mask into both halves of flow3;
         # the tag accepts and is desynchronized from then on
         game = fresh_game()
-        mask = Rng(5).nonzero_bits(game.params.alias_bits)
+        mask = Rng(5).nonzero_bits(game.db.params.alias_bits)
         sid, flow1 = game.reader_begin()
         flow2 = game.send_to_tag(0, flow1)
         flow3 = game.send_to_reader(sid, flow2)

@@ -22,6 +22,11 @@ from rfidlab.snapshots import (
 )
 
 
+def hash_of(params, message: BitString) -> BitString:
+    """The hash oracle over a BitString message, as a flow or record carries it."""
+    return BitString(params.output_bits, truncated_hash(params, message.width, message.value))
+
+
 def make_world(seed=1, **params):
     rng = Rng(seed)
     db = LwjxReaderDb(LwjxParams(**params))
@@ -44,7 +49,7 @@ class TestBeginAndRespond:
     def test_hid_matches_external_recomputation(self):
         tag, db, rng = make_world()
         flow2 = tag.respond(db.begin(rng)[1], rng)
-        assert flow2.hid == truncated_hash(db.params.h, tag.id)
+        assert flow2.hid == hash_of(db.params.h, tag.id)
         assert flow2.hk.width == db.params.hash_bits
 
     def test_repeated_queries_without_finalize_expose_the_same_hid(self):
@@ -71,7 +76,7 @@ class TestAuthenticate:
         verdict, flow3 = db.authenticate(sid, flow2)
         assert (verdict.ok, verdict.reason) == (True, "new-branch")
         assert rec.h_id_old == previous_h_new
-        assert rec.h_id_new == truncated_hash(db.params.h, rec.id)
+        assert rec.h_id_new == hash_of(db.params.h, rec.id)
         assert rec.m == 0
         assert tag.finalize(flow3).ok
 
@@ -263,7 +268,7 @@ class TestHonestRuns:
         rec = db.records[0]
         for i in range(20):
             run_honest_session(tag, db, rng, drop_flow3=(i % 3 == 0))
-            assert rec.h_id_new == truncated_hash(db.params.h, rec.id)
+            assert rec.h_id_new == hash_of(db.params.h, rec.id)
 
     def test_sync_invariant_under_random_loss(self):
         # heavy loss can trip the counter limit and lock the record out, but

@@ -9,6 +9,7 @@ refill, and records whose old and new epochs carry the same hash.
 
 from hypothesis import given, settings, strategies as st
 
+from rfidlab.bits import BitString
 from rfidlab.crypto import truncated_hash
 from rfidlab.lwjx import (
     Flow2,
@@ -20,6 +21,11 @@ from rfidlab.lwjx import (
 from rfidlab.rng import Rng
 from rfidlab.session import ProtocolError, RejectMessage, SessionVerdict
 from rfidlab.snapshots import lwjx_db_to_doc
+
+
+def hash_of(params, message: BitString) -> BitString:
+    """The hash oracle over a BitString message, as a record keeps it."""
+    return BitString(params.output_bits, truncated_hash(params, message.width, message.value))
 
 
 def linear_authenticate(db, sid, flow2):
@@ -41,12 +47,12 @@ def linear_authenticate(db, sid, flow2):
     for rec in db.records:
         if rec.h_id_new == flow2.hid:
             matched = True
-            if truncated_hash(p.h, rec.k_new.concat(rr)) == flow2.hk:
-                reply = truncated_hash(p.h, rec.k_new.concat(rt))
+            if hash_of(p.h, rec.k_new.concat(rr)) == flow2.hk:
+                reply = hash_of(p.h, rec.k_new.concat(rt))
                 rec.m = 0
-                rec.id = truncated_hash(p.g, rec.id)
+                rec.id = hash_of(p.g, rec.id)
                 rec.h_id_old = rec.h_id_new
-                rec.h_id_new = truncated_hash(p.h, rec.id)
+                rec.h_id_new = hash_of(p.h, rec.id)
                 rec.k_old = rec.k_new
                 rec.k_new = rec.id ^ rr ^ rt
                 return SessionVerdict("reader", True, "new-branch"), Flow3(reply)
@@ -57,8 +63,8 @@ def linear_authenticate(db, sid, flow2):
                 limit_hit = True
                 continue
             rec.m += 1
-            if truncated_hash(p.h, rec.k_old.concat(rr)) == flow2.hk:
-                reply = truncated_hash(p.h, rec.k_old.concat(rt))
+            if hash_of(p.h, rec.k_old.concat(rr)) == flow2.hk:
+                reply = hash_of(p.h, rec.k_old.concat(rt))
                 rec.k_new = rec.id ^ rr ^ rt
                 return SessionVerdict("reader", True, "old-branch"), Flow3(reply)
     if limit_hit:
@@ -69,7 +75,7 @@ def linear_authenticate(db, sid, flow2):
 
 
 def linear_is_synchronized(db, tag):
-    hid = truncated_hash(db.params.h, tag.id)
+    hid = hash_of(db.params.h, tag.id)
     return any(
         (rec.h_id_new == hid and rec.k_new == tag.k)
         or (rec.h_id_old == hid and rec.k_old == tag.k)
