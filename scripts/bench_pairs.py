@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Run the benchmark in two checkouts in alternating pairs and compare them.
+
+    python3 scripts/bench_pairs.py DIR_A DIR_B --workload record-replay \\
+        --pairs 10 --seconds 20 --seed 401
+
+Pair i runs ``bench/run.py --workload W --seed S0+i --seconds S`` in both
+checkouts, A first in even pairs and B first in odd ones, so a drift in
+the machine's speed falls on both sides alike. The output is one JSON
+line: for each end-to-end metric that BENCHMARK.json declares, the median
+and quartiles of each side, B's value over A's in each pair, and how many
+pairs B won (a tie counts for neither side); also the failed and
+attempted operations of each side. Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line, the last line of stdout, of one untraced benchmark run."""
+    command = [
+        sys.executable, "bench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds),
+    ]
+    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(
+            f"error: bench/run.py in {checkout} exited with {proc.returncode}:"
+            f" {proc.stderr.strip()[-500:]}"
+        )
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
+
+
+def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
+    """Compare the result lines of A and B, pair by pair, on every metric.
+
+    ``end_to_end`` holds BENCHMARK.json's entries (``name``, ``better``).
+    """
+    metrics = {}
+    for spec in end_to_end:
+        name, higher = spec["name"], spec["better"] == "higher"
+        a = [result_a["metrics"][name]["value"] for result_a, _ in pairs]
+        b = [result_b["metrics"][name]["value"] for _, result_b in pairs]
+        metrics[name] = {
+            "better": spec["better"],
+            "median_a": statistics.median(a),
+            "median_b": statistics.median(b),
+            "quartiles_a": quartiles(a),
+            "quartiles_b": quartiles(b),
+            "ratios": [round(y / x, 4) if x else None for x, y in zip(a, b)],
+            "wins_b": sum((y > x) if higher else (y < x) for x, y in zip(a, b)),
+        }
+    return {
+        "pairs": len(pairs),
+        "attempted": [sum(r[side]["attempted"] for r in pairs) for side in (0, 1)],
+        "failed": [sum(r[side]["failed"] for r in pairs) for side in (0, 1)],
+        "metrics": metrics,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("dir_a", type=Path, help="checkout A, usually the parent")
+    parser.add_argument("dir_b", type=Path, help="checkout B, usually the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    end_to_end = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        results = [None, None]
+        for side in order:
+            checkout = (args.dir_a, args.dir_b)[side]
+            print(f"pair {i + 1}/{args.pairs}: {'AB'[side]} seed {seed}", file=sys.stderr)
+            results[side] = run_once(checkout, args.workload, seed, args.seconds)
+        pairs.append((results[0], results[1]))
+    summary = summarize(pairs, end_to_end)
+    print(json.dumps({
+        "workload": args.workload,
+        "seconds": args.seconds,
+        "seeds": [args.seed, args.seed + args.pairs - 1],
+        **summary,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

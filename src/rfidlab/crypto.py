@@ -22,9 +22,12 @@ BitString. Callers wrap a result in a BitString only where they keep it.
 The permutation is a 4-round balanced Feistel network whose round function
 is the truncated hash under per-round domain tags. It is a bijection on
 {0,1}^W for every key and cheap to invert; no cryptographic strength is
-claimed for it beyond what the experiments here need. A PermKey caches its
-round parameters, its key shifted above the half block and the message
-width, so a round builds no BitString and no HashParams.
+claimed for it beyond what the experiments here need. Like the oracles,
+``permute(key, value)`` and ``invert(key, value)`` take and return ints:
+the block is the int value of its W bits, and a value that does not fit
+in W bits raises WidthError. A PermKey caches its round parameters, its
+key shifted above the half block and the message width, so a round builds
+no HashParams, and a caller builds a BitString only for a block it keeps.
 
 The call boundaries are kept on purpose, so that wrapping the module-level
 names counts every oracle call: the Feistel loop in ``permute`` and
@@ -43,7 +46,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bits import BitString, WidthError
+from .bits import WidthError
 
 HASH_NAME = "sha256"
 _sha256 = hashlib.sha256
@@ -139,29 +142,30 @@ class PermKey:
         return cls(rng.bytes(PERM_KEY_BYTES), width)
 
 
-def permute(key: PermKey, block: BitString) -> BitString:
-    """Forward evaluation of the keyed permutation on a W-bit block.
+def permute(key: PermKey, value: int) -> int:
+    """Forward evaluation of the keyed permutation on a ``key.width``-bit value.
 
     Round r maps (L, R) to (R, L ^ F_r(R)), where F_r is the truncated hash
-    under round tag r of key bytes || R, hashed as one message.
+    under round tag r of key bytes || R, hashed as one message. A value
+    that does not fit the block width raises WidthError.
     """
-    if block.width != key.width:
-        raise WidthError(f"block width {block.width} != key width {key.width}")
+    if value >> key.width:  # also true of every negative value
+        raise WidthError(f"value {value:#x} does not fit the {key.width}-bit block")
     half = key.width // 2
-    left, right = block.value >> half, block.value & ((1 << half) - 1)
+    left, right = value >> half, value & ((1 << half) - 1)
     shifted_key, message_width = key.shifted_key, key.message_width
     for params in key.round_params:
         left, right = right, left ^ truncated_hash(params, message_width, shifted_key | right)
-    return BitString(key.width, (left << half) | right)
+    return (left << half) | right
 
 
-def invert(key: PermKey, block: BitString) -> BitString:
+def invert(key: PermKey, value: int) -> int:
     """Inverse evaluation: invert(key, permute(key, x)) == x."""
-    if block.width != key.width:
-        raise WidthError(f"block width {block.width} != key width {key.width}")
+    if value >> key.width:  # also true of every negative value
+        raise WidthError(f"value {value:#x} does not fit the {key.width}-bit block")
     half = key.width // 2
-    left, right = block.value >> half, block.value & ((1 << half) - 1)
+    left, right = value >> half, value & ((1 << half) - 1)
     shifted_key, message_width = key.shifted_key, key.message_width
     for params in reversed(key.round_params):
         left, right = right ^ truncated_hash(params, message_width, shifted_key | left), left
-    return BitString(key.width, (left << half) | right)
+    return (left << half) | right

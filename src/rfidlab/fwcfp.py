@@ -21,6 +21,7 @@ from .bits import BitString
 from .crypto import PermKey, expand_mask, h_params, invert, permute, truncated_hash
 from .rng import Rng
 from .session import (
+    MAX_OPEN_SESSIONS,
     Protocol,
     ProtocolError,
     RejectMessage,
@@ -214,15 +215,20 @@ class FwcfpReaderDb:
             idt = rng.bits(p.id_bits)
         if k is None:
             k = rng.bits(p.key_bits)
-        idta = permute(self.ks, idt.concat(rng.bits(p.rand0_bits)))
+        alias = permute(self.ks, (idt.value << p.rand0_bits) | rng.uint(p.rand0_bits))
+        idta = BitString(p.alias_bits, alias)
         self.register(idt, k)
         return FwcfpTag(p, k, idta, bookkeeping_idt=idt)
 
     def begin(self, rng: Rng) -> tuple[str, Flow1]:
+        """Open a session; the oldest open one goes once MAX_OPEN_SESSIONS are open."""
+        sessions = self.sessions
+        if len(sessions) >= MAX_OPEN_SESSIONS:
+            del sessions[next(iter(sessions))]
         sid = f"s{self._next_session}"
         self._next_session += 1
         rand1 = rng.bits(self.params.nonce_bits)
-        self.sessions[sid] = rand1
+        sessions[sid] = rand1
         return sid, Flow1(rand1)
 
     def authenticate(
@@ -246,7 +252,7 @@ class FwcfpReaderDb:
         ):
             raise ProtocolError("flow2 shape or widths invalid")
         del self.sessions[sid]
-        idt = BitString(p.id_bits, invert(self.ks, flow2.idta).value >> p.rand0_bits)
+        idt = BitString(p.id_bits, invert(self.ks, flow2.idta.value) >> p.rand0_bits)
         key = self.registry.get(idt)
         if key is None:
             return _READER_UNKNOWN_IDT, RejectMessage()
@@ -254,15 +260,15 @@ class FwcfpReaderDb:
         k, rand1, rand2 = key.value, rand1.value, flow2.rand2.value
         if truncated_hash(p.hash, width, (k << n) | rand1) != flow2.h1.value:
             return _READER_BAD_H1, RejectMessage()
-        alias = permute(self.ks, idt.concat(rng.bits(p.rand0_bits)))
+        alias = permute(self.ks, (idt.value << p.rand0_bits) | rng.uint(p.rand0_bits))
         mask1, mask2 = alias_masks(p, k, rand1, rand2)
         h2 = truncated_hash(p.hash, width, (k << n) | rand2)
         return (
-            SessionVerdict("reader", True, issued=alias),
+            SessionVerdict("reader", True, issued=BitString(p.alias_bits, alias)),
             Flow3(
                 h2=BitString(p.hash_bits, h2),
-                a=BitString(p.alias_bits, alias.value ^ mask1),
-                b=BitString(p.alias_bits, alias.value ^ mask2),
+                a=BitString(p.alias_bits, alias ^ mask1),
+                b=BitString(p.alias_bits, alias ^ mask2),
             ),
         )
 
@@ -270,7 +276,7 @@ class FwcfpReaderDb:
 def alias_identity(db: FwcfpReaderDb, tag: FwcfpTag) -> BitString:
     """Decrypt the tag's current alias back to its identifier (test oracle)."""
     p = db.params
-    return BitString(p.id_bits, invert(db.ks, tag.idta).value >> p.rand0_bits)
+    return BitString(p.id_bits, invert(db.ks, tag.idta.value) >> p.rand0_bits)
 
 
 def run_honest_session(

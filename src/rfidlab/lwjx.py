@@ -34,6 +34,7 @@ from .bits import BitString
 from .crypto import g_params, h_params, truncated_hash
 from .rng import Rng
 from .session import (
+    MAX_OPEN_SESSIONS,
     Protocol,
     ProtocolError,
     RejectMessage,
@@ -224,10 +225,14 @@ class LwjxReaderDb:
         return LwjxTag(p, id_, k)
 
     def begin(self, rng: Rng) -> tuple[str, Flow1]:
+        """Open a session; the oldest open one goes once MAX_OPEN_SESSIONS are open."""
+        sessions = self.sessions
+        if len(sessions) >= MAX_OPEN_SESSIONS:
+            del sessions[next(iter(sessions))]
         sid = f"s{self._next_session}"
         self._next_session += 1
         rr = rng.bits(self.params.bits)
-        self.sessions[sid] = rr
+        sessions[sid] = rr
         return sid, Flow1(rr)
 
     def authenticate(

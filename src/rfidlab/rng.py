@@ -37,6 +37,10 @@ class Rng:
             return BitString(0, 0)
         return BitString(width, self._state.getrandbits(width))
 
+    def uint(self, width: int) -> int:
+        """The value of ``bits(width)``, drawn from the stream in the same way."""
+        return self._state.getrandbits(width)
+
     def nonzero_bits(self, width: int) -> BitString:
         """A uniform nonzero value; used for attack masks."""
         if width == 0:

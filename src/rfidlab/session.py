@@ -9,10 +9,19 @@ for either protocol, reading what differs from the protocol's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from .bits import BitString
 from .transcript import Transcript
+
+
+# How many sessions a reader keeps open: ``begin`` evicts the oldest once
+# this many wait for a flow2, so blocked or abandoned sessions cannot grow a
+# reader without bound. A game trial makes at most ``game.BUDGET`` queries,
+# so this must be at least that for no trial to evict; an evicted session
+# answers like an unknown one.
+MAX_OPEN_SESSIONS = 64
 
 
 class ProtocolError(ValueError):
@@ -25,6 +34,10 @@ def params_from_dict(cls, doc):
     Every field must be present and an int, and no other key is allowed, so
     a transcript or snapshot that names a width the protocol does not have
     fails here instead of being ignored. Raises ValueError.
+
+    Every document is validated; the params object is then built once per
+    distinct (class, items), since a file of transcripts repeats the same
+    few params. Params are frozen, so callers may share one.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"params must be an object, got {doc!r}")
@@ -37,7 +50,14 @@ def params_from_dict(cls, doc):
     for name, value in doc.items():
         if type(value) is not int:
             raise ValueError(f"params {name} must be an integer, got {value!r}")
-    return cls(**doc)
+    return _build_params(cls, tuple(doc.items()))
+
+
+# The values are validated ints, so True or 96.0, which hash and compare equal
+# to 1 or 96, never reach the cache.
+@lru_cache(maxsize=64)
+def _build_params(cls, items: tuple):
+    return cls(**dict(items))
 
 
 @dataclass(frozen=True)

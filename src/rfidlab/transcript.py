@@ -25,6 +25,8 @@ FLOW_NAMES = ("flow1", "flow2", "flow3", "flow4")
 
 # what json.dumps(doc, sort_keys=True) builds on every call, built once
 _ENCODER = json.JSONEncoder(sort_keys=True)
+# the call json.loads reaches through two Python frames: (document, end index)
+_DECODE = json.JSONDecoder().raw_decode
 
 
 @dataclass(slots=True)
@@ -67,14 +69,18 @@ def _encode_fields(fields: dict) -> dict:
 
 
 def _decode_fields(fields: dict) -> dict:
-    """Fields with every string of a literal's shape parsed to a BitString."""
+    """Parse, in place, every string of a literal's shape to a BitString.
+
+    ``fields`` is a freshly parsed JSON object that nothing else holds, and
+    only values change, so the dict is safe to rewrite while iterating.
+    """
     if not isinstance(fields, dict):
         raise ValueError(f"expected an object of fields, got {fields!r}")
     shape = LITERAL_SHAPE.match
-    return {
-        k: from_literal(match) if isinstance(v, str) and (match := shape(v)) else v
-        for k, v in fields.items()
-    }
+    for k, v in fields.items():
+        if isinstance(v, str) and (match := shape(v)):
+            fields[k] = from_literal(match)
+    return fields
 
 
 def _text(doc: dict, key: str) -> str:
@@ -128,7 +134,7 @@ class TranscriptFormatError(ValueError):
 def read_jsonl(path) -> list[Transcript]:
     """Parse a transcript file; malformed lines report their line number."""
     transcripts: list[Transcript] = []
-    current: Transcript | None = None
+    entries: list[TranscriptEntry] | None = None  # those of the last meta line
     with open(path, "r", encoding="utf-8") as handle:
         try:
             for number, raw in enumerate(handle, start=1):
@@ -136,9 +142,16 @@ def read_jsonl(path) -> list[Transcript]:
                 if not raw:
                     continue
                 try:
-                    doc = json.loads(raw)
+                    doc, end = _DECODE(raw)
                 except json.JSONDecodeError as exc:
-                    raise TranscriptFormatError(number, f"invalid JSON ({exc.msg})")
+                    # json.loads rejects a leading U+FEFF before parsing; no
+                    # JSON value starts with it, so only a failed parse looks
+                    bom = raw.startswith("\ufeff")
+                    msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if bom else exc.msg
+                    raise TranscriptFormatError(number, f"invalid JSON ({msg})")
+                if end != len(raw):
+                    # the line is stripped, so what is left is not whitespace
+                    raise TranscriptFormatError(number, "invalid JSON (Extra data)")
                 if not isinstance(doc, dict):
                     raise TranscriptFormatError(number, "not a JSON object")
                 kind = doc.get("type")
@@ -158,15 +171,18 @@ def read_jsonl(path) -> list[Transcript]:
                     except (KeyError, ValueError) as exc:
                         raise TranscriptFormatError(number, f"bad meta line ({exc})")
                     transcripts.append(current)
+                    entries = current.entries
                 elif kind == "entry":
-                    if current is None:
+                    if entries is None:
                         raise TranscriptFormatError(number, "entry before any meta line")
                     try:
-                        current.add(
-                            _text(doc, "flow"),
-                            _text(doc, "sender"),
-                            _decode_fields(doc["fields"]),
-                            _text(doc, "note") if "note" in doc else None,
+                        entries.append(
+                            TranscriptEntry(
+                                _text(doc, "flow"),
+                                _text(doc, "sender"),
+                                _decode_fields(doc["fields"]),
+                                _text(doc, "note") if "note" in doc else None,
+                            )
                         )
                     except (KeyError, ValueError) as exc:
                         raise TranscriptFormatError(number, f"bad entry ({exc})")

@@ -1,0 +1,57 @@
+"""scripts/bench_pairs.py's summary, fed canned benchmark result lines."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
+    {"name": "op_p50_us", "unit": "us", "better": "lower", "bound": 0.18},
+]
+
+
+def result(ops, p50, failed=0):
+    """One result line of bench/run.py, as parsed JSON."""
+    return {
+        "correct": True,
+        "attempted": 1000,
+        "failed": failed,
+        "metrics": {
+            "ops_per_s": {"value": ops, "unit": "1/s"},
+            "op_p50_us": {"value": p50, "unit": "us"},
+        },
+    }
+
+
+def test_medians_ratios_and_wins():
+    pairs = [
+        (result(100, 10.0), result(110, 9.0)),
+        (result(120, 12.0), result(120, 12.0)),  # a tie counts for neither side
+        (result(80, 8.0), result(100, 10.0, failed=2)),
+    ]
+    summary = bench_pairs.summarize(pairs, END_TO_END)
+    assert summary["pairs"] == 3
+    assert summary["attempted"] == [3000, 3000]
+    assert summary["failed"] == [0, 2]
+    ops = summary["metrics"]["ops_per_s"]
+    assert (ops["median_a"], ops["median_b"]) == (100, 110)
+    assert ops["ratios"] == [1.1, 1.0, 1.25]
+    assert ops["wins_b"] == 2
+    assert ops["better"] == "higher"
+    p50 = summary["metrics"]["op_p50_us"]
+    assert (p50["median_a"], p50["median_b"]) == (10.0, 10.0)
+    assert p50["ratios"] == [0.9, 1.0, 1.25]
+    assert p50["wins_b"] == 1  # lower is better: only the first pair
+
+
+def test_quartiles_of_each_side():
+    pairs = [(result(a, 1.0), result(a + 1, 1.0)) for a in (10, 20, 30, 40, 50)]
+    ops = bench_pairs.summarize(pairs, END_TO_END)["metrics"]["ops_per_s"]
+    assert ops["quartiles_a"] == [15.0, 45.0]
+    assert ops["quartiles_b"] == [16.0, 46.0]
+    single = bench_pairs.summarize(pairs[:1], END_TO_END)["metrics"]["ops_per_s"]
+    assert single["quartiles_a"] == [10, 10]

@@ -47,7 +47,7 @@ def test_fwcfp_honest_session(built):
     built.clear()
     result = fwcfp.run_honest_session(tag, db, rng)
     assert result.both_accepted
-    # rand1, rand2; flow2 h1; the inverted block and the IDT looked up;
-    # the alias nonce, IDT || nonce and the issued alias; flow3 h2, A, B;
-    # the tag's new alias
-    assert len(built) == 12, built
+    # rand1, rand2; flow2 h1; the IDT looked up; the issued alias; flow3
+    # h2, A, B; the tag's new alias. permute and invert work on ints, so
+    # neither side of the alias cipher builds one
+    assert len(built) == 9, built

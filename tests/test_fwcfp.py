@@ -110,7 +110,8 @@ class TestReaderAuthenticate:
 
     def test_unregistered_alias_rejected_with_unknown_idt(self):
         tag, db, rng = make_world()
-        foreign = permute(db.ks, rng.bits(db.params.alias_bits - 32).concat(rng.bits(32)))
+        block = rng.bits(db.params.alias_bits - 32).concat(rng.bits(32))
+        foreign = BitString(block.width, permute(db.ks, block.value))
         sid, f1 = db.begin(rng)
         flow2 = tag.respond(f1, rng)
         forged = Flow2(idta=foreign, h1=flow2.h1, rand2=flow2.rand2)
@@ -124,7 +125,7 @@ class TestReaderAuthenticate:
         _, r1 = db.authenticate(sid, Flow2(flow2.idta, rng.bits(16), flow2.rand2), rng)
         sid2, f1b = db.begin(rng)
         flow2b = tag.respond(f1b, rng)
-        bogus = permute(db.ks, rng.bits(db.params.alias_bits))
+        bogus = BitString(db.params.alias_bits, permute(db.ks, rng.uint(db.params.alias_bits)))
         _, r2 = db.authenticate(sid2, Flow2(bogus, flow2b.h1, flow2b.rand2), rng)
         assert r1 == r2 == RejectMessage()
 
@@ -247,13 +248,17 @@ class TestHonestSession:
         ref_ks = PermKey(ref.bytes(16), params.alias_bits)
         ref_idt = ref.bits(params.id_bits)
         ref_k = ref.bits(params.key_bits)
-        ref_alias0 = permute(ref_ks, ref_idt.concat(ref.bits(params.rand0_bits)))
+        ref_alias0 = BitString(
+            params.alias_bits, permute(ref_ks, ref_idt.concat(ref.bits(params.rand0_bits)).value)
+        )
         assert (ref_idt, ref_k, ref_alias0) == (idt, k, alias0)
 
         result = run_honest_session(tag, db, rng)
         rand1 = ref.bits(params.nonce_bits)
         rand2 = ref.bits(params.nonce_bits)
-        alias1 = permute(ref_ks, ref_idt.concat(ref.bits(params.rand0_bits)))
+        alias1 = BitString(
+            params.alias_bits, permute(ref_ks, ref_idt.concat(ref.bits(params.rand0_bits)).value)
+        )
         mask1 = mask_of(params.hash, ref_k.concat(rand1).concat(rand2), params.alias_bits)
         mask2 = mask_of(params.hash, ref_k.concat(rand2).concat(rand1), params.alias_bits)
         expected = {

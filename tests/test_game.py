@@ -26,7 +26,7 @@ from rfidlab.game import (
     run_upriv_game,
 )
 from rfidlab.rng import Rng
-from rfidlab.session import RejectMessage
+from rfidlab.session import MAX_OPEN_SESSIONS, ProtocolError, RejectMessage
 
 FWCFP = fwcfp.FwcfpParams()
 FWCFP_N8 = fwcfp.FwcfpParams(hash_bits=8)
@@ -113,6 +113,56 @@ class TestSendQuery:
         followup = game.execute(0)
         verdicts = [e for e in followup.entries if e.flow == "verdict"]
         assert verdicts[0].fields["outcome"] == "reject"
+
+
+class TestOpenReaderSessions:
+    """A reader keeps at most MAX_OPEN_SESSIONS sessions waiting for a flow2."""
+
+    @staticmethod
+    def world(protocol):
+        rng = Rng(3)
+        spec = PROTOCOLS[protocol]
+        db = spec.new_reader(FWCFP if protocol == "fwcfp" else lwjx.LwjxParams(), rng)
+        return spec, spec.provision(db, rng), db, rng
+
+    def test_no_game_trial_can_evict(self):
+        # each reader_begin is a query, so a trial opens at most BUDGET sessions
+        assert MAX_OPEN_SESSIONS >= BUDGET
+
+    @pytest.mark.parametrize("protocol, blocked", [("fwcfp", "flow2"), ("lwjx", "flow1")])
+    def test_blocked_sessions_leave_a_bounded_table(self, protocol, blocked):
+        spec, tag, db, rng = self.world(protocol)
+        module = fwcfp if protocol == "fwcfp" else lwjx
+
+        def block(flow, message):
+            return None if flow == blocked else message
+
+        for _ in range(100):
+            assert module.run_honest_session(tag, db, rng, interpose=block).reader_verdict is None
+        assert len(db.sessions) == min(100, MAX_OPEN_SESSIONS)
+        assert spec.run_session(tag, db, rng).both_accepted
+
+    @pytest.mark.parametrize("protocol", ["fwcfp", "lwjx"])
+    def test_the_oldest_session_is_evicted_and_then_unknown(self, protocol):
+        spec, tag, db, rng = self.world(protocol)
+        first, flow1 = db.begin(rng)
+        flow2 = tag.respond(flow1, rng)
+        later = [db.begin(rng)[0] for _ in range(MAX_OPEN_SESSIONS)]
+        assert list(db.sessions) == later
+        with pytest.raises(ProtocolError, match="unknown session"):
+            spec.authenticate(db, first, flow2, rng)
+
+    @pytest.mark.parametrize("protocol", ["fwcfp", "lwjx"])
+    def test_an_evicted_session_draws_a_plain_reject_in_the_game(self, protocol):
+        game = fresh_game(protocol)
+        sid, flow1 = game.reader_begin()
+        flow2 = game.send_to_tag(0, flow1)
+        for _ in range(MAX_OPEN_SESSIONS):
+            newest, newest_flow1 = game.db.begin(game.rng)
+        assert sid not in game.db.sessions
+        assert game.send_to_reader(sid, flow2) == RejectMessage()
+        reply = game.send_to_reader(newest, game.send_to_tag(0, newest_flow1))
+        assert isinstance(reply, PROTOCOLS[protocol].flow3)
 
 
 class TestCorruptQuery:

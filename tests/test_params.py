@@ -97,7 +97,7 @@ def fwcfp_verdicts():
         return sid, tag.respond(flow1, rng)
 
     sid, f2 = flow2()
-    foreign = permute(db.ks, rng.bits(db.params.alias_bits))
+    foreign = BitString(db.params.alias_bits, permute(db.ks, rng.uint(db.params.alias_bits)))
     verdicts.append(db.authenticate(sid, FwcfpFlow2(foreign, f2.h1, f2.rand2), rng)[0])
     sid, f2 = flow2()
     verdicts.append(db.authenticate(sid, FwcfpFlow2(f2.idta, flip(f2.h1), f2.rand2), rng)[0])

@@ -23,6 +23,13 @@ def test_bits_width_contract():
     assert rng.bits(0).width == 0
 
 
+def test_uint_draws_what_bits_draws():
+    a, b = Rng(9, 2), Rng(9, 2)
+    for width in (1, 7, 32, 96, 129, 0, 5):
+        assert a.uint(width) == b.bits(width).value
+    assert a.bytes(16) == b.bytes(16)  # both streams are at the same point
+
+
 def test_nonzero_bits():
     rng = Rng(1)
     for _ in range(50):

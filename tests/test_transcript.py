@@ -372,6 +372,106 @@ class TestReplay:
         write_jsonl(path, getattr(generator, f"{protocol}_fixture")())
         assert path.read_bytes() == (FIXTURES / path.name).read_bytes()
 
+    @staticmethod
+    def lwjx_session_docs(sessions, m_limit):
+        """Every line, parsed, of ``sessions`` honest LWJX sessions with secrets."""
+        rng = Rng(9)
+        db = lwjx.LwjxReaderDb(lwjx.LwjxParams(m_limit=m_limit))
+        tag = db.provision(rng)
+        return [
+            json.loads(line)
+            for _ in range(sessions)
+            for line in transcript_to_lines(
+                lwjx.run_honest_session(tag, db, rng, disclose_secrets=True).transcript
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("bits", True, "params bits must be an integer, got True"),
+            ("bits", 96.0, "params bits must be an integer, got 96.0"),
+            ("m_limit", True, "params m_limit must be an integer, got True"),
+            ("extra", 1, "unknown params extra"),
+        ],
+        ids=["bits-true", "bits-float", "m_limit-true-equals-1", "extra-key"],
+    )
+    def test_params_are_validated_after_equal_valid_ones(self, tmp_path, key, value, message):
+        # the valid sessions come first, with m_limit=1, so params equal to
+        # the bad ones under == and hash (True == 1, 96.0 == 96) are seen
+        docs = self.lwjx_session_docs(3, m_limit=1)
+        metas = [doc for doc in docs if doc["type"] == "meta"]
+        metas[-1]["params"][key] = value
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        report = replay_file(path)
+        issue = f"session {metas[-1]['session']}: {message}"
+        assert [(i.field, i.message) for i in report.issues] == [("params", issue)]
+
+    def test_params_in_another_key_order_replay(self, tmp_path):
+        docs = self.lwjx_session_docs(3, m_limit=5)
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        expected = replay_file(path)
+        for i, doc in enumerate(d for d in docs if d["type"] == "meta"):
+            if i % 2:
+                doc["params"] = dict(reversed(doc["params"].items()))
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        assert '"m_limit": 5, "hash_bits"' in path.read_text()
+        report = replay_file(path)
+        assert report.ok, report.describe()
+        assert report.checked == expected.checked == 3 * 5
+
+
+class TestLoaderErrorText:
+    """The loader's messages and line numbers, as json.loads and the literal parser word them."""
+
+    BOM = "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"
+
+    @pytest.mark.parametrize(
+        "index, spoil, message",
+        [
+            (0, lambda line: "\ufeff" + line, BOM),
+            (2, lambda line: " \ufeff" + line, BOM),
+            (1, lambda line: '{"type": "meta"} {}', "invalid JSON (Extra data)"),
+            (1, lambda line: line + "x", "invalid JSON (Extra data)"),
+            (1, lambda line: "[" + line + "]", "not a JSON object"),
+            (1, lambda line: "nul", "invalid JSON (Expecting value)"),
+            (
+                1,
+                lambda line: line[:-1] + ",}",
+                "invalid JSON (Expecting property name enclosed in double quotes)",
+            ),
+            (
+                0,
+                lambda line: retyped(line, secrets={"k": "08:ff"}),
+                "bad meta line (not a canonical bit string literal: '08:ff')",
+            ),
+        ],
+        ids=[
+            "bom-meta", "bom-after-space", "second-document", "trailing-text",
+            "top-level-array", "bad-literal", "trailing-comma", "secrets-non-canonical",
+        ],
+    )
+    def test_message_and_line_number(self, tmp_path, index, spoil, message):
+        lines = (FIXTURES / "fwcfp_honest.jsonl").read_text().splitlines()
+        lines[index] = spoil(lines[index])
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TranscriptFormatError) as caught:
+            read_jsonl(path)
+        assert str(caught.value) == f"line {index + 1}: {message}"
+        assert caught.value.line_number == index + 1
+        report = replay_file(path)
+        assert [(i.field, i.line) for i in report.issues] == [("format", index + 1)]
+
+    def test_whitespace_around_a_line_is_ignored(self, tmp_path):
+        fixture = FIXTURES / "fwcfp_honest.jsonl"
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(f" \t{line} \r\n" for line in fixture.read_text().splitlines()))
+        assert read_jsonl(path) == read_jsonl(fixture)
+        assert replay_file(path).ok
+
 
 class TestSnapshots:
     def make_fwcfp_db(self, seed=9):
@@ -530,3 +630,9 @@ class TestParamsFromDict:
     def test_rejects_with_value_error(self, doc):
         with pytest.raises(ValueError):
             params_from_dict(lwjx.LwjxParams, doc)
+
+    def test_equal_documents_share_one_params_object(self):
+        doc = {"bits": 8, "hash_bits": 8, "m_limit": 5}
+        params = params_from_dict(lwjx.LwjxParams, doc)
+        assert params_from_dict(lwjx.LwjxParams, dict(doc)) is params
+        assert params == lwjx.LwjxParams(8, 8, 5)
