@@ -9,8 +9,17 @@ checkouts, A first in even pairs and B first in odd ones, so a drift in
 the machine's speed falls on both sides alike. The output is one JSON
 line: for each end-to-end metric that BENCHMARK.json declares, the median
 and quartiles of each side, B's value over A's in each pair, and how many
-pairs B won (a tie counts for neither side); also the failed and
-attempted operations of each side. Stdlib only.
+pairs B won (a tie counts for neither side) and a verdict, the first of
+these that holds, with the metric's bound from BENCHMARK.json:
+
+- ``regression``: B's median is worse than A's by more than the bound;
+- ``unresolved``: A's interquartile range exceeds the bound times A's
+  median, and not every run of B reads better than every run of A;
+- ``gain``: B won at least 9 in 10 pairs, and its median is better than
+  A's by more than A's interquartile range;
+- ``no regression``.
+
+Also the failed and attempted operations of each side. Stdlib only.
 """
 
 from __future__ import annotations
@@ -48,16 +57,33 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def verdict(a: list[float], b: list[float], higher: bool, bound: float, wins_b: int) -> str:
+    """B's verdict against A on one metric, by the rules in the module docstring."""
+    sign = 1 if higher else -1
+    median_a = statistics.median(a)
+    gain = sign * (statistics.median(b) - median_a)  # > 0 when B's median is better
+    q1, q3 = quartiles(a)
+    if gain < -bound * abs(median_a):
+        return "regression"
+    if q3 - q1 > bound * abs(median_a) and not all(sign * (y - x) > 0 for x in a for y in b):
+        return "unresolved"
+    if 10 * wins_b >= 9 * len(a) and gain > q3 - q1:
+        return "gain"
+    return "no regression"
+
+
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     """Compare the result lines of A and B, pair by pair, on every metric.
 
-    ``end_to_end`` holds BENCHMARK.json's entries (``name``, ``better``).
+    ``end_to_end`` holds BENCHMARK.json's entries (``name``, ``better``,
+    ``bound``).
     """
     metrics = {}
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
         a = [result_a["metrics"][name]["value"] for result_a, _ in pairs]
         b = [result_b["metrics"][name]["value"] for _, result_b in pairs]
+        wins_b = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
         metrics[name] = {
             "better": spec["better"],
             "median_a": statistics.median(a),
@@ -65,7 +91,8 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
             "quartiles_a": quartiles(a),
             "quartiles_b": quartiles(b),
             "ratios": [round(y / x, 4) if x else None for x, y in zip(a, b)],
-            "wins_b": sum((y > x) if higher else (y < x) for x, y in zip(a, b)),
+            "wins_b": wins_b,
+            "verdict": verdict(a, b, higher, spec["bound"], wins_b),
         }
     return {
         "pairs": len(pairs),

@@ -16,7 +16,7 @@ from .bits import BitString
 from .crypto import h_params, truncated_hash
 from .rng import Rng
 from .session import SessionResult
-from .transcript import Transcript
+from .transcript import Transcript, transcript_to_lines
 
 LWJX_GUESS_MODES = ("by-id-hash", "by-key-hash")
 
@@ -41,8 +41,6 @@ class DesyncOutcome:
         return self.alias_after == self.issued_alias ^ self.mask
 
     def to_dict(self) -> dict:
-        from .transcript import transcript_to_lines
-
         return {
             "schema": 1,
             "kind": "desync-outcome",
@@ -55,9 +53,7 @@ class DesyncOutcome:
             "post_attack_attempts": self.post_attack_attempts,
             "rejects": self.rejects,
             "reject_reasons": self.reject_reasons,
-            "tampered_session": [
-                line for line in transcript_to_lines(self.tampered_session)
-            ],
+            "tampered_session": transcript_to_lines(self.tampered_session),
         }
 
 

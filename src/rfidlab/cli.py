@@ -345,8 +345,11 @@ def _cmd_snapshot(args):
     rng = Rng(_resolve_seed(args))
     protocol = game.PROTOCOLS[args.protocol]
     db = protocol.new_reader(params, rng)
-    for _ in range(args.tags):
-        protocol.provision(db, rng)
+    try:
+        for _ in range(args.tags):
+            protocol.provision(db, rng)
+    except ValueError as exc:  # FWCFP IDTs are drawn at random and must differ
+        raise ConfigError(f"{exc} among {args.tags} tags; use a wider --id-bits") from None
     snapshots.snapshot_db(db, args.output, include_master_key=args.include_master_key)
     return EXIT_OK, None, f"wrote {args.protocol} snapshot with {args.tags} tags to {args.output}"
 

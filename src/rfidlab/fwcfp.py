@@ -53,6 +53,11 @@ class FwcfpParams:
         for name in ("id_bits", "key_bits", "nonce_bits", "hash_bits", "rand0_bits"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if (self.id_bits + self.rand0_bits) % 2:
+            # the alias cipher is a balanced Feistel network over IDT || nonce
+            raise ValueError(
+                f"id_bits + rand0_bits must be even, got {self.id_bits} + {self.rand0_bits}"
+            )
         # not fields: equality, hashing, repr and to_dict stay on the widths.
         # alias_bits is the alias block width (the ciphertext encodes IDT and
         # the alias nonce); hash is the H oracle every session calls.
@@ -190,7 +195,7 @@ class FwcfpReaderDb:
             raise ProtocolError("master key block width must match the alias width")
         self.params = params
         self.ks = ks
-        self.registry: dict[BitString, BitString] = {}
+        self.registry: dict[int, BitString] = {}  # IDT value -> K
         self.sessions: dict[str, BitString] = {}  # session id -> rand1
         self._next_session = 0
 
@@ -202,9 +207,9 @@ class FwcfpReaderDb:
         p = self.params
         if idt.width != p.id_bits or k.width != p.key_bits:
             raise ProtocolError("registry entry widths invalid")
-        if idt in self.registry:
+        if idt.value in self.registry:
             raise ValueError(f"duplicate IDT {idt.render()}")
-        self.registry[idt] = k
+        self.registry[idt.value] = k
 
     def provision_tag(
         self, rng: Rng, idt: BitString | None = None, k: BitString | None = None
@@ -252,7 +257,7 @@ class FwcfpReaderDb:
         ):
             raise ProtocolError("flow2 shape or widths invalid")
         del self.sessions[sid]
-        idt = BitString(p.id_bits, invert(self.ks, flow2.idta.value) >> p.rand0_bits)
+        idt = invert(self.ks, flow2.idta.value) >> p.rand0_bits
         key = self.registry.get(idt)
         if key is None:
             return _READER_UNKNOWN_IDT, RejectMessage()
@@ -260,7 +265,7 @@ class FwcfpReaderDb:
         k, rand1, rand2 = key.value, rand1.value, flow2.rand2.value
         if truncated_hash(p.hash, width, (k << n) | rand1) != flow2.h1.value:
             return _READER_BAD_H1, RejectMessage()
-        alias = permute(self.ks, (idt.value << p.rand0_bits) | rng.uint(p.rand0_bits))
+        alias = permute(self.ks, (idt << p.rand0_bits) | rng.uint(p.rand0_bits))
         mask1, mask2 = alias_masks(p, k, rand1, rand2)
         h2 = truncated_hash(p.hash, width, (k << n) | rand2)
         return (

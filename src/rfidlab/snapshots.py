@@ -46,12 +46,14 @@ def _parse_opt(value):
 
 
 def fwcfp_db_to_doc(db: FwcfpReaderDb, include_master_key: bool = False) -> dict:
+    p = db.params
     doc = {
         "schema": SCHEMA_VERSION,
         "protocol": "fwcfp",
-        "params": db.params.to_dict(),
+        "params": p.to_dict(),
         "registry": [
-            {"idt": idt.render(), "k": k.render()} for idt, k in db.registry.items()
+            {"idt": BitString(p.id_bits, idt).render(), "k": k.render()}
+            for idt, k in db.registry.items()
         ],
     }
     if include_master_key:

@@ -23,8 +23,9 @@ SCHEMA_VERSION = 1
 
 FLOW_NAMES = ("flow1", "flow2", "flow3", "flow4")
 
-# what json.dumps(doc, sort_keys=True) builds on every call, built once
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# what json.dumps(doc, sort_keys=True) builds on every call, built once; it
+# writes each BitString as its canonical literal
+_ENCODER = json.JSONEncoder(sort_keys=True, default=BitString.render)
 # the call json.loads reaches through two Python frames: (document, end index)
 _DECODE = json.JSONDecoder().raw_decode
 
@@ -64,10 +65,6 @@ class Transcript:
         return None
 
 
-def _encode_fields(fields: dict) -> dict:
-    return {k: v.render() if isinstance(v, BitString) else v for k, v in fields.items()}
-
-
 def _decode_fields(fields: dict) -> dict:
     """Parse, in place, every string of a literal's shape to a BitString.
 
@@ -100,7 +97,7 @@ def transcript_to_lines(transcript: Transcript) -> list[str]:
         "params": transcript.params,
     }
     if transcript.secrets is not None:
-        meta["secrets"] = _encode_fields(transcript.secrets)
+        meta["secrets"] = transcript.secrets
     encode = _ENCODER.encode
     lines = [encode(meta)]
     for entry in transcript.entries:
@@ -109,7 +106,7 @@ def transcript_to_lines(transcript: Transcript) -> list[str]:
             "session": transcript.session,
             "flow": entry.flow,
             "sender": entry.sender,
-            "fields": _encode_fields(entry.fields),
+            "fields": entry.fields,
         }
         if entry.note is not None:
             doc["note"] = entry.note

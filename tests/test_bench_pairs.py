@@ -55,3 +55,45 @@ def test_quartiles_of_each_side():
     assert ops["quartiles_b"] == [16.0, 46.0]
     single = bench_pairs.summarize(pairs[:1], END_TO_END)["metrics"]["ops_per_s"]
     assert single["quartiles_a"] == [10, 10]
+
+
+def verdicts(a_ops, b_ops, a_p50=None, b_p50=None):
+    """The verdicts on ops_per_s (bound 0.2) and op_p50_us (bound 0.18)."""
+    a_p50 = a_p50 or [10.0] * len(a_ops)
+    b_p50 = b_p50 or [10.0] * len(b_ops)
+    pairs = [
+        (result(x, p), result(y, q)) for x, y, p, q in zip(a_ops, b_ops, a_p50, b_p50)
+    ]
+    metrics = bench_pairs.summarize(pairs, END_TO_END)["metrics"]
+    return metrics["ops_per_s"]["verdict"], metrics["op_p50_us"]["verdict"]
+
+
+STEADY = [99, 100, 101] * 3 + [100]  # median 100, interquartile range 2
+
+
+def test_regression_is_worse_by_more_than_the_bound():
+    assert verdicts(STEADY, [79] * 10)[0] == "regression"
+    assert verdicts(STEADY, [81] * 10)[0] == "no regression"
+    # lower is better for latency: 11.9 is 19% above 10.0, past the 0.18 bound
+    assert verdicts(STEADY, STEADY, [10.0] * 10, [11.9] * 10)[1] == "regression"
+    assert verdicts(STEADY, STEADY, [10.0] * 10, [11.7] * 10)[1] == "no regression"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    wide = [60, 140] * 5  # median 100, interquartile range 80 > 0.2 * 100
+    assert verdicts(wide, [100] * 10)[0] == "unresolved"
+    # a regression is reported as one, however wide the spread
+    assert verdicts(wide, [70] * 10)[0] == "regression"
+    # unless every run of B beats every run of A
+    assert verdicts(wide, [141] * 10)[0] == "no regression"
+
+
+def test_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_spread():
+    assert verdicts(STEADY, [103] * 10)[0] == "gain"
+    # lower is better for latency
+    assert verdicts(STEADY, STEADY, [10.0] * 10, [9.0] * 10)[1] == "gain"
+    # nine wins in ten are enough, eight are not
+    assert verdicts(STEADY, [103] * 9 + [90])[0] == "gain"
+    assert verdicts(STEADY, [103] * 8 + [90] * 2)[0] == "no regression"
+    # ten wins, but a gap of 1.5 within the interquartile range of 2
+    assert verdicts(STEADY, [y + 1.5 for y in STEADY])[0] == "no regression"

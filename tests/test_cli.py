@@ -131,6 +131,13 @@ class TestConfigValidation:
             ["trace", "--tolerance", "nan"],
             ["backtrace", "--tolerance", "-1"],
             ["backtrace", "--tolerance", "nan"],
+            # an odd alias width, which the alias cipher cannot split evenly
+            ["trace", "--id-bits", "95"],
+            ["honest", "--rand0-bits", "31"],
+            ["snapshot", "--protocol", "fwcfp", "--id-bits", "1", "--output", "{tmp}"],
+            # more tags than 2-bit IDTs can keep distinct
+            ["snapshot", "--protocol", "fwcfp", "--id-bits", "2", "--rand0-bits", "2",
+             "--tags", "9", "--output", "{tmp}"],
         ],
     )
     def test_bad_configs_exit_1(self, args, capsys, tmp_path):

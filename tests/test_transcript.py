@@ -372,6 +372,40 @@ class TestReplay:
         write_jsonl(path, getattr(generator, f"{protocol}_fixture")())
         assert path.read_bytes() == (FIXTURES / path.name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "protocol, spoils, ok, checked, issues",
+        [
+            ("fwcfp", ["block flow3"], True, 2, []),
+            ("fwcfp", ["flip flow2.h1", "drop flow3.a"], False, 3,
+             [("h1", "recomputed value differs from the transcript"),
+              ("flow3.a", "missing")]),
+            ("fwcfp", ["drop secrets.k", "block flow2"], False, 0,
+             [("secrets.k", "missing")]),
+            ("fwcfp", ["block flow2"], False, 0,
+             [("transcript", "session has no complete exchange")]),
+            ("lwjx", ["drop secrets.k_after"], False, 4, [("secrets.k_after", "missing")]),
+        ],
+        ids=["flow3-blocked", "h1-flipped-a-dropped", "k-dropped-flow2-blocked",
+             "flow2-blocked", "k_after-dropped"],
+    )
+    def test_partial_verification(self, protocol, spoils, ok, checked, issues):
+        """What a spoiled session still checks, and the order of its issues."""
+        t = read_jsonl(FIXTURES / f"{protocol}_honest.jsonl")[0]
+        for spoil in spoils:
+            action, target = spoil.split()
+            where, _, name = target.partition(".")
+            if action == "block":
+                t.add(where, "adversary", {}, note="blocked")
+                continue
+            fields = t.secrets if where == "secrets" else t.delivered(where)
+            if action == "drop":
+                del fields[name]
+            else:
+                fields[name] = fields[name] ^ BitString(fields[name].width, 1)
+        report = verify_transcript(t)
+        assert (report.ok, report.checked) == (ok, checked)
+        assert [(i.field, i.message) for i in report.issues] == issues
+
     @staticmethod
     def lwjx_session_docs(sessions, m_limit):
         """Every line, parsed, of ``sessions`` honest LWJX sessions with secrets."""
@@ -593,8 +627,10 @@ class TestSnapshots:
             lambda doc: doc["registry"][0].update(k=None),
             lambda doc: doc.update(master_key=5),
             lambda doc: doc.update(registry=[5]),
+            lambda doc: doc["params"].update(rand0_bits=31),
         ],
-        ids=["number-idt", "null-k", "number-master-key", "entry-not-an-object"],
+        ids=["number-idt", "null-k", "number-master-key", "entry-not-an-object",
+             "odd-alias-width"],
     )
     def test_malformed_fwcfp_fields_raise_snapshot_error(self, spoil):
         db, _ = self.make_fwcfp_db()
