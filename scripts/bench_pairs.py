@@ -19,7 +19,10 @@ these that holds, with the metric's bound from BENCHMARK.json:
   A's by more than A's interquartile range;
 - ``no regression``.
 
-Also the failed and attempted operations of each side. Stdlib only.
+Also the failed and attempted operations of each side, each side's
+failed share (failed / attempted), and a ``fail_share`` verdict:
+``regression`` when B's share exceeds A's, else ``no regression``.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -94,10 +97,18 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
             "wins_b": wins_b,
             "verdict": verdict(a, b, higher, spec["bound"], wins_b),
         }
+    attempted = [sum(r[side]["attempted"] for r in pairs) for side in (0, 1)]
+    failed = [sum(r[side]["failed"] for r in pairs) for side in (0, 1)]
+    share = [f / a if a else 0.0 for f, a in zip(failed, attempted)]
     return {
         "pairs": len(pairs),
-        "attempted": [sum(r[side]["attempted"] for r in pairs) for side in (0, 1)],
-        "failed": [sum(r[side]["failed"] for r in pairs) for side in (0, 1)],
+        "attempted": attempted,
+        "failed": failed,
+        "fail_share": {
+            "a": share[0],
+            "b": share[1],
+            "verdict": "regression" if share[1] > share[0] else "no regression",
+        },
         "metrics": metrics,
     }
 

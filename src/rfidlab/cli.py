@@ -91,15 +91,24 @@ def build_params(args):
 
 
 def _resolve_seed(args) -> int:
+    """The seed from --seed, else the environment, else the default.
+
+    Rng keeps 64 bits of a seed, so a wider one would silently alias a
+    narrower one; it is rejected instead.
+    """
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get(SEED_ENV)
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env, 0)
+            seed, source = int(env, 0), SEED_ENV
         except ValueError:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}")
-    return DEFAULT_SEED
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{source} must be in 0 ... 2**64 - 1, got {seed}")
+    return seed
 
 
 def canonical_json(doc: dict) -> str:

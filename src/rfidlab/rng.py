@@ -3,11 +3,32 @@
 from __future__ import annotations
 
 import hashlib
-import random
+from _random import Random
 
 from .bits import BitString
 
 _MASK64 = (1 << 64) - 1
+
+
+class _FirstDraw:
+    """Rng._gen before the first draw: seeds the stream's generator.
+
+    It stores the generator in the instance, whose attribute a later read
+    finds first, so only the first draw comes here. This is a plain
+    non-data descriptor rather than a ``__getattr__`` hook, which would slow
+    down every attribute read on an Rng.
+    """
+
+    def __get__(self, rng, owner=None):
+        if rng is None:
+            return self
+        material = hashlib.sha256(
+            b"rfidlab.rng:"
+            + rng.seed.to_bytes(8, "big")
+            + rng.stream.to_bytes(8, "big")
+        ).digest()
+        gen = rng._gen = Random(int.from_bytes(material, "big"))
+        return gen
 
 
 class Rng:
@@ -17,29 +38,31 @@ class Rng:
     so every trial of an experiment owns a private stream and trials can be
     run in any order (or in parallel) without changing their outcomes.
     Instances are single-owner: never share one across concurrent workers.
+
+    The Mersenne Twister behind a stream is seeded on its first draw, so an
+    Rng that is never drawn from costs no seeding. It is the C type that
+    ``random.Random`` extends, seeded with the same int, so every draw
+    equals ``random.Random``'s.
     """
+
+    _gen = _FirstDraw()
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = seed & _MASK64
         self.stream = stream & _MASK64
-        material = hashlib.sha256(
-            b"rfidlab.rng:"
-            + self.seed.to_bytes(8, "big")
-            + self.stream.to_bytes(8, "big")
-        ).digest()
-        self._state = random.Random(int.from_bytes(material, "big"))
 
     def bytes(self, n: int) -> bytes:
-        return self._state.randbytes(n)
+        # what random.Random.randbytes does
+        return self._gen.getrandbits(8 * n).to_bytes(n, "little")
 
     def bits(self, width: int) -> BitString:
         if width == 0:
             return BitString(0, 0)
-        return BitString(width, self._state.getrandbits(width))
+        return BitString(width, self._gen.getrandbits(width))
 
     def uint(self, width: int) -> int:
         """The value of ``bits(width)``, drawn from the stream in the same way."""
-        return self._state.getrandbits(width)
+        return self._gen.getrandbits(width)
 
     def nonzero_bits(self, width: int) -> BitString:
         """A uniform nonzero value; used for attack masks."""
@@ -51,10 +74,10 @@ class Rng:
                 return out
 
     def bit(self) -> int:
-        return self._state.getrandbits(1)
+        return self._gen.getrandbits(1)
 
     def random(self) -> float:
-        return self._state.random()
+        return self._gen.random()
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, stream={self.stream})"

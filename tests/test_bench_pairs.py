@@ -97,3 +97,29 @@ def test_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_spread():
     assert verdicts(STEADY, [103] * 8 + [90] * 2)[0] == "no regression"
     # ten wins, but a gap of 1.5 within the interquartile range of 2
     assert verdicts(STEADY, [y + 1.5 for y in STEADY])[0] == "no regression"
+
+
+def fail_share(failed_a, failed_b, attempted_b=1000):
+    """The fail_share block of two single-pair runs; A attempts 1000."""
+    run_b = result(100, 10.0, failed=failed_b)
+    run_b["attempted"] = attempted_b
+    pairs = [(result(100, 10.0, failed=failed_a), run_b)]
+    return bench_pairs.summarize(pairs, END_TO_END)["fail_share"]
+
+
+def test_fail_share_of_each_side():
+    assert fail_share(0, 0) == {"a": 0.0, "b": 0.0, "verdict": "no regression"}
+    assert fail_share(5, 2) == {"a": 0.005, "b": 0.002, "verdict": "no regression"}
+    assert fail_share(2, 2) == {"a": 0.002, "b": 0.002, "verdict": "no regression"}
+
+
+def test_a_larger_failed_share_of_b_is_a_regression():
+    assert fail_share(0, 1)["verdict"] == "regression"
+    # the share, not the count: B fails as often but attempts half as much
+    assert fail_share(2, 2, attempted_b=500) == {"a": 0.002, "b": 0.004, "verdict": "regression"}
+    # and fewer failures of B over far fewer attempts still count against it
+    assert fail_share(4, 3, attempted_b=500)["verdict"] == "regression"
+
+
+def test_no_attempts_read_as_no_failed_share():
+    assert fail_share(0, 0, attempted_b=0) == {"a": 0.0, "b": 0.0, "verdict": "no regression"}

@@ -138,6 +138,9 @@ class TestConfigValidation:
             # more tags than 2-bit IDTs can keep distinct
             ["snapshot", "--protocol", "fwcfp", "--id-bits", "2", "--rand0-bits", "2",
              "--tags", "9", "--output", "{tmp}"],
+            # a seed that Rng's 64 bits would alias to another
+            ["trace", "--seed", "-1"],
+            ["honest", "--seed", "18446744073709551616"],
         ],
     )
     def test_bad_configs_exit_1(self, args, capsys, tmp_path):
@@ -175,6 +178,22 @@ class TestConfigValidation:
         monkeypatch.setenv(SEED_ENV, "555")
         run(["trace", "--trials", "20", "--hash-bits", "8", "--output", str(out)])
         assert json.loads(out.read_text())["seed"] == 555
+
+    @pytest.mark.parametrize("value", ["-1", "0x10000000000000000"])
+    def test_env_seed_outside_64_bits_exits_1(self, value, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "r.json"
+        monkeypatch.setenv(SEED_ENV, value)
+        assert run(["trace", "--trials", "20", "--hash-bits", "8",
+                    "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and SEED_ENV in err
+        assert not out.exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["trace", "--trials", "20", "--hash-bits", "8",
+                    "--seed", str(2**64 - 1), "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["seed"] == 2**64 - 1
 
     def test_explicit_seed_beats_the_env(self, tmp_path, monkeypatch):
         out = tmp_path / "r.json"

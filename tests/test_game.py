@@ -365,9 +365,12 @@ class TestGameRunner:
         b = estimate_advantage("fwcfp", "fwcfp-trace", FWCFP_N8, 200, seed=3, timestamp=False)
         assert a.to_dict() == b.to_dict()
 
-    def test_worker_pool_matches_serial_execution(self):
-        serial = estimate_advantage("lwjx", "lwjx-trace-id", lwjx.LwjxParams(hash_bits=8), 300, seed=11, timestamp=False)
-        pooled = estimate_advantage("lwjx", "lwjx-trace-id", lwjx.LwjxParams(hash_bits=8), 300, seed=11, timestamp=False, workers=2)
+    @pytest.mark.parametrize("strategy_name", sorted(STRATEGY_FACTORIES))
+    def test_worker_pool_matches_serial_execution(self, strategy_name):
+        protocol = "lwjx" if strategy_name.startswith("lwjx") else "fwcfp"
+        params = (lwjx.LwjxParams if protocol == "lwjx" else fwcfp.FwcfpParams)(hash_bits=8)
+        serial = estimate_advantage(protocol, strategy_name, params, 200, seed=11, timestamp=False)
+        pooled = estimate_advantage(protocol, strategy_name, params, 200, seed=11, timestamp=False, workers=2)
         assert serial.to_dict() == pooled.to_dict()
 
     def test_strategy_table_names_the_pinned_strategies(self):
