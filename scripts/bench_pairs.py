@@ -22,7 +22,8 @@ these that holds, with the metric's bound from BENCHMARK.json:
 Also the failed and attempted operations of each side, each side's
 failed share (failed / attempted), and a ``fail_share`` verdict:
 ``regression`` when B's share exceeds A's, else ``no regression``.
-Stdlib only.
+The exit status is 2, the CLI's threshold code, when any verdict is
+``regression``, and 0 otherwise. Stdlib only.
 """
 
 from __future__ import annotations
@@ -143,7 +144,9 @@ def main(argv=None) -> int:
         "seeds": [args.seed, args.seed + args.pairs - 1],
         **summary,
     }))
-    return 0
+    verdicts = [m["verdict"] for m in summary["metrics"].values()]
+    verdicts.append(summary["fail_share"]["verdict"])
+    return 2 if "regression" in verdicts else 0
 
 
 if __name__ == "__main__":

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 from . import fwcfp, game, lwjx
 from .bits import BitString
-from .crypto import h_params, truncated_hash
+from .crypto import truncated_hash
 from .rng import Rng
 from .session import SessionResult
 from .transcript import Transcript, transcript_to_lines
-
-LWJX_GUESS_MODES = ("by-id-hash", "by-key-hash")
 
 
 @dataclass
@@ -130,12 +128,6 @@ class FwcfpTraceStrategy(game.AdversaryStrategy):
     answers with H(Kb || rand2) and equality identifies tag 0.
     """
 
-    def __init__(self, rng: Rng):
-        self.rng = rng
-        self._nonce = None
-        self._expected = None
-        self._equal = None
-
     def learning(self, driver):
         transcript = driver.execute(0)
         flow2 = transcript.delivered("flow2")
@@ -166,10 +158,6 @@ class FwcfpBackwardTraceStrategy(game.AdversaryStrategy):
 
     corrupt_policy = game.CORRUPT_AFTER_ARCHIVE
 
-    def __init__(self, rng: Rng):
-        self.rng = rng
-        self._equal = None
-
     def challenge(self, driver, handle):
         transcript = driver.execute(handle)
         flow1 = transcript.delivered("flow1")
@@ -177,12 +165,13 @@ class FwcfpBackwardTraceStrategy(game.AdversaryStrategy):
         if flow1 is None or flow2 is None:
             raise game.TrialAbort("missing archived challenge session")
         secrets = driver.corrupt(0)  # read-out; leaves the tag as it was
-        observed, k, rand1 = flow2["h1"], secrets["k"], flow1["rand1"]
-        n = rand1.width
+        p = self.params
         recomputed = truncated_hash(
-            h_params(observed.width), k.width + n, (k.value << n) | rand1.value
+            p.hash,
+            p.key_bits + p.nonce_bits,
+            (secrets["k"].value << p.nonce_bits) | flow1["rand1"].value,
         )
-        self._equal = recomputed == observed.value
+        self._equal = recomputed == flow2["h1"].value
 
     def guess(self) -> int:
         return 0 if self._equal else 1
@@ -193,23 +182,12 @@ class LwjxTraceStrategy(game.AdversaryStrategy):
 
     A session aborted before the reader's reply never updates the tag, so
     H(ID0) and H(K0 || Rr1) from the learning probe reappear verbatim when
-    the hidden tag is tag 0. Guessing can compare either the identifier
-    hash or the keyed nonce hash; both equalities are recorded per trial.
+    the hidden tag is tag 0. Both equalities are recorded per trial; this
+    class guesses by the identifier hash.
     """
 
-    def __init__(self, rng: Rng, bits: int, mode: str = "by-id-hash"):
-        if mode not in LWJX_GUESS_MODES:
-            raise ValueError(f"unknown guess mode {mode!r}")
-        self.rng = rng
-        self.bits = bits
-        self.mode = mode
-        self._hid = None
-        self._hk = None
-        self.id_equal = None
-        self.key_equal = None
-
     def learning(self, driver):
-        self._probe = self.rng.bits(self.bits)
+        self._probe = self.rng.bits(self.params.bits)
         reply = driver.send_to_tag(0, lwjx.Flow1(self._probe))
         if not isinstance(reply, lwjx.Flow2):
             raise game.TrialAbort("learning probe got no usable response")
@@ -225,15 +203,21 @@ class LwjxTraceStrategy(game.AdversaryStrategy):
         self.key_equal = reply.hk == self._hk
 
     def guess(self) -> int:
-        equal = self.id_equal if self.mode == "by-id-hash" else self.key_equal
-        return 0 if equal else 1
+        return 0 if self.id_equal else 1
+
+
+class LwjxKeyTraceStrategy(LwjxTraceStrategy):
+    """The same probes, guessing by the keyed nonce hash H(K || Rr1)."""
+
+    def guess(self) -> int:
+        return 0 if self.key_equal else 1
 
 
 game.STRATEGY_FACTORIES.update(
     {
-        "fwcfp-trace": lambda rng, params: FwcfpTraceStrategy(rng),
-        "fwcfp-backtrace": lambda rng, params: FwcfpBackwardTraceStrategy(rng),
-        "lwjx-trace-id": lambda rng, params: LwjxTraceStrategy(rng, params.bits, "by-id-hash"),
-        "lwjx-trace-key": lambda rng, params: LwjxTraceStrategy(rng, params.bits, "by-key-hash"),
+        "fwcfp-trace": FwcfpTraceStrategy,
+        "fwcfp-backtrace": FwcfpBackwardTraceStrategy,
+        "lwjx-trace-id": LwjxTraceStrategy,
+        "lwjx-trace-key": LwjxKeyTraceStrategy,
     }
 )

@@ -39,10 +39,6 @@ class BitString:
         self.value = value
 
     @classmethod
-    def zeros(cls, width: int) -> BitString:
-        return cls(width, 0)
-
-    @classmethod
     def from_bytes(cls, data: bytes) -> BitString:
         return cls(8 * len(data), int.from_bytes(data, "big"))
 
@@ -74,18 +70,6 @@ class BitString:
             self.width + other.width, (self.value << other.width) | other.value
         )
 
-    def split(self, high_width: int) -> tuple[BitString, BitString]:
-        """Split into (first high_width bits, remainder); inverse of concat."""
-        if high_width < 0 or high_width > self.width:
-            raise WidthError(
-                f"cannot take {high_width} high bits from width {self.width}"
-            )
-        low_width = self.width - high_width
-        return (
-            BitString(high_width, self.value >> low_width),
-            BitString(low_width, self.value & ((1 << low_width) - 1)),
-        )
-
     def __xor__(self, other: BitString) -> BitString:
         if self.width != other.width:
             raise WidthError(f"xor widths differ: {self.width} vs {other.width}")
@@ -105,14 +89,8 @@ class BitString:
     def __hash__(self) -> int:
         return hash((self.width, self.value))
 
-    def __len__(self) -> int:
-        return self.width
-
     def __repr__(self) -> str:
         return f"<BitString {self.render()}>"
-
-
-EMPTY = BitString(0, 0)
 
 
 def from_literal(match: re.Match) -> BitString:

@@ -162,10 +162,12 @@ def _cmd_honest(args):
     params = build_params(args)
     seed = _resolve_seed(args)
     trials = args.trials
-    if not 0.0 <= args.drop_flow3_rate <= 1.0:
-        raise ConfigError("--drop-flow3-rate must be in [0, 1]")
-    if args.drop_flow3_rate and args.protocol != "lwjx":
+    drop_rate = args.drop_flow3_rate
+    if drop_rate is not None and args.protocol != "lwjx":
         raise ConfigError("--drop-flow3-rate applies to LWJX honest runs only")
+    drop_rate = 0.0 if drop_rate is None else drop_rate
+    if not 0.0 <= drop_rate <= 1.0:
+        raise ConfigError("--drop-flow3-rate must be in [0, 1]")
     rng = Rng(seed)
     protocol = game.PROTOCOLS[args.protocol]
     db = protocol.new_reader(params, rng)
@@ -198,7 +200,7 @@ def _cmd_honest(args):
     accepts = case_b = case_c = drops = sync_violations = 0
     max_m = 0
     for _ in range(trials):
-        drop = rng.random() < args.drop_flow3_rate
+        drop = rng.random() < drop_rate
         result = lwjx.run_honest_session(tag, db, rng, drop_flow3=drop)
         drops += int(drop)
         verdict = result.reader_verdict
@@ -218,7 +220,7 @@ def _cmd_honest(args):
         "params": params.to_dict(),
         "seed": seed,
         "sessions": trials,
-        "drop_flow3_rate": args.drop_flow3_rate,
+        "drop_flow3_rate": drop_rate,
         "reader_accepts": accepts,
         "case_b": case_b,
         "case_c": case_c,
@@ -397,7 +399,7 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     honest = _add_command(commands, "honest", _cmd_honest, "drive honest sessions")
-    honest.add_argument("--drop-flow3-rate", type=float, default=0.0)
+    honest.add_argument("--drop-flow3-rate", type=float, default=None)
     _add_report_flags(honest, trials=True)
 
     desync = _add_command(

@@ -236,6 +236,10 @@ class AdversaryStrategy:
 
     corrupt_policy = CORRUPT_NEVER
 
+    def __init__(self, rng: Rng, params):
+        self.rng = rng
+        self.params = params
+
     def learning(self, driver: GameDriver):
         pass
 
@@ -249,17 +253,13 @@ class AdversaryStrategy:
 class CoinFlipStrategy(AdversaryStrategy):
     """Ignores the protocol entirely; calibrates the harness at advantage 0."""
 
-    def __init__(self, rng: Rng):
-        self.rng = rng
-
     def guess(self) -> int:
         return self.rng.bit()
 
 
-# strategy name -> factory(adversary rng, params); attacks.py adds its entries
-STRATEGY_FACTORIES = {
-    "coin-flip": lambda rng, params: CoinFlipStrategy(rng),
-}
+# strategy name -> strategy class, built as cls(adversary rng, params);
+# attacks.py adds its entries
+STRATEGY_FACTORIES = {"coin-flip": CoinFlipStrategy}
 
 
 def run_upriv_game(protocol, params, strategy: AdversaryStrategy, world_rng: Rng):

@@ -56,8 +56,6 @@ class Rng:
         return self._gen.getrandbits(8 * n).to_bytes(n, "little")
 
     def bits(self, width: int) -> BitString:
-        if width == 0:
-            return BitString(0, 0)
         return BitString(width, self._gen.getrandbits(width))
 
     def uint(self, width: int) -> int:

@@ -133,7 +133,7 @@ def test_criterion_5_lwjx_trace_advantage():
         for i in range(trials):
             game = UprivGame(PROTOCOLS["lwjx"], lwjx.LwjxParams(), Rng(SEED, 2 * i))
             before = (game.tag0.id, game.tag0.k)
-            LwjxTraceStrategy(Rng(SEED, 2 * i + 1), bits=96).learning(GameDriver(game))
+            LwjxTraceStrategy(Rng(SEED, 2 * i + 1), lwjx.LwjxParams()).learning(GameDriver(game))
             unchanged += int((game.tag0.id, game.tag0.k) == before)
         assert unchanged == trials
 

@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py's summary, fed canned benchmark result lines."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).parent.parent / "scripts" / "bench_pairs.py"
@@ -123,3 +124,42 @@ def test_a_larger_failed_share_of_b_is_a_regression():
 
 def test_no_attempts_read_as_no_failed_share():
     assert fail_share(0, 0, attempted_b=0) == {"a": 0.0, "b": 0.0, "verdict": "no regression"}
+
+
+def run_main(monkeypatch, capsys, tmp_path, run_a, run_b):
+    """main() over two pairs whose runs are canned: A gives run_a, B run_b.
+
+    The metrics and bounds are END_TO_END's, not BENCHMARK.json's.
+    """
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": END_TO_END}))
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", benchmark)
+    canned = {Path("a"): run_a, Path("b"): run_b}
+    monkeypatch.setattr(
+        bench_pairs, "run_once", lambda checkout, workload, seed, seconds: canned[checkout]
+    )
+    code = bench_pairs.main(
+        ["a", "b", "--workload", "w", "--pairs", "2", "--seconds", "1", "--seed", "5"]
+    )
+    out, _ = capsys.readouterr()
+    return code, json.loads(out)
+
+
+def test_exit_status_is_0_without_a_regression(monkeypatch, capsys, tmp_path):
+    code, line = run_main(monkeypatch, capsys, tmp_path, result(100, 10.0), result(95, 10.5))
+    assert code == 0
+    assert line["seeds"] == [5, 6]
+    assert {m["verdict"] for m in line["metrics"].values()} == {"no regression"}
+
+
+def test_exit_status_is_2_on_any_regression(monkeypatch, capsys, tmp_path):
+    # a metric past its bound
+    code, line = run_main(monkeypatch, capsys, tmp_path, result(100, 10.0), result(100, 12.0))
+    assert code == 2
+    assert line["metrics"]["op_p50_us"]["verdict"] == "regression"
+    # a larger failed share, every metric unchanged
+    code, line = run_main(
+        monkeypatch, capsys, tmp_path, result(100, 10.0), result(100, 10.0, failed=1)
+    )
+    assert code == 2
+    assert line["fail_share"]["verdict"] == "regression"

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rfidlab.bits import EMPTY, BitString, WidthError
+from rfidlab.bits import BitString, WidthError
 
 
 def xor_by_truth_table(a: BitString, b: BitString) -> BitString:
@@ -35,7 +35,7 @@ def paired_bits(max_width=256):
 class TestXor:
     def test_zero_identity(self):
         a = BitString.parse("16:ff00")
-        assert a ^ BitString.zeros(16) == a
+        assert a ^ BitString(16, 0) == a
 
     def test_self_inverse(self):
         a = BitString.parse("16:ff00")
@@ -80,21 +80,18 @@ class TestXor:
 class TestConcat:
     def test_empty_is_identity(self):
         x = BitString.parse("12:abc")
-        assert EMPTY.concat(x) == x
-        assert x.concat(EMPTY) == x
+        assert BitString(0, 0).concat(x) == x
+        assert x.concat(BitString(0, 0)) == x
 
     def test_definition(self):
         assert BitString(8, 0xAB).concat(BitString(8, 0xCD)) == BitString(16, 0xABCD)
 
-    @given(paired_bits(128))
-    def test_split_round_trip(self, pair):
-        a, b = pair
-        high, low = a.concat(b).split(a.width)
-        assert (high, low) == (a, b)
-
-    def test_split_bounds(self):
-        with pytest.raises(WidthError):
-            BitString(8, 0).split(9)
+    @given(bits_strategy(128), bits_strategy(128))
+    def test_halves_read_back_with_shifts(self, a, b):
+        joined = a.concat(b)
+        assert joined.width == a.width + b.width
+        assert joined.value >> b.width == a.value
+        assert joined.value & ((1 << b.width) - 1) == b.value
 
 
 class TestEncoding:
@@ -102,7 +99,7 @@ class TestEncoding:
         assert BitString(16, 0xFF00).render() == "16:ff00"
         assert BitString(4, 0xF).render() == "4:f"
         assert BitString(6, 63).render() == "6:3f"
-        assert EMPTY.render() == "0:"
+        assert BitString(0, 0).render() == "0:"
 
     @given(bits_strategy())
     def test_parse_render_round_trip(self, x):
@@ -137,7 +134,7 @@ class TestEncoding:
 
     def test_to_bytes_pads_partial_widths(self):
         assert BitString(4, 0xA).to_bytes() == b"\x0a"
-        assert EMPTY.to_bytes() == b""
+        assert BitString(0, 0).to_bytes() == b""
 
 
 class TestConstruction:

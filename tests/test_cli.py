@@ -83,6 +83,7 @@ class TestConfigValidation:
             ["trace", "--protocol", "lwjx", "--id-bits", "32", "--key-bits", "64"],
             ["trace", "--protocol", "lwjx", "--rand0-bits", "16"],
             ["honest", "--protocol", "fwcfp", "--drop-flow3-rate", "0.5"],
+            ["honest", "--protocol", "fwcfp", "--drop-flow3-rate", "0"],
             ["honest", "--trials", "0"],
             ["desync", "--protocol", "fwcfp", "--mask", "16:zz"],
             ["trace", "--hash-bits", "-4"],

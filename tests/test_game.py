@@ -416,6 +416,26 @@ class TestGameRunner:
         )
         assert out.stdout.strip() == "False"
 
+    def test_package_and_bits_imports_load_only_what_they_name(self):
+        # the package re-exports nothing, so importing it or one leaf module
+        # pulls in no other rfidlab module
+        src = Path(rfidlab.__file__).resolve().parent.parent
+        probe = (
+            "import sys, importlib\n"
+            "importlib.import_module(sys.argv[1])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('rfidlab.')))"
+        )
+        for module, loaded in (("rfidlab", "[]"), ("rfidlab.bits", "['rfidlab.bits']")):
+            out = subprocess.run(
+                [sys.executable, "-c", probe, module],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            )
+            assert out.stdout.strip() == loaded, module
+
 
 def enumerated_advantage(hash_bits: int) -> float:
     """Brute-force oracle: enumerate (b, collision) outcomes of the guess rule."""
