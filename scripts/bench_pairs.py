@@ -51,7 +51,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             f"error: bench/run.py in {checkout} exited with {proc.returncode}:"
             f" {proc.stderr.strip()[-500:]}"
         )
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        raise SystemExit(
+            f"error: bench/run.py in {checkout} ended with no result line: {lines[-1][-500:]!r}"
+        )
+    return result
 
 
 def quartiles(values: list[float]) -> list[float]:

@@ -165,7 +165,7 @@ def _cmd_honest(args):
     drop_rate = args.drop_flow3_rate
     if drop_rate is not None and args.protocol != "lwjx":
         raise ConfigError("--drop-flow3-rate applies to LWJX honest runs only")
-    drop_rate = 0.0 if drop_rate is None else drop_rate
+    drop_rate = drop_rate or 0.0  # None, and -0.0, which the report would write as -0.0
     if not 0.0 <= drop_rate <= 1.0:
         raise ConfigError("--drop-flow3-rate must be in [0, 1]")
     rng = Rng(seed)

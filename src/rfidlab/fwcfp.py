@@ -21,9 +21,10 @@ from .bits import BitString
 from .crypto import PermKey, expand_mask, h_params, invert, permute, truncated_hash
 from .rng import Rng
 from .session import (
-    MAX_OPEN_SESSIONS,
+    Message,
     Protocol,
     ProtocolError,
+    Reader,
     RejectMessage,
     SessionResult,
     SessionVerdict,
@@ -75,39 +76,27 @@ class FwcfpParams:
 
 
 @dataclass(frozen=True)
-class Flow1:
+class Flow1(Message):
     rand1: BitString
-
-    def fields(self) -> dict:
-        return {"rand1": self.rand1}
 
 
 @dataclass(frozen=True)
-class Flow2:
+class Flow2(Message):
     idta: BitString
     h1: BitString
     rand2: BitString
 
-    def fields(self) -> dict:
-        return {"idta": self.idta, "h1": self.h1, "rand2": self.rand2}
-
 
 @dataclass(frozen=True)
-class Flow3:
+class Flow3(Message):
     h2: BitString
     a: BitString
     b: BitString
 
-    def fields(self) -> dict:
-        return {"h2": self.h2, "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
-class Flow4:
+class Flow4(Message):
     ok: bool = True
-
-    def fields(self) -> dict:
-        return {"ok": self.ok}
 
 
 def alias_masks(p: FwcfpParams, k: int, rand1: int, rand2: int) -> tuple[int, int]:
@@ -182,7 +171,7 @@ class FwcfpTag:
         return _TAG_ACCEPT, Flow4()
 
 
-class FwcfpReaderDb:
+class FwcfpReaderDb(Reader):
     """Reader and backend in one: master permutation key plus IDT registry.
 
     The reader keeps no per-tag alias state, only the opening nonce of each
@@ -193,11 +182,10 @@ class FwcfpReaderDb:
     def __init__(self, params: FwcfpParams, ks: PermKey):
         if ks.width != params.alias_bits:
             raise ProtocolError("master key block width must match the alias width")
+        super().__init__(Flow1, params.nonce_bits)
         self.params = params
         self.ks = ks
         self.registry: dict[int, BitString] = {}  # IDT value -> K
-        self.sessions: dict[str, BitString] = {}  # session id -> rand1
-        self._next_session = 0
 
     @classmethod
     def create(cls, params: FwcfpParams, rng: Rng) -> FwcfpReaderDb:
@@ -224,17 +212,6 @@ class FwcfpReaderDb:
         idta = BitString(p.alias_bits, alias)
         self.register(idt, k)
         return FwcfpTag(p, k, idta, bookkeeping_idt=idt)
-
-    def begin(self, rng: Rng) -> tuple[str, Flow1]:
-        """Open a session; the oldest open one goes once MAX_OPEN_SESSIONS are open."""
-        sessions = self.sessions
-        if len(sessions) >= MAX_OPEN_SESSIONS:
-            del sessions[next(iter(sessions))]
-        sid = f"s{self._next_session}"
-        self._next_session += 1
-        rand1 = rng.bits(self.params.nonce_bits)
-        sessions[sid] = rand1
-        return sid, Flow1(rand1)
 
     def authenticate(
         self, sid: str, flow2: Flow2, rng: Rng

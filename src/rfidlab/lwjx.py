@@ -34,9 +34,10 @@ from .bits import BitString
 from .crypto import g_params, h_params, truncated_hash
 from .rng import Rng
 from .session import (
-    MAX_OPEN_SESSIONS,
+    Message,
     Protocol,
     ProtocolError,
+    Reader,
     RejectMessage,
     SessionResult,
     SessionVerdict,
@@ -78,29 +79,20 @@ class LwjxParams:
 
 
 @dataclass(frozen=True)
-class Flow1:
+class Flow1(Message):
     rr: BitString
-
-    def fields(self) -> dict:
-        return {"rr": self.rr}
 
 
 @dataclass(frozen=True)
-class Flow2:
+class Flow2(Message):
     hid: BitString
     hk: BitString
     rt: BitString
 
-    def fields(self) -> dict:
-        return {"hid": self.hid, "hk": self.hk, "rt": self.rt}
-
 
 @dataclass(frozen=True)
-class Flow3:
+class Flow3(Message):
     hkt: BitString
-
-    def fields(self) -> dict:
-        return {"hkt": self.hkt}
 
 
 class LwjxTag:
@@ -157,7 +149,7 @@ class LwjxReaderRecord:
     m: int = 0
 
 
-class LwjxReaderDb:
+class LwjxReaderDb(Reader):
     """The reader: per-tag records in provisioning order, indexed by H(ID).
 
     ``records`` is the ordered store that snapshots and the CLI read; a
@@ -170,12 +162,11 @@ class LwjxReaderDb:
     """
 
     def __init__(self, params: LwjxParams):
+        super().__init__(Flow1, params.bits)  # the opening nonce is rr
         self.params = params
         self.records: list[LwjxReaderRecord] = []
         self._by_new: dict[int, list[int]] = {}
         self._by_old: dict[int, list[int]] = {}
-        self.sessions: dict[str, BitString] = {}  # session id -> rr
-        self._next_session = 0
 
     def add_record(self, rec: LwjxReaderRecord):
         """Append a record and index its epochs.
@@ -223,17 +214,6 @@ class LwjxReaderDb:
             )
         )
         return LwjxTag(p, id_, k)
-
-    def begin(self, rng: Rng) -> tuple[str, Flow1]:
-        """Open a session; the oldest open one goes once MAX_OPEN_SESSIONS are open."""
-        sessions = self.sessions
-        if len(sessions) >= MAX_OPEN_SESSIONS:
-            del sessions[next(iter(sessions))]
-        sid = f"s{self._next_session}"
-        self._next_session += 1
-        rr = rng.bits(self.params.bits)
-        sessions[sid] = rr
-        return sid, Flow1(rr)
 
     def authenticate(
         self, sid: str, flow2: Flow2

@@ -16,7 +16,7 @@ from .bits import BitString
 from .transcript import Transcript
 
 
-# How many sessions a reader keeps open: ``begin`` evicts the oldest once
+# How many sessions a reader keeps open: ``Reader.begin`` evicts the oldest once
 # this many wait for a flow2, so blocked or abandoned sessions cannot grow a
 # reader without bound. A game trial makes at most ``game.BUDGET`` queries,
 # so this must be at least that for no trial to evict; an evicted session
@@ -60,12 +60,37 @@ def _build_params(cls, items: tuple):
     return cls(**dict(items))
 
 
-@dataclass(frozen=True)
-class RejectMessage:
-    """The uniform on-wire rejection; deliberately carries no reason."""
+class Message:
+    """Base of every on-wire message: its transcript fields are its dataclass fields."""
 
     def fields(self) -> dict:
-        return {}
+        return self.__dict__.copy()  # a new dict: the caller may change it
+
+
+@dataclass(frozen=True)
+class RejectMessage(Message):
+    """The uniform on-wire rejection; deliberately carries no reason."""
+
+
+class Reader:
+    """Base of both readers: each session's opening nonce, from ``begin`` to its verdict."""
+
+    def __init__(self, flow1: type, nonce_bits: int):
+        self.sessions: dict[str, BitString] = {}  # session id -> opening nonce
+        self._next_session = 0
+        self._flow1 = flow1
+        self._nonce_bits = nonce_bits
+
+    def begin(self, rng) -> tuple[str, Message]:
+        """Open a session; the oldest open one goes once MAX_OPEN_SESSIONS are open."""
+        sessions = self.sessions
+        if len(sessions) >= MAX_OPEN_SESSIONS:
+            del sessions[next(iter(sessions))]
+        sid = f"s{self._next_session}"
+        self._next_session += 1
+        nonce = rng.bits(self._nonce_bits)
+        sessions[sid] = nonce
+        return sid, self._flow1(nonce)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def fwcfp_db_to_doc(db: FwcfpReaderDb, include_master_key: bool = False) -> dict
 
 
 def fwcfp_db_from_doc(doc: dict, master_key: bytes | None = None) -> FwcfpReaderDb:
-    _validate(doc, "fwcfp")
+    _validate(doc, "fwcfp", "registry")
     with _malformed("fwcfp snapshot"):
         params = params_from_dict(FwcfpParams, doc["params"])
         if "master_key" in doc:
@@ -74,8 +74,7 @@ def fwcfp_db_from_doc(doc: dict, master_key: bytes | None = None) -> FwcfpReader
                 "snapshot redacts the master key; pass it explicitly to load"
             )
         db = FwcfpReaderDb(params, PermKey(key, params.alias_bits))
-        entries = list(doc["registry"])
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(doc["registry"]):
         with _malformed(f"registry entry {i}"):
             db.register(BitString.parse(entry["idt"]), BitString.parse(entry["k"]))
     return db
@@ -101,11 +100,10 @@ def lwjx_db_to_doc(db: LwjxReaderDb) -> dict:
 
 
 def lwjx_db_from_doc(doc: dict) -> LwjxReaderDb:
-    _validate(doc, "lwjx")
+    _validate(doc, "lwjx", "records")
     with _malformed("lwjx snapshot"):
         db = LwjxReaderDb(params_from_dict(LwjxParams, doc["params"]))
-        entries = list(doc["records"])
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(doc["records"]):
         with _malformed(f"record {i}"):
             db.add_record(
                 LwjxReaderRecord(
@@ -120,7 +118,8 @@ def lwjx_db_from_doc(doc: dict) -> LwjxReaderDb:
     return db
 
 
-def _validate(doc: dict, protocol: str):
+def _validate(doc: dict, protocol: str, entries: str):
+    """Check the schema, the protocol and that the entries key holds an array."""
     if not isinstance(doc, dict) or "schema" not in doc:
         raise SnapshotError("not a snapshot document")
     schema = doc["schema"]
@@ -130,6 +129,8 @@ def _validate(doc: dict, protocol: str):
         raise SnapshotError(
             f"snapshot is for {doc.get('protocol')!r}, expected {protocol!r}"
         )
+    if type(doc.get(entries)) is not list:
+        raise SnapshotError(f"snapshot {entries} must be an array")
 
 
 def db_to_doc(db, *, include_master_key: bool = False) -> dict:

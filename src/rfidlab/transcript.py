@@ -131,7 +131,7 @@ class TranscriptFormatError(ValueError):
 def read_jsonl(path) -> list[Transcript]:
     """Parse a transcript file; malformed lines report their line number."""
     transcripts: list[Transcript] = []
-    entries: list[TranscriptEntry] | None = None  # those of the last meta line
+    current: Transcript | None = None  # that of the last meta line
     with open(path, "r", encoding="utf-8") as handle:
         try:
             for number, raw in enumerate(handle, start=1):
@@ -168,12 +168,13 @@ def read_jsonl(path) -> list[Transcript]:
                     except (KeyError, ValueError) as exc:
                         raise TranscriptFormatError(number, f"bad meta line ({exc})")
                     transcripts.append(current)
-                    entries = current.entries
                 elif kind == "entry":
-                    if entries is None:
+                    if current is None:
                         raise TranscriptFormatError(number, "entry before any meta line")
                     try:
-                        entries.append(
+                        if doc["session"] != current.session:
+                            raise ValueError(f"session {doc['session']!r} is not the meta line's")
+                        current.entries.append(
                             TranscriptEntry(
                                 _text(doc, "flow"),
                                 _text(doc, "sender"),

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).parent.parent / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -163,3 +165,14 @@ def test_exit_status_is_2_on_any_regression(monkeypatch, capsys, tmp_path):
     )
     assert code == 2
     assert line["fail_share"]["verdict"] == "regression"
+
+
+@pytest.mark.parametrize("last_line", ["not json", "[1, 2]"], ids=["not-json", "array"])
+def test_a_last_line_that_is_not_a_json_object_is_one_error_line(tmp_path, last_line):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(f"print({last_line!r})\n")
+    with pytest.raises(SystemExit) as caught:
+        bench_pairs.run_once(tmp_path, "w", 1, 1.0)
+    message = caught.value.code
+    assert message.startswith("error: ") and "\n" not in message, message
+    assert repr(last_line) in message

@@ -15,6 +15,7 @@ from rfidlab.cli import (
     main,
 )
 from rfidlab.replay import replay_file
+from rfidlab.snapshots import SnapshotError, load_db
 from rfidlab.transcript import TranscriptFormatError, read_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -230,6 +231,13 @@ class TestHonestCommand:
         assert doc["case_c"] > 0
         assert doc["sync_violations"] == 0
 
+    def test_a_negative_zero_drop_rate_writes_the_report_without_the_flag(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["honest", "--protocol", "lwjx", "--trials", "50", "--seed", "7", "--no-timestamp"]
+        assert run(args + ["--output", str(a)]) == EXIT_OK
+        assert run(args + ["--drop-flow3-rate", "-0.0", "--output", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestDesyncCommand:
     def test_attack_succeeds_and_reports(self, tmp_path, capsys):
@@ -329,8 +337,10 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "line_number, key, value",
         [(2, "flow", 5), (2, "sender", []), (2, "note", {}), (2, "note", None),
+         (2, "session", "zzz"), (9, "session", "s0"), (2, "session", None),
          (1, "schema", True), (1, "schema", 1.0)],
         ids=["flow-number", "sender-array", "note-object", "note-null",
+             "session-unknown", "session-of-another-transcript", "session-null",
              "schema-true", "schema-float"],
     )
     def test_transcript_value_of_the_wrong_type(
@@ -362,6 +372,22 @@ class TestMalformedInputs:
         path.write_text("\n".join(lines) + "\n")
         assert run(["replay", "--input", str(path)]) == EXIT_CONFIG
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("value", [{}, "", 0, None], ids=["object", "string", "zero", "null"])
+    @pytest.mark.parametrize("protocol, key", [("fwcfp", "registry"), ("lwjx", "records")])
+    def test_snapshot_entries_that_are_not_an_array(self, tmp_path, capsys, protocol, key, value):
+        path = tmp_path / "db.json"
+        keyed = ["--include-master-key"] if protocol == "fwcfp" else []
+        assert run(["snapshot", "--protocol", protocol, "--tags", "2",
+                    "--output", str(path)] + keyed) == EXIT_OK
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
+        assert f"{key} must be an array" in assert_one_error_line(capsys)
+        with pytest.raises(SnapshotError, match=key):
+            load_db(path)
 
     def test_snapshot_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "db.json"

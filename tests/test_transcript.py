@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -7,12 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfidlab import fwcfp, lwjx
+from rfidlab import fwcfp, lwjx, session
 from rfidlab.bits import BitString
 from rfidlab.cli import EXIT_THRESHOLD, main
 from rfidlab.replay import TranscriptParamsError, replay_file, verify_transcript
 from rfidlab.rng import Rng
-from rfidlab.session import params_from_dict
+from rfidlab.session import Message, RejectMessage, params_from_dict
 from rfidlab.snapshots import (
     SnapshotError,
     fwcfp_db_from_doc,
@@ -96,6 +97,48 @@ class TestSerialization:
         t.add("flow3", "reader", {"h2": BitString(8, 1)})
         t.add("flow3", "adversary", {}, note="blocked")
         assert t.delivered("flow3") is None
+
+
+def bits(value):
+    return BitString(8, value)
+
+
+MESSAGES = [
+    fwcfp.Flow1(bits(1)),
+    fwcfp.Flow2(idta=bits(2), h1=bits(3), rand2=bits(4)),
+    fwcfp.Flow3(h2=bits(5), a=bits(6), b=bits(7)),
+    fwcfp.Flow4(),
+    lwjx.Flow1(bits(8)),
+    lwjx.Flow2(hid=bits(9), hk=bits(10), rt=bits(11)),
+    lwjx.Flow3(bits(12)),
+    RejectMessage(),
+]
+
+
+class TestMessageFields:
+    """A message's transcript fields are its dataclass fields."""
+
+    def test_every_message_class_is_covered(self):
+        classes = {
+            value
+            for module in (fwcfp, lwjx, session)
+            for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, Message) and value is not Message
+        }
+        assert classes == {type(m) for m in MESSAGES}
+
+    @pytest.mark.parametrize(
+        "message", MESSAGES, ids=lambda m: f"{type(m).__module__[8:]}-{type(m).__name__}"
+    )
+    def test_fields_are_a_new_dict_in_declaration_order(self, message):
+        expected = {f.name: getattr(message, f.name) for f in dataclasses.fields(message)}
+        fields = message.fields()
+        assert list(fields.items()) == list(expected.items())
+        fields["extra"] = bits(0)
+        for name in expected:
+            fields[name] = None
+        assert message.fields() == expected
+        assert {f.name: getattr(message, f.name) for f in dataclasses.fields(message)} == expected
 
 
 def with_field(tmp_path, value):
@@ -481,10 +524,22 @@ class TestLoaderErrorText:
                 lambda line: retyped(line, secrets={"k": "08:ff"}),
                 "bad meta line (not a canonical bit string literal: '08:ff')",
             ),
+            (
+                1,
+                lambda line: retyped(line, session="zzz"),
+                "bad entry (session 'zzz' is not the meta line's)",
+            ),
+            (
+                8,
+                lambda line: retyped(line, session="s0"),
+                "bad entry (session 's0' is not the meta line's)",
+            ),
+            (1, lambda line: line.replace('"session": "s0", ', ""), "bad entry ('session')"),
         ],
         ids=[
             "bom-meta", "bom-after-space", "second-document", "trailing-text",
             "top-level-array", "bad-literal", "trailing-comma", "secrets-non-canonical",
+            "entry-session-unknown", "entry-session-of-another-meta", "entry-session-missing",
         ],
     )
     def test_message_and_line_number(self, tmp_path, index, spoil, message):
