@@ -24,12 +24,19 @@ failed share (failed / attempted), and a ``fail_share`` verdict:
 ``regression`` when B's share exceeds A's, else ``no regression``.
 The exit status is 2, the CLI's threshold code, when any verdict is
 ``regression``, and 0 otherwise. Stdlib only.
+
+``--out FILE`` also writes the line, indented, to FILE with where it was
+measured: the host's processor count, the Python version, and each
+checkout's git commit and whether its files differ from that commit
+(null outside git).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -55,11 +62,33 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except json.JSONDecodeError:
         result = None
-    if not isinstance(result, dict):
+    if not (
+        isinstance(result, dict)
+        and isinstance(result.get("metrics"), dict)
+        and "attempted" in result
+        and "failed" in result
+    ):
         raise SystemExit(
             f"error: bench/run.py in {checkout} ended with no result line: {lines[-1][-500:]!r}"
         )
     return result
+
+
+def checkout_commit(checkout: Path) -> dict:
+    """The checkout's git commit and whether its files differ from it; nulls outside git."""
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=checkout, capture_output=True, text=True, check=False
+        )
+
+    try:
+        head = git("rev-parse", "HEAD")
+    except OSError:  # no git
+        head = None
+    if head is None or head.returncode != 0:
+        return {"commit": None, "modified": None}
+    return {"commit": head.stdout.strip(), "modified": bool(git("status", "--porcelain").stdout)}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -130,6 +159,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--out", type=Path, help="also write the result, with the host, here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -146,12 +176,20 @@ def main(argv=None) -> int:
             results[side] = run_once(checkout, args.workload, seed, args.seconds)
         pairs.append((results[0], results[1]))
     summary = summarize(pairs, end_to_end)
-    print(json.dumps({
+    line = {
         "workload": args.workload,
         "seconds": args.seconds,
         "seeds": [args.seed, args.seed + args.pairs - 1],
         **summary,
-    }))
+    }
+    print(json.dumps(line))
+    if args.out is not None:
+        host = {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "checkouts": {"a": checkout_commit(args.dir_a), "b": checkout_commit(args.dir_b)},
+        }
+        args.out.write_text(json.dumps({**line, **host}, indent=2) + "\n", encoding="utf-8")
     verdicts = [m["verdict"] for m in summary["metrics"].values()]
     verdicts.append(summary["fail_share"]["verdict"])
     return 2 if "regression" in verdicts else 0

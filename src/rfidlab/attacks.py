@@ -128,6 +128,8 @@ class FwcfpTraceStrategy(game.AdversaryStrategy):
     answers with H(Kb || rand2) and equality identifies tag 0.
     """
 
+    protocol = "fwcfp"
+
     def learning(self, driver):
         transcript = driver.execute(0)
         flow2 = transcript.delivered("flow2")
@@ -156,6 +158,7 @@ class FwcfpBackwardTraceStrategy(game.AdversaryStrategy):
     hidden tag was tag 0.
     """
 
+    protocol = "fwcfp"
     corrupt_policy = game.CORRUPT_AFTER_ARCHIVE
 
     def challenge(self, driver, handle):
@@ -185,6 +188,8 @@ class LwjxTraceStrategy(game.AdversaryStrategy):
     the hidden tag is tag 0. Both equalities are recorded per trial; this
     class guesses by the identifier hash.
     """
+
+    protocol = "lwjx"
 
     def learning(self, driver):
         self._probe = self.rng.bits(self.params.bits)

@@ -11,14 +11,13 @@ Instances are treated as immutable (they are used as dict keys).
 
 from __future__ import annotations
 
-import re
+_HEX_DIGITS = "0123456789abcdef"
 
-# A literal's shape: decimal digits, a colon, lowercase hex digits. The
-# first branch is the canonical syntax (ASCII digits without a leading zero,
-# nothing after the hex) and captures the width and the hex; strings of the
-# shape that are not canonical ("08:ff", a Unicode digit, a final newline,
-# which ``$`` lets through) match the second branch and capture nothing.
-LITERAL_SHAPE = re.compile(r"(0|[1-9][0-9]*):([0-9a-f]*)\Z|\d+:[0-9a-f]*$")
+# canonical width text -> (width, hex digits): a memo, filled as widths are
+# first parsed, that changes no result. Widths above the bound are worked out
+# on every parse, so hostile input cannot grow it.
+_WIDTHS: dict[str, tuple[int, int]] = {}
+_WIDTHS_BOUND = 1024
 
 
 class WidthError(ValueError):
@@ -53,10 +52,10 @@ class BitString:
         Only decimal digits before the colon and lowercase hex digits after
         it are accepted, so every literal that parses renders back unchanged.
         """
-        match = LITERAL_SHAPE.match(text) if isinstance(text, str) else None
-        if match is None:
+        bits = literal_bits(text) if isinstance(text, str) else None
+        if bits is None:
             raise ValueError(f"not a canonical bit string literal: {text!r}")
-        return from_literal(match)
+        return bits
 
     def render(self) -> str:
         """Inverse of parse(): zero-padded lowercase hex, width first."""
@@ -93,19 +92,36 @@ class BitString:
         return f"<BitString {self.render()}>"
 
 
-def from_literal(match: re.Match) -> BitString:
-    """The BitString a LITERAL_SHAPE match spells; ValueError unless canonical.
+def literal_bits(text: str) -> BitString | None:
+    """The BitString that a canonical literal spells, or None for other text.
 
-    Canonical also means exactly ceil(width/4) hex digits, whose value fits
-    the width.
+    Text has a literal's shape when it is decimal digits, a colon and
+    lowercase hex digits, and perhaps one final newline. Text of that shape
+    that is not canonical is a ValueError: a width with a leading zero or a
+    non-ASCII digit, a final newline, other than ceil(width/4) hex digits,
+    or a value that does not fit the width.
     """
-    width_part, hex_part = match.groups()
-    if width_part is None:
-        raise ValueError(f"not a canonical bit string literal: {match.string!r}")
-    width = int(width_part)
-    digits = (width + 3) // 4
-    if len(hex_part) != digits:
-        raise ValueError(
-            f"expected {digits} hex digits for width {width}, got {len(hex_part)}"
-        )
-    return BitString(width, int(hex_part, 16) if hex_part else 0)
+    width_text, colon, hex_text = text.partition(":")
+    if not colon:
+        return None
+    if hex_text.lstrip(_HEX_DIGITS):
+        # not all lowercase hex: of a literal's shape only with a final newline
+        if hex_text[-1] != "\n" or hex_text[:-1].lstrip(_HEX_DIGITS) or not width_text.isdecimal():
+            return None
+        raise ValueError(f"not a canonical bit string literal: {text!r}")
+    known = _WIDTHS.get(width_text)
+    if known is None:
+        # isdecimal() takes any Unicode decimal digit; a canonical width is
+        # ASCII digits without a leading zero
+        if not width_text.isdecimal():
+            return None
+        if not width_text.isascii() or (width_text[0] == "0" and width_text != "0"):
+            raise ValueError(f"not a canonical bit string literal: {text!r}")
+        width = int(width_text)
+        known = (width, (width + 3) // 4)
+        if width <= _WIDTHS_BOUND:
+            _WIDTHS[width_text] = known
+    width, digits = known
+    if len(hex_text) != digits:
+        raise ValueError(f"expected {digits} hex digits for width {width}, got {len(hex_text)}")
+    return BitString(width, int(hex_text, 16) if hex_text else 0)

@@ -235,6 +235,7 @@ class AdversaryStrategy:
     """Base class; subclasses fill in the three phases."""
 
     corrupt_policy = CORRUPT_NEVER
+    protocol: str | None = None  # the protocol attacked; None fits every protocol
 
     def __init__(self, rng: Rng, params):
         self.rng = rng
@@ -289,6 +290,22 @@ def run_single_trial(protocol_name, strategy_name, params, seed, index):
         from . import attacks  # noqa: F401  (adds the attack strategies)
     strategy = STRATEGY_FACTORIES[strategy_name](adversary, params)
     return run_upriv_game(PROTOCOLS[protocol_name], params, strategy, world)
+
+
+def _check_strategy(protocol_name: str, strategy_name: str):
+    """ValueError unless both names are known and the strategy fits the protocol.
+
+    A factory without a ``protocol`` attribute fits every protocol.
+    """
+    if protocol_name not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol_name!r}")
+    if strategy_name not in STRATEGY_FACTORIES:
+        from . import attacks  # noqa: F401  (adds the attack strategies)
+    if strategy_name not in STRATEGY_FACTORIES:
+        raise ValueError(f"unknown strategy {strategy_name!r}")
+    protocol = getattr(STRATEGY_FACTORIES[strategy_name], "protocol", None)
+    if protocol not in (None, protocol_name):
+        raise ValueError(f"strategy {strategy_name!r} attacks {protocol}, not {protocol_name}")
 
 
 def _trial_range(args):
@@ -372,6 +389,7 @@ def estimate_advantage(
     """Monte Carlo advantage over independent trials with fresh tags each."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_strategy(protocol_name, strategy_name)
     hash_bits = params.hash_bits
     if workers <= 1:
         outcomes = _trial_range((protocol_name, strategy_name, params, seed, 0, trials))

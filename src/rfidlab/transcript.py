@@ -7,27 +7,37 @@ internal reason and are experimenter-side annotations; on the wire every
 rejection looks the same.
 
 On disk a transcript is one meta line followed by one JSON object per
-entry, with every BitString in canonical "<width>:<hex>" text.
+entry, with every BitString in canonical "<width>:<hex>" text. The lines
+are written by one C encoder built at import, with the settings that
+``json.dumps(doc, sort_keys=True)`` uses, so the writer makes no encoder
+per line. The reader turns each field string that is a canonical literal
+into a BitString through ``bits.literal_bits``, the function that
+``BitString.parse`` uses too.
 """
 
 from __future__ import annotations
 
 import json
+from _json import encode_basestring_ascii, make_encoder
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .bits import LITERAL_SHAPE, BitString, from_literal
+from .bits import BitString, literal_bits
 from .crypto import HASH_NAME
 
 SCHEMA_VERSION = 1
 
-FLOW_NAMES = ("flow1", "flow2", "flow3", "flow4")
-
-# what json.dumps(doc, sort_keys=True) builds on every call, built once; it
-# writes each BitString as its canonical literal
-_ENCODER = json.JSONEncoder(sort_keys=True, default=BitString.render)
-# the call json.loads reaches through two Python frames: (document, end index)
-_DECODE = json.JSONDecoder().raw_decode
+# the C encoder that json.dumps(doc, sort_keys=True) builds on every call,
+# built once: (markers, default, string encoder, indent, key separator, item
+# separator, sort_keys, skipkeys, allow_nan). It writes each BitString as its
+# canonical literal; markers=None drops the cycle check, as no transcript
+# holds a cycle. _ITERENCODE(doc, 0) gives the pieces of one line.
+_ITERENCODE = make_encoder(
+    None, BitString.render, encode_basestring_ascii, None, ": ", ", ", True, False, True
+)
+# the scanner under json.loads: (document, end index), or StopIteration
+# when no JSON value starts the text
+_SCAN = json.JSONDecoder().scan_once
 
 
 @dataclass(slots=True)
@@ -49,10 +59,6 @@ class Transcript:
     def add(self, flow: str, sender: str, fields: dict, note: str | None = None):
         self.entries.append(TranscriptEntry(flow, sender, fields, note))
 
-    def flows(self) -> list[TranscriptEntry]:
-        """Protocol flows only, excluding verdicts and reject markers."""
-        return [e for e in self.entries if e.flow in FLOW_NAMES]
-
     def delivered(self, flow: str) -> dict | None:
         """Fields of the named flow as the receiving party saw them.
 
@@ -73,10 +79,9 @@ def _decode_fields(fields: dict) -> dict:
     """
     if not isinstance(fields, dict):
         raise ValueError(f"expected an object of fields, got {fields!r}")
-    shape = LITERAL_SHAPE.match
     for k, v in fields.items():
-        if isinstance(v, str) and (match := shape(v)):
-            fields[k] = from_literal(match)
+        if isinstance(v, str) and (bits := literal_bits(v)) is not None:
+            fields[k] = bits
     return fields
 
 
@@ -98,8 +103,8 @@ def transcript_to_lines(transcript: Transcript) -> list[str]:
     }
     if transcript.secrets is not None:
         meta["secrets"] = transcript.secrets
-    encode = _ENCODER.encode
-    lines = [encode(meta)]
+    join = "".join
+    lines = [join(_ITERENCODE(meta, 0))]
     for entry in transcript.entries:
         doc = {
             "type": "entry",
@@ -110,7 +115,7 @@ def transcript_to_lines(transcript: Transcript) -> list[str]:
         }
         if entry.note is not None:
             doc["note"] = entry.note
-        lines.append(encode(doc))
+        lines.append(join(_ITERENCODE(doc, 0)))
     return lines
 
 
@@ -139,13 +144,16 @@ def read_jsonl(path) -> list[Transcript]:
                 if not raw:
                     continue
                 try:
-                    doc, end = _DECODE(raw)
-                except json.JSONDecodeError as exc:
+                    doc, end = _SCAN(raw, 0)
+                except StopIteration:
                     # json.loads rejects a leading U+FEFF before parsing; no
                     # JSON value starts with it, so only a failed parse looks
-                    bom = raw.startswith("\ufeff")
-                    msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if bom else exc.msg
+                    msg = "Expecting value"
+                    if raw.startswith("\ufeff"):
+                        msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
                     raise TranscriptFormatError(number, f"invalid JSON ({msg})")
+                except json.JSONDecodeError as exc:
+                    raise TranscriptFormatError(number, f"invalid JSON ({exc.msg})")
                 if end != len(raw):
                     # the line is stripped, so what is left is not whitespace
                     raise TranscriptFormatError(number, "invalid JSON (Extra data)")
@@ -174,14 +182,15 @@ def read_jsonl(path) -> list[Transcript]:
                     try:
                         if doc["session"] != current.session:
                             raise ValueError(f"session {doc['session']!r} is not the meta line's")
-                        current.entries.append(
-                            TranscriptEntry(
-                                _text(doc, "flow"),
-                                _text(doc, "sender"),
-                                _decode_fields(doc["fields"]),
-                                _text(doc, "note") if "note" in doc else None,
-                            )
-                        )
+                        flow = doc["flow"]
+                        if not isinstance(flow, str):
+                            raise ValueError(f"flow must be a string, got {flow!r}")
+                        sender = doc["sender"]
+                        if not isinstance(sender, str):
+                            raise ValueError(f"sender must be a string, got {sender!r}")
+                        fields = _decode_fields(doc["fields"])
+                        note = _text(doc, "note") if "note" in doc else None
+                        current.entries.append(TranscriptEntry(flow, sender, fields, note))
                     except (KeyError, ValueError) as exc:
                         raise TranscriptFormatError(number, f"bad entry ({exc})")
                 else:

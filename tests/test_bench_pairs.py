@@ -2,6 +2,10 @@
 
 import importlib.util
 import json
+import os
+import platform
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -167,8 +171,21 @@ def test_exit_status_is_2_on_any_regression(monkeypatch, capsys, tmp_path):
     assert line["fail_share"]["verdict"] == "regression"
 
 
-@pytest.mark.parametrize("last_line", ["not json", "[1, 2]"], ids=["not-json", "array"])
+@pytest.mark.parametrize(
+    "last_line",
+    [
+        "not json",
+        "[1, 2]",
+        "{}",
+        '{"metrics": 5, "attempted": 1, "failed": 0}',
+        '{"metrics": {}, "failed": 0}',
+        '{"metrics": {}, "attempted": 1}',
+    ],
+    ids=["not-json", "array", "empty-object", "metrics-not-an-object", "no-attempted",
+         "no-failed"],
+)
 def test_a_last_line_that_is_not_a_json_object_is_one_error_line(tmp_path, last_line):
+    """Not a JSON object, or an object without a result's keys."""
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text(f"print({last_line!r})\n")
     with pytest.raises(SystemExit) as caught:
@@ -176,3 +193,62 @@ def test_a_last_line_that_is_not_a_json_object_is_one_error_line(tmp_path, last_
     message = caught.value.code
     assert message.startswith("error: ") and "\n" not in message, message
     assert repr(last_line) in message
+
+
+def test_a_result_object_passes_the_shape_check(tmp_path):
+    line = json.dumps(result(100, 10.0))
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(f"print({line!r})\n")
+    assert bench_pairs.run_once(tmp_path, "w", 1, 1.0) == result(100, 10.0)
+
+
+def git_checkout(path, modified):
+    """A one-commit git repository at path; its commit id."""
+    path.mkdir()
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+             *args],
+            cwd=path, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (path / "f").write_text("1\n")
+    git("add", "f")
+    git("commit", "-q", "-m", "one")
+    if modified:
+        (path / "f").write_text("2\n")
+    return git("rev-parse", "HEAD")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_out_writes_the_line_with_the_host_and_the_commits(monkeypatch, capsys, tmp_path):
+    commit_a = git_checkout(tmp_path / "a", modified=False)
+    commit_b = git_checkout(tmp_path / "b", modified=True)
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": END_TO_END}))
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", benchmark)
+    monkeypatch.setattr(
+        bench_pairs, "run_once", lambda checkout, workload, seed, seconds: result(100, 10.0)
+    )
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "w", "--pairs", "2",
+            "--seconds", "1", "--seed", "5", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    line = json.loads(capsys.readouterr().out)
+    written = json.loads(out.read_text())
+    assert written == {
+        **line,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "checkouts": {
+            "a": {"commit": commit_a, "modified": False},
+            "b": {"commit": commit_b, "modified": True},
+        },
+    }
+    assert written["seeds"] == [5, 6]
+
+
+def test_a_checkout_outside_git_has_no_commit(tmp_path):
+    assert bench_pairs.checkout_commit(tmp_path) == {"commit": None, "modified": None}

@@ -39,10 +39,12 @@ def fresh_game(protocol="fwcfp", params=None, seed=1, **kw):
 
 class TestExecuteQuery:
     def test_transcripts_have_the_protocol_flow_count(self):
-        game = fresh_game("fwcfp")
-        assert len(game.execute(0).flows()) == 4
-        game = fresh_game("lwjx")
-        assert len(game.execute(0).flows()) == 3
+        def flow_count(transcript):
+            flows = ("flow1", "flow2", "flow3", "flow4")
+            return sum(e.flow in flows for e in transcript.entries)
+
+        assert flow_count(fresh_game("fwcfp").execute(0)) == 4
+        assert flow_count(fresh_game("lwjx").execute(0)) == 3
 
     def test_two_executes_draw_different_nonces(self):
         game = fresh_game()
@@ -372,6 +374,47 @@ class TestGameRunner:
         serial = estimate_advantage(protocol, strategy_name, params, 200, seed=11, timestamp=False)
         pooled = estimate_advantage(protocol, strategy_name, params, 200, seed=11, timestamp=False, workers=2)
         assert serial.to_dict() == pooled.to_dict()
+
+    def test_each_strategy_names_the_protocol_it_attacks(self):
+        protocols = {name: cls.protocol for name, cls in STRATEGY_FACTORIES.items()}
+        assert protocols == {
+            "coin-flip": None,
+            "fwcfp-trace": "fwcfp",
+            "fwcfp-backtrace": "fwcfp",
+            "lwjx-trace-id": "lwjx",
+            "lwjx-trace-key": "lwjx",
+        }
+
+    @pytest.mark.parametrize(
+        "protocol, strategy_name, message",
+        [
+            ("lwjx", "fwcfp-trace", "strategy 'fwcfp-trace' attacks fwcfp, not lwjx"),
+            ("lwjx", "fwcfp-backtrace", "strategy 'fwcfp-backtrace' attacks fwcfp, not lwjx"),
+            ("fwcfp", "lwjx-trace-id", "strategy 'lwjx-trace-id' attacks lwjx, not fwcfp"),
+            ("fwcfp", "lwjx-trace-key", "strategy 'lwjx-trace-key' attacks lwjx, not fwcfp"),
+            ("fwcfp", "no-such-strategy", "unknown strategy 'no-such-strategy'"),
+            ("nfc", "coin-flip", "unknown protocol 'nfc'"),
+        ],
+        ids=["lwjx-fwcfp-trace", "lwjx-fwcfp-backtrace", "fwcfp-lwjx-trace-id",
+             "fwcfp-lwjx-trace-key", "unknown-strategy", "unknown-protocol"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_strategy_that_does_not_fit_fails_before_any_trial(
+        self, monkeypatch, protocol, strategy_name, message, workers
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(rfidlab.game, "run_single_trial", no_trial)
+        params = lwjx.LwjxParams(hash_bits=8) if protocol == "lwjx" else FWCFP_N8
+        with pytest.raises(ValueError) as caught:
+            estimate_advantage(protocol, strategy_name, params, 10, seed=1, workers=workers)
+        assert str(caught.value) == message
+
+    def test_coin_flip_fits_both_protocols(self):
+        for protocol, params in [("fwcfp", FWCFP_N8), ("lwjx", lwjx.LwjxParams(hash_bits=8))]:
+            report = estimate_advantage(protocol, "coin-flip", params, 20, seed=1)
+            assert report.trials_completed == 20
 
     def test_strategy_table_names_the_pinned_strategies(self):
         from test_report_digests import CLI_ARGS

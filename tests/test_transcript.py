@@ -263,6 +263,99 @@ class TestDecodeSemantics:
             assert read_jsonl(path) == transcripts
 
 
+# the regex loader's rule for a field string, kept as an independent reference
+REFERENCE_SHAPE = re.compile(r"(0|[1-9][0-9]*):([0-9a-f]*)\Z|\d+:[0-9a-f]*$")
+
+
+def reference_literal(text):
+    """The BitString the text spells, the text itself, or a ValueError."""
+    match = REFERENCE_SHAPE.match(text)
+    if match is None:
+        return text
+    width_part, hex_part = match.groups()
+    if width_part is None:
+        raise ValueError(f"not a canonical bit string literal: {text!r}")
+    width = int(width_part)
+    digits = (width + 3) // 4
+    if len(hex_part) != digits:
+        raise ValueError(f"expected {digits} hex digits for width {width}, got {len(hex_part)}")
+    return BitString(width, int(hex_part, 16) if hex_part else 0)
+
+
+# ASCII digits, Arabic-Indic, fullwidth and NKo decimal digits (\d matches
+# them), superscripts (\d does not), and signs, spaces, "x", "_" and ":"
+WIDTH_CHARS = "0123456789" "٣٠" "１０" "߁" "²¹⁰" "+- x_:"
+HEX_CHARS = "0123456789abcdef"
+# what int(text, 16) accepts besides lowercase hex, and a few more
+SPOILERS = "ABCDEF_x +-g:\n\r"
+
+
+@st.composite
+def near_literals(draw):
+    """Text at and around the "<width>:<hex>" grammar: a literal with up to two changes."""
+    width = draw(
+        st.integers(0, 1100)
+        | st.sampled_from([0, 1, 3, 4, 1023, 1024, 1025, 1028, 4096])
+        | st.integers(1101, 10**30)
+    )
+    digits = (width + 3) // 4 if width <= 1100 else draw(st.integers(0, 8))
+    size = draw(st.sampled_from([digits] * 3 + [max(digits - 1, 0), digits + 1, 0]))
+    parts = {
+        "width": str(width),
+        "separator": ":",
+        "prefix": "",
+        "hex": draw(st.text(HEX_CHARS, min_size=size, max_size=size)),
+        "suffix": "",
+    }
+    changes = ["width", "zero", "separator", "prefix", "spoiler", "suffix"]
+    for change in draw(st.lists(st.sampled_from(changes), max_size=2)):
+        if change == "width":
+            parts["width"] = draw(st.text(WIDTH_CHARS, min_size=1, max_size=4))
+        elif change == "zero":
+            parts["width"] = "0" + parts["width"]
+        elif change == "separator":
+            parts["separator"] = draw(st.sampled_from(["", "::", " :"]))
+        elif change == "prefix":
+            parts["prefix"] = draw(st.sampled_from([" ", "+", "0x"]))
+        elif change == "spoiler":
+            at = draw(st.integers(0, len(parts["hex"])))
+            spoiler = draw(st.sampled_from(SPOILERS))
+            parts["hex"] = parts["hex"][:at] + spoiler + parts["hex"][at:]
+        else:
+            parts["suffix"] = draw(st.sampled_from(["\n", "\n\n", " ", "\r"]))
+    return "".join(parts.values())
+
+
+class TestLiteralDecoderMatchesTheRegex:
+    """The loader and BitString.parse against the regex rule they replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=near_literals())
+    def test_loader_and_parse(self, text):
+        try:
+            expected, message = reference_literal(text), None
+        except ValueError as exc:
+            expected, message = None, str(exc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = with_field(Path(tmp), text)
+            if message is not None:
+                with pytest.raises(TranscriptFormatError) as caught:
+                    read_jsonl(path)
+                assert caught.value.line_number == 2
+                assert str(caught.value) == f"line 2: bad entry ({message})"
+            else:
+                value = read_jsonl(path)[0].entries[0].fields["x"]
+                assert type(value) is type(expected) and value == expected
+        if isinstance(expected, BitString):
+            assert BitString.parse(text) == expected
+        else:
+            with pytest.raises(ValueError) as caught:
+                BitString.parse(text)
+            assert str(caught.value) == (
+                message or f"not a canonical bit string literal: {text!r}"
+            )
+
+
 class TestReplay:
     def test_fresh_honest_fwcfp_transcript_passes(self, tmp_path):
         result = fwcfp_disclosed_session()
