@@ -45,8 +45,15 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line, the last line of stdout, of one untraced benchmark run."""
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, metric_names: list[str]
+) -> dict:
+    """The result line, the last line of stdout, of one untraced benchmark run.
+
+    It must be a JSON object with integer ``attempted`` and ``failed`` and a
+    ``metrics`` object that holds, for each of ``metric_names``, an object
+    with a numeric ``value``.
+    """
     command = [
         sys.executable, "bench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds),
@@ -62,11 +69,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except json.JSONDecodeError:
         result = None
+    metrics = result.get("metrics") if isinstance(result, dict) else None
     if not (
-        isinstance(result, dict)
-        and isinstance(result.get("metrics"), dict)
-        and "attempted" in result
-        and "failed" in result
+        isinstance(metrics, dict)
+        and type(result.get("attempted")) is int
+        and type(result.get("failed")) is int
+        and all(
+            isinstance(metrics.get(name), dict)
+            and type(metrics[name].get("value")) in (int, float)
+            for name in metric_names
+        )
     ):
         raise SystemExit(
             f"error: bench/run.py in {checkout} ended with no result line: {lines[-1][-500:]!r}"
@@ -164,6 +176,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     end_to_end = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+    metric_names = [spec["name"] for spec in end_to_end]
 
     pairs = []
     for i in range(args.pairs):
@@ -173,7 +186,7 @@ def main(argv=None) -> int:
         for side in order:
             checkout = (args.dir_a, args.dir_b)[side]
             print(f"pair {i + 1}/{args.pairs}: {'AB'[side]} seed {seed}", file=sys.stderr)
-            results[side] = run_once(checkout, args.workload, seed, args.seconds)
+            results[side] = run_once(checkout, args.workload, seed, args.seconds, metric_names)
         pairs.append((results[0], results[1]))
     summary = summarize(pairs, end_to_end)
     line = {

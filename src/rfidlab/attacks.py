@@ -15,7 +15,6 @@ from . import fwcfp, game, lwjx
 from .bits import BitString
 from .crypto import truncated_hash
 from .rng import Rng
-from .session import SessionResult
 from .transcript import Transcript, transcript_to_lines
 
 
@@ -101,23 +100,6 @@ def fwcfp_desync_attack(
         rejects=rejects,
         reject_reasons=reject_reasons,
     )
-
-
-def fwcfp_undo_desync(
-    tag: fwcfp.FwcfpTag, db: fwcfp.FwcfpReaderDb, mask: BitString, rng: Rng
-) -> SessionResult:
-    """XOR the same mask into the tag's outgoing alias; self-inverse repair.
-
-    The reader then decrypts the original identifier again, the session
-    completes, and the tag stores a cleanly issued alias.
-    """
-
-    def fix(flow, message):
-        if flow == "flow2":
-            return fwcfp.Flow2(idta=message.idta ^ mask, h1=message.h1, rand2=message.rand2)
-        return message
-
-    return fwcfp.run_honest_session(tag, db, rng, interpose=fix)
 
 
 class FwcfpTraceStrategy(game.AdversaryStrategy):

@@ -1,8 +1,8 @@
 """Fixed-width bit strings.
 
 The universal value type for identifiers, keys, nonces, masks and
-ciphertexts. A BitString carries its width; all binary operations demand
-equal widths, except concatenation. The canonical text encoding is
+ciphertexts. A BitString carries its width; its one binary operation,
+xor, demands equal widths. The canonical text encoding is
 "<width>:<hex>" with the hex zero-padded to ceil(width/4) digits, e.g.
 "16:ff00"; it is what transcripts, snapshots and reports use on disk.
 
@@ -38,14 +38,6 @@ class BitString:
         self.value = value
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> BitString:
-        return cls(8 * len(data), int.from_bytes(data, "big"))
-
-    def to_bytes(self) -> bytes:
-        """Canonical big-endian bytes, value right-aligned in ceil(width/8) bytes."""
-        return self.value.to_bytes((self.width + 7) // 8, "big")
-
-    @classmethod
     def parse(cls, text: str) -> BitString:
         """Parse the canonical "<width>:<hex>" encoding; anything else is a ValueError.
 
@@ -62,12 +54,6 @@ class BitString:
         if self.width == 0:
             return "0:"
         return "%d:%0*x" % (self.width, (self.width + 3) // 4, self.value)
-
-    def concat(self, other: BitString) -> BitString:
-        """Concatenation; self occupies the high-order bits."""
-        return BitString(
-            self.width + other.width, (self.value << other.width) | other.value
-        )
 
     def __xor__(self, other: BitString) -> BitString:
         if self.width != other.width:

@@ -280,7 +280,6 @@ PROTOCOL = Protocol(
     state=("k", "idta"),
     disclose=lambda tag: {"k": tag.k, "idt": tag.bookkeeping_idt, "alias_before": tag.idta},
     disclose_after=lambda tag: {"alias_after": tag.idta},
-    authenticate=lambda db, sid, flow2, rng: db.authenticate(sid, flow2, rng),
     finalize=lambda tag, flow3: tag.finalize(flow3),
     new_reader=FwcfpReaderDb.create,
     provision=FwcfpReaderDb.provision_tag,

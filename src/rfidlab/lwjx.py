@@ -216,7 +216,7 @@ class LwjxReaderDb(Reader):
         return LwjxTag(p, id_, k)
 
     def authenticate(
-        self, sid: str, flow2: Flow2
+        self, sid: str, flow2: Flow2, rng: Rng
     ) -> tuple[SessionVerdict, Flow3 | RejectMessage]:
         """Match the identifier hash against the new then the old epoch.
 
@@ -227,7 +227,7 @@ class LwjxReaderDb(Reader):
         An old-epoch candidate bumps its counter M before its key hash is
         checked, and one already past ``m_limit`` is skipped. The verdict,
         accept or reject, closes the session; a malformed flow2 raises
-        ProtocolError and leaves it open.
+        ProtocolError and leaves it open. It draws nothing from ``rng``.
         """
         p = self.params
         rr = self.sessions.get(sid)
@@ -353,7 +353,6 @@ PROTOCOL = Protocol(
     state=("id", "k"),
     disclose=lambda tag: {"id": tag.id, "k": tag.k},
     disclose_after=lambda tag: {"id_after": tag.id, "k_after": tag.k},
-    authenticate=lambda db, sid, flow2, rng: db.authenticate(sid, flow2),
     # the tag sends nothing once it has judged the reply: no flow4, no reject
     finalize=lambda tag, flow3: (tag.finalize(flow3), None),
     new_reader=lambda params, rng: LwjxReaderDb(params),

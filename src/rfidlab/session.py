@@ -136,9 +136,11 @@ class SessionResult:
 class Protocol:
     """What one protocol looks like to the session driver and to the game.
 
-    ``authenticate`` and ``finalize`` call the reader's or tag's method at
-    call time, and ``run_session`` the module's ``run_honest_session`` by
-    name, so a wrapper installed on the class or module is the one that runs.
+    The driver and the game call ``respond``, ``begin`` and ``authenticate``
+    directly. Only ``finalize`` is adapted: an LWJX tag returns a bare
+    verdict, as does the stand-in that ``bench/test_bench.py`` installs. It
+    and ``run_session`` look the method or ``run_honest_session`` up at call
+    time, so a wrapper installed on the class or module is the one that runs.
     """
 
     name: str
@@ -147,7 +149,6 @@ class Protocol:
     state: tuple[str, ...]  # the tag attributes Corrupt reads and may overwrite
     disclose: Callable  # tag -> the secrets disclosed at session start
     disclose_after: Callable  # tag -> the secrets added once the tag has judged
-    authenticate: Callable  # (db, sid, flow2, rng) -> (verdict, flow3 or reject)
     finalize: Callable  # (tag, flow3) -> (verdict, flow4 or reject, or None)
     new_reader: Callable  # (params, rng) -> a reader with no tags
     provision: Callable  # (db, rng[, id, k]) -> a new tag registered with db
@@ -186,7 +187,7 @@ def drive(
     message = deliver("flow2", "tag", tag.respond(message, rng))
     if message is None:
         return SessionResult(transcript, None, None)
-    reader_verdict, reply = protocol.authenticate(db, sid, message, rng)
+    reader_verdict, reply = db.authenticate(sid, message, rng)
     if not reader_verdict.ok:
         transcript.add("reject", "reader", {})
         transcript.add("verdict", "reader", reader_verdict.fields())

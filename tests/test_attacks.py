@@ -6,7 +6,6 @@ from rfidlab.attacks import (
     FwcfpTraceStrategy,
     LwjxTraceStrategy,
     fwcfp_desync_attack,
-    fwcfp_undo_desync,
 )
 from rfidlab.bits import BitString
 from rfidlab.game import PROTOCOLS, TrialAbort, estimate_advantage, run_upriv_game
@@ -19,6 +18,21 @@ def fwcfp_world(seed=1, **params):
     db = fwcfp.FwcfpReaderDb.create(fwcfp.FwcfpParams(**params), rng)
     tag = db.provision_tag(rng)
     return tag, db, rng
+
+
+def fwcfp_undo_desync(tag, db, mask, rng):
+    """XOR the same mask into the tag's outgoing alias; self-inverse repair.
+
+    The reader then decrypts the original identifier again, the session
+    completes, and the tag stores a cleanly issued alias.
+    """
+
+    def fix(flow, message):
+        if flow == "flow2":
+            return fwcfp.Flow2(idta=message.idta ^ mask, h1=message.h1, rand2=message.rand2)
+        return message
+
+    return fwcfp.run_honest_session(tag, db, rng, interpose=fix)
 
 
 class TestDesync:

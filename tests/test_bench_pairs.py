@@ -19,6 +19,7 @@ END_TO_END = [
     {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
     {"name": "op_p50_us", "unit": "us", "better": "lower", "bound": 0.18},
 ]
+NAMES = [spec["name"] for spec in END_TO_END]
 
 
 def result(ops, p50, failed=0):
@@ -142,7 +143,7 @@ def run_main(monkeypatch, capsys, tmp_path, run_a, run_b):
     monkeypatch.setattr(bench_pairs, "BENCHMARK", benchmark)
     canned = {Path("a"): run_a, Path("b"): run_b}
     monkeypatch.setattr(
-        bench_pairs, "run_once", lambda checkout, workload, seed, seconds: canned[checkout]
+        bench_pairs, "run_once", lambda checkout, workload, seed, seconds, names: canned[checkout]
     )
     code = bench_pairs.main(
         ["a", "b", "--workload", "w", "--pairs", "2", "--seconds", "1", "--seed", "5"]
@@ -180,16 +181,31 @@ def test_exit_status_is_2_on_any_regression(monkeypatch, capsys, tmp_path):
         '{"metrics": 5, "attempted": 1, "failed": 0}',
         '{"metrics": {}, "failed": 0}',
         '{"metrics": {}, "attempted": 1}',
+        '{"metrics": {}, "attempted": 1, "failed": 0}',
+        '{"metrics": {"ops_per_s": {"value": 1}}, "attempted": 1, "failed": 0}',
+        '{"metrics": {"ops_per_s": {"value": 1}, "op_p50_us": 2}, "attempted": 1, "failed": 0}',
+        '{"metrics": {"ops_per_s": {"value": 1}, "op_p50_us": {}}, "attempted": 1, "failed": 0}',
+        '{"metrics": {"ops_per_s": {"value": 1}, "op_p50_us": {"value": "2"}},'
+        ' "attempted": 1, "failed": 0}',
+        '{"metrics": {"ops_per_s": {"value": 1}, "op_p50_us": {"value": null}},'
+        ' "attempted": 1, "failed": 0}',
+        '{"metrics": {"ops_per_s": {"value": 1}, "op_p50_us": {"value": true}},'
+        ' "attempted": 1, "failed": 0}',
+        '{"metrics": {"ops_per_s": {"value": 1}, "op_p50_us": {"value": 2}},'
+        ' "attempted": "1", "failed": 0}',
+        '{"metrics": {"ops_per_s": {"value": 1}, "op_p50_us": {"value": 2}},'
+        ' "attempted": 1, "failed": null}',
     ],
     ids=["not-json", "array", "empty-object", "metrics-not-an-object", "no-attempted",
-         "no-failed"],
+         "no-failed", "no-metric", "a-metric-missing", "metric-not-an-object", "no-value",
+         "value-a-string", "value-null", "value-a-bool", "attempted-a-string", "failed-null"],
 )
 def test_a_last_line_that_is_not_a_json_object_is_one_error_line(tmp_path, last_line):
-    """Not a JSON object, or an object without a result's keys."""
+    """Not a JSON object, or an object without a result's keys or a declared metric's value."""
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text(f"print({last_line!r})\n")
     with pytest.raises(SystemExit) as caught:
-        bench_pairs.run_once(tmp_path, "w", 1, 1.0)
+        bench_pairs.run_once(tmp_path, "w", 1, 1.0, NAMES)
     message = caught.value.code
     assert message.startswith("error: ") and "\n" not in message, message
     assert repr(last_line) in message
@@ -199,7 +215,7 @@ def test_a_result_object_passes_the_shape_check(tmp_path):
     line = json.dumps(result(100, 10.0))
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text(f"print({line!r})\n")
-    assert bench_pairs.run_once(tmp_path, "w", 1, 1.0) == result(100, 10.0)
+    assert bench_pairs.run_once(tmp_path, "w", 1, 1.0, NAMES) == result(100, 10.0)
 
 
 def git_checkout(path, modified):
@@ -230,7 +246,7 @@ def test_out_writes_the_line_with_the_host_and_the_commits(monkeypatch, capsys, 
     benchmark.write_text(json.dumps({"end_to_end": END_TO_END}))
     monkeypatch.setattr(bench_pairs, "BENCHMARK", benchmark)
     monkeypatch.setattr(
-        bench_pairs, "run_once", lambda checkout, workload, seed, seconds: result(100, 10.0)
+        bench_pairs, "run_once", lambda checkout, workload, seed, seconds, names: result(100, 10.0)
     )
     out = tmp_path / "BENCH_x.json"
     argv = [str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "w", "--pairs", "2",

@@ -22,13 +22,15 @@ from rfidlab.crypto import (
 )
 from rfidlab.rng import Rng
 
+from bit_helpers import concat, from_bytes, to_bytes
+
 
 def reference_hash(params: HashParams, message: BitString) -> BitString:
     """Independent oracle: the construction, written out against hashlib."""
     assert params.output_bits <= 256
     material = (
         bytes((params.domain_tag,))
-        + message.to_bytes()
+        + to_bytes(message)
         + message.width.to_bytes(8, "big")
     )
     digest = hashlib.sha256(material).digest()
@@ -40,7 +42,7 @@ def reference_expand(params: HashParams, message: BitString, target_width: int) 
     """Independent mask oracle: the counter stream, always built block by block."""
     prefix = (
         bytes((params.domain_tag,))
-        + message.to_bytes()
+        + to_bytes(message)
         + message.width.to_bytes(8, "big")
     )
     stream = hashlib.sha256(prefix).digest()
@@ -59,7 +61,7 @@ def reference_permute(key: PermKey, block: BitString, *, inverse: bool = False) 
 
     def round_value(rnd, right):
         params = HashParams(half, FEISTEL_TAG_BASE + rnd)
-        message = BitString.from_bytes(key.key).concat(BitString(half, right))
+        message = concat(from_bytes(key.key), BitString(half, right))
         return reference_expand(params, message, half).value
 
     left, right = block.value >> half, block.value & ((1 << half) - 1)

@@ -14,6 +14,8 @@ from rfidlab.fwcfp import (
 from rfidlab.rng import Rng
 from rfidlab.session import ProtocolError, RejectMessage
 
+from bit_helpers import concat
+
 
 def hash_of(params, message: BitString) -> BitString:
     """The hash oracle over a BitString message, as a flow carries it."""
@@ -64,7 +66,7 @@ class TestTagRespond:
         tag, db, rng = make_world()
         _, f1 = db.begin(rng)
         flow2 = tag.respond(f1, rng)
-        expected = hash_of(db.params.hash, tag.k.concat(f1.rand1))
+        expected = hash_of(db.params.hash, concat(tag.k, f1.rand1))
         assert flow2.h1 == expected
 
     def test_distinct_challenges_distinct_h1(self):
@@ -89,8 +91,8 @@ class TestReaderAuthenticate:
         flow2 = tag.respond(f1, rng)
         verdict, flow3 = db.authenticate(sid, flow2, rng)
         assert verdict.ok
-        mask1 = mask_of(p.hash, tag.k.concat(f1.rand1).concat(flow2.rand2), p.alias_bits)
-        mask2 = mask_of(p.hash, tag.k.concat(flow2.rand2).concat(f1.rand1), p.alias_bits)
+        mask1 = mask_of(p.hash, concat(tag.k, f1.rand1, flow2.rand2), p.alias_bits)
+        mask2 = mask_of(p.hash, concat(tag.k, flow2.rand2, f1.rand1), p.alias_bits)
         assert flow3.a ^ flow3.b == mask1 ^ mask2
 
     def test_random_h1_rejected_with_bad_h1(self):
@@ -110,7 +112,7 @@ class TestReaderAuthenticate:
 
     def test_unregistered_alias_rejected_with_unknown_idt(self):
         tag, db, rng = make_world()
-        block = rng.bits(db.params.alias_bits - 32).concat(rng.bits(32))
+        block = concat(rng.bits(db.params.alias_bits - 32), rng.bits(32))
         foreign = BitString(block.width, permute(db.ks, block.value))
         sid, f1 = db.begin(rng)
         flow2 = tag.respond(f1, rng)
@@ -249,7 +251,7 @@ class TestHonestSession:
         ref_idt = ref.bits(params.id_bits)
         ref_k = ref.bits(params.key_bits)
         ref_alias0 = BitString(
-            params.alias_bits, permute(ref_ks, ref_idt.concat(ref.bits(params.rand0_bits)).value)
+            params.alias_bits, permute(ref_ks, concat(ref_idt, ref.bits(params.rand0_bits)).value)
         )
         assert (ref_idt, ref_k, ref_alias0) == (idt, k, alias0)
 
@@ -257,19 +259,19 @@ class TestHonestSession:
         rand1 = ref.bits(params.nonce_bits)
         rand2 = ref.bits(params.nonce_bits)
         alias1 = BitString(
-            params.alias_bits, permute(ref_ks, ref_idt.concat(ref.bits(params.rand0_bits)).value)
+            params.alias_bits, permute(ref_ks, concat(ref_idt, ref.bits(params.rand0_bits)).value)
         )
-        mask1 = mask_of(params.hash, ref_k.concat(rand1).concat(rand2), params.alias_bits)
-        mask2 = mask_of(params.hash, ref_k.concat(rand2).concat(rand1), params.alias_bits)
+        mask1 = mask_of(params.hash, concat(ref_k, rand1, rand2), params.alias_bits)
+        mask2 = mask_of(params.hash, concat(ref_k, rand2, rand1), params.alias_bits)
         expected = {
             "flow1": {"rand1": rand1},
             "flow2": {
                 "idta": ref_alias0,
-                "h1": hash_of(params.hash, ref_k.concat(rand1)),
+                "h1": hash_of(params.hash, concat(ref_k, rand1)),
                 "rand2": rand2,
             },
             "flow3": {
-                "h2": hash_of(params.hash, ref_k.concat(rand2)),
+                "h2": hash_of(params.hash, concat(ref_k, rand2)),
                 "a": alias1 ^ mask1,
                 "b": alias1 ^ mask2,
             },

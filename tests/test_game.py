@@ -31,6 +31,18 @@ from rfidlab.session import MAX_OPEN_SESSIONS, ProtocolError, RejectMessage
 FWCFP = fwcfp.FwcfpParams()
 FWCFP_N8 = fwcfp.FwcfpParams(hash_bits=8)
 
+# (protocol, strategy, message): the pairs the game refuses, and its ValueError
+MISFITS = [
+    ("lwjx", "fwcfp-trace", "strategy 'fwcfp-trace' attacks fwcfp, not lwjx"),
+    ("lwjx", "fwcfp-backtrace", "strategy 'fwcfp-backtrace' attacks fwcfp, not lwjx"),
+    ("fwcfp", "lwjx-trace-id", "strategy 'lwjx-trace-id' attacks lwjx, not fwcfp"),
+    ("fwcfp", "lwjx-trace-key", "strategy 'lwjx-trace-key' attacks lwjx, not fwcfp"),
+    ("fwcfp", "no-such-strategy", "unknown strategy 'no-such-strategy'"),
+    ("nfc", "coin-flip", "unknown protocol 'nfc'"),
+]
+MISFIT_IDS = ["lwjx-fwcfp-trace", "lwjx-fwcfp-backtrace", "fwcfp-lwjx-trace-id",
+              "fwcfp-lwjx-trace-key", "unknown-strategy", "unknown-protocol"]
+
 
 def fresh_game(protocol="fwcfp", params=None, seed=1, **kw):
     params = params or (FWCFP if protocol == "fwcfp" else lwjx.LwjxParams())
@@ -152,7 +164,7 @@ class TestOpenReaderSessions:
         later = [db.begin(rng)[0] for _ in range(MAX_OPEN_SESSIONS)]
         assert list(db.sessions) == later
         with pytest.raises(ProtocolError, match="unknown session"):
-            spec.authenticate(db, first, flow2, rng)
+            db.authenticate(first, flow2, rng)
 
     @pytest.mark.parametrize("protocol", ["fwcfp", "lwjx"])
     def test_an_evicted_session_draws_a_plain_reject_in_the_game(self, protocol):
@@ -385,19 +397,7 @@ class TestGameRunner:
             "lwjx-trace-key": "lwjx",
         }
 
-    @pytest.mark.parametrize(
-        "protocol, strategy_name, message",
-        [
-            ("lwjx", "fwcfp-trace", "strategy 'fwcfp-trace' attacks fwcfp, not lwjx"),
-            ("lwjx", "fwcfp-backtrace", "strategy 'fwcfp-backtrace' attacks fwcfp, not lwjx"),
-            ("fwcfp", "lwjx-trace-id", "strategy 'lwjx-trace-id' attacks lwjx, not fwcfp"),
-            ("fwcfp", "lwjx-trace-key", "strategy 'lwjx-trace-key' attacks lwjx, not fwcfp"),
-            ("fwcfp", "no-such-strategy", "unknown strategy 'no-such-strategy'"),
-            ("nfc", "coin-flip", "unknown protocol 'nfc'"),
-        ],
-        ids=["lwjx-fwcfp-trace", "lwjx-fwcfp-backtrace", "fwcfp-lwjx-trace-id",
-             "fwcfp-lwjx-trace-key", "unknown-strategy", "unknown-protocol"],
-    )
+    @pytest.mark.parametrize("protocol, strategy_name, message", MISFITS, ids=MISFIT_IDS)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_strategy_that_does_not_fit_fails_before_any_trial(
         self, monkeypatch, protocol, strategy_name, message, workers
@@ -409,6 +409,15 @@ class TestGameRunner:
         params = lwjx.LwjxParams(hash_bits=8) if protocol == "lwjx" else FWCFP_N8
         with pytest.raises(ValueError) as caught:
             estimate_advantage(protocol, strategy_name, params, 10, seed=1, workers=workers)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("protocol, strategy_name, message", MISFITS, ids=MISFIT_IDS)
+    def test_a_single_trial_of_a_strategy_that_does_not_fit_fails_alike(
+        self, protocol, strategy_name, message
+    ):
+        params = lwjx.LwjxParams(hash_bits=8) if protocol == "lwjx" else FWCFP_N8
+        with pytest.raises(ValueError) as caught:
+            run_single_trial(protocol, strategy_name, params, 1, 0)
         assert str(caught.value) == message
 
     def test_coin_flip_fits_both_protocols(self):

@@ -73,7 +73,7 @@ class TestAuthenticate:
         previous_h_new = rec.h_id_new
         sid, f1 = db.begin(rng)
         flow2 = tag.respond(f1, rng)
-        verdict, flow3 = db.authenticate(sid, flow2)
+        verdict, flow3 = db.authenticate(sid, flow2, rng)
         assert (verdict.ok, verdict.reason) == (True, "new-branch")
         assert rec.h_id_old == previous_h_new
         assert rec.h_id_new == hash_of(db.params.h, rec.id)
@@ -138,7 +138,7 @@ class TestAuthenticate:
         sid, f1 = db.begin(rng)
         flow2 = tag.respond(f1, rng)
         forged = type(flow2)(hid=flow2.hid, hk=rng.bits(db.params.hash_bits), rt=flow2.rt)
-        verdict, reply = db.authenticate(sid, forged)
+        verdict, reply = db.authenticate(sid, forged, rng)
         assert (verdict.ok, verdict.reason) == (False, "bad-key-hash")
         assert isinstance(reply, RejectMessage)
 
@@ -155,7 +155,7 @@ class TestAuthenticate:
             sid, _ = db.begin(rng)
             hk = rng.bits(db.params.hash_bits)
             forged = Flow2(hid=hid, hk=hk, rt=rng.bits(db.params.bits))
-            verdict, reply = db.authenticate(sid, forged)
+            verdict, reply = db.authenticate(sid, forged, rng)
             assert (verdict.ok, verdict.reason) == (False, "bad-key-hash")
             assert isinstance(reply, RejectMessage)
         assert db.records[0].m == 6
@@ -168,22 +168,22 @@ class TestSessionTable:
         tag, db, rng = make_world()
         sid, f1 = db.begin(rng)
         flow2 = tag.respond(f1, rng)
-        assert db.authenticate(sid, flow2)[0].ok
+        assert db.authenticate(sid, flow2, rng)[0].ok
         sid2, _ = db.begin(rng)
-        assert not db.authenticate(sid2, flow2)[0].ok  # stale key hash
+        assert not db.authenticate(sid2, flow2, rng)[0].ok  # stale key hash
         assert db.sessions == {}
         for closed in (sid, sid2):
             with pytest.raises(ProtocolError):
-                db.authenticate(closed, flow2)
+                db.authenticate(closed, flow2, rng)
 
     def test_malformed_flow2_leaves_the_session_open(self):
         tag, db, rng = make_world()
         sid, f1 = db.begin(rng)
         flow2 = tag.respond(f1, rng)
         with pytest.raises(ProtocolError):
-            db.authenticate(sid, Flow2(hid=flow2.hid, hk=flow2.hk, rt=rng.bits(7)))
+            db.authenticate(sid, Flow2(hid=flow2.hid, hk=flow2.hk, rt=rng.bits(7)), rng)
         assert sid in db.sessions
-        assert db.authenticate(sid, flow2)[0].ok
+        assert db.authenticate(sid, flow2, rng)[0].ok
 
     def test_table_is_empty_after_honest_sessions(self):
         tag, db, rng = make_world()
@@ -242,7 +242,7 @@ class TestFinalize:
         before = (tag.id, tag.k)
         sid, f1 = db.begin(rng)
         flow2 = tag.respond(f1, rng)
-        _, flow3 = db.authenticate(sid, flow2)
+        _, flow3 = db.authenticate(sid, flow2, rng)
         bad = Flow3(hkt=flow3.hkt ^ BitString(flow3.hkt.width, 1))
         verdict = tag.finalize(bad)
         assert (verdict.ok, verdict.reason) == (False, "bad-hkt")

@@ -22,13 +22,15 @@ from rfidlab.rng import Rng
 from rfidlab.session import ProtocolError, RejectMessage, SessionVerdict
 from rfidlab.snapshots import lwjx_db_to_doc
 
+from bit_helpers import concat
+
 
 def hash_of(params, message: BitString) -> BitString:
     """The hash oracle over a BitString message, as a record keeps it."""
     return BitString(params.output_bits, truncated_hash(params, message.width, message.value))
 
 
-def linear_authenticate(db, sid, flow2):
+def linear_authenticate(db, sid, flow2, rng):
     p = db.params
     rr = db.sessions.get(sid)
     if rr is None:
@@ -47,8 +49,8 @@ def linear_authenticate(db, sid, flow2):
     for rec in db.records:
         if rec.h_id_new == flow2.hid:
             matched = True
-            if hash_of(p.h, rec.k_new.concat(rr)) == flow2.hk:
-                reply = hash_of(p.h, rec.k_new.concat(rt))
+            if hash_of(p.h, concat(rec.k_new, rr)) == flow2.hk:
+                reply = hash_of(p.h, concat(rec.k_new, rt))
                 rec.m = 0
                 rec.id = hash_of(p.g, rec.id)
                 rec.h_id_old = rec.h_id_new
@@ -63,8 +65,8 @@ def linear_authenticate(db, sid, flow2):
                 limit_hit = True
                 continue
             rec.m += 1
-            if hash_of(p.h, rec.k_old.concat(rr)) == flow2.hk:
-                reply = hash_of(p.h, rec.k_old.concat(rt))
+            if hash_of(p.h, concat(rec.k_old, rr)) == flow2.hk:
+                reply = hash_of(p.h, concat(rec.k_old, rt))
                 rec.k_new = rec.id ^ rr ^ rt
                 return SessionVerdict("reader", True, "old-branch"), Flow3(reply)
     if limit_hit:
@@ -83,8 +85,8 @@ def linear_is_synchronized(db, tag):
     )
 
 
-def indexed_authenticate(db, sid, flow2):
-    return db.authenticate(sid, flow2)
+def indexed_authenticate(db, sid, flow2, rng):
+    return db.authenticate(sid, flow2, rng)
 
 
 class World:
@@ -107,7 +109,7 @@ class World:
             sid, flow1 = db.begin(rng)
             flow2 = tag.respond(flow1, rng)
             self.heard.append(flow2)
-            verdict, reply = self.authenticate(db, sid, flow2)
+            verdict, reply = self.authenticate(db, sid, flow2, rng)
             tag_verdict = None
             if op == "honest" and verdict.ok:
                 tag_verdict = tag.finalize(reply)
@@ -121,7 +123,7 @@ class World:
             p = db.params
             flow2 = Flow2(hid=heard.hid, hk=rng.bits(p.hash_bits), rt=rng.bits(p.bits))
         sid, _ = db.begin(rng)
-        return self.authenticate(db, sid, flow2)
+        return self.authenticate(db, sid, flow2, rng)
 
 
 OPS = ("provision", "honest", "drop-flow3", "replay-flow2", "forge")

@@ -123,11 +123,11 @@ def lwjx_verdicts():
     tag = db.provision(rng)
     sid, flow1 = db.begin(rng)
     f2 = tag.respond(flow1, rng)
-    verdicts.append(db.authenticate(sid, LwjxFlow2(f2.hid, flip(f2.hk), f2.rt))[0])
+    verdicts.append(db.authenticate(sid, LwjxFlow2(f2.hid, flip(f2.hk), f2.rt), rng)[0])
     sid, _ = db.begin(rng)
-    verdicts.append(db.authenticate(sid, LwjxFlow2(flip(f2.hid), f2.hk, f2.rt))[0])
+    verdicts.append(db.authenticate(sid, LwjxFlow2(flip(f2.hid), f2.hk, f2.rt), rng)[0])
     sid, flow1 = db.begin(rng)
-    _, f3 = db.authenticate(sid, tag.respond(flow1, rng))
+    _, f3 = db.authenticate(sid, tag.respond(flow1, rng), rng)
     verdicts.append(tag.finalize(LwjxFlow3(flip(f3.hkt))))
     return [v for v in verdicts if v is not None]
 
