@@ -102,10 +102,13 @@ def expand_mask(params: HashParams, width: int, value: int, target_width: int) -
         + width.to_bytes(8, "big")
     )
     stream = _sha256(prefix).digest()
-    counter = 1
-    while 8 * len(stream) < target_width:
-        stream += _sha256(prefix + counter.to_bytes(4, "big")).digest()
-        counter += 1
+    if target_width > 256:
+        # counter blocks 1, 2, ... joined once: growing the bytes block by
+        # block copies the stream each time, quadratic in target_width
+        blocks = [stream]
+        for counter in range(1, (target_width + 255) // 256):
+            blocks.append(_sha256(prefix + counter.to_bytes(4, "big")).digest())
+        stream = b"".join(blocks)
     return int.from_bytes(stream, "big") >> (8 * len(stream) - target_width)
 
 

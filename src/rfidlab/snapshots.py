@@ -158,6 +158,12 @@ def read_doc(path):
             raise SnapshotError(f"malformed snapshot: {exc.msg}") from None
         except UnicodeDecodeError:
             raise SnapshotError("malformed snapshot: not UTF-8 text") from None
+        except RecursionError:
+            raise SnapshotError("malformed snapshot: nested too deeply") from None
+        except ValueError:
+            # the only other ValueError of a parse: an integer literal over
+            # the interpreter's digit limit
+            raise SnapshotError("malformed snapshot: integer too long") from None
 
 
 def db_from_doc(doc, *, master_key: bytes | None = None):

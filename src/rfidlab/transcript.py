@@ -12,7 +12,10 @@ are written by one C encoder built at import, with the settings that
 ``json.dumps(doc, sort_keys=True)`` uses, so the writer makes no encoder
 per line. The reader turns each field string that is a canonical literal
 into a BitString through ``bits.literal_bits``, the function that
-``BitString.parse`` uses too.
+``BitString.parse`` uses too. It interns (``sys.intern``) every name it
+keeps: each entry's flow, sender and note, the meta line's protocol, the
+keys of fields, secrets and params, and every field string that is not a
+literal. A parsed file so holds one copy of each name, not one per line.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 from _json import encode_basestring_ascii, make_encoder
 from dataclasses import dataclass, field
+from sys import intern
 from typing import Iterable
 
 from .bits import BitString, literal_bits
@@ -72,17 +76,27 @@ class Transcript:
 
 
 def _decode_fields(fields: dict) -> dict:
-    """Parse, in place, every string of a literal's shape to a BitString.
+    """A new dict of ``fields``: interned keys, and each string value parsed.
 
-    ``fields`` is a freshly parsed JSON object that nothing else holds, and
-    only values change, so the dict is safe to rewrite while iterating.
+    A string of a literal's shape becomes a BitString; any other string is
+    interned. Other values are kept as they are.
     """
     if not isinstance(fields, dict):
         raise ValueError(f"expected an object of fields, got {fields!r}")
+    decoded = {}
     for k, v in fields.items():
-        if isinstance(v, str) and (bits := literal_bits(v)) is not None:
-            fields[k] = bits
-    return fields
+        if isinstance(v, str):
+            bits = literal_bits(v)
+            v = intern(v) if bits is None else bits
+        decoded[intern(k)] = v
+    return decoded
+
+
+def _interned_keys(params):
+    """``params`` with interned keys; as it is when not an object, for replay to report."""
+    if not isinstance(params, dict):
+        return params
+    return {intern(k): v for k, v in params.items()}
 
 
 def _text(doc: dict, key: str) -> str:
@@ -154,6 +168,12 @@ def read_jsonl(path) -> list[Transcript]:
                     raise TranscriptFormatError(number, f"invalid JSON ({msg})")
                 except json.JSONDecodeError as exc:
                     raise TranscriptFormatError(number, f"invalid JSON ({exc.msg})")
+                except RecursionError:
+                    raise TranscriptFormatError(number, "invalid JSON (nested too deeply)") from None
+                except ValueError:
+                    # the only other ValueError of a parse: an integer literal
+                    # over the interpreter's digit limit
+                    raise TranscriptFormatError(number, "invalid JSON (integer too long)") from None
                 if end != len(raw):
                     # the line is stripped, so what is left is not whitespace
                     raise TranscriptFormatError(number, "invalid JSON (Extra data)")
@@ -167,8 +187,8 @@ def read_jsonl(path) -> list[Transcript]:
                     try:
                         current = Transcript(
                             session=_text(doc, "session"),
-                            protocol=_text(doc, "protocol"),
-                            params=doc["params"],
+                            protocol=intern(_text(doc, "protocol")),
+                            params=_interned_keys(doc["params"]),
                             secrets=_decode_fields(doc["secrets"])
                             if "secrets" in doc
                             else None,
@@ -189,8 +209,10 @@ def read_jsonl(path) -> list[Transcript]:
                         if not isinstance(sender, str):
                             raise ValueError(f"sender must be a string, got {sender!r}")
                         fields = _decode_fields(doc["fields"])
-                        note = _text(doc, "note") if "note" in doc else None
-                        current.entries.append(TranscriptEntry(flow, sender, fields, note))
+                        note = intern(_text(doc, "note")) if "note" in doc else None
+                        current.entries.append(
+                            TranscriptEntry(intern(flow), intern(sender), fields, note)
+                        )
                     except (KeyError, ValueError) as exc:
                         raise TranscriptFormatError(number, f"bad entry ({exc})")
                 else:

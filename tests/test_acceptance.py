@@ -27,6 +27,8 @@ from rfidlab.game import (
 )
 from rfidlab.rng import Rng
 
+from pooled import pooled_estimate
+
 SEED = cli.DEFAULT_SEED
 
 
@@ -69,9 +71,7 @@ def test_criterion_2_desynchronization():
 def trace_criterion(protocol, strategy, params_for):
     runs = []
     for hash_bits, trials in ((8, 20_000), (2, 50_000)):
-        report = estimate_advantage(
-            protocol, strategy, params_for(hash_bits), trials, seed=SEED
-        )
+        report = pooled_estimate(protocol, strategy, params_for(hash_bits), trials, SEED)
         print(f"\n[acceptance]   {report.summary_line()}")
         assert report.discarded == 0
         assert report.empirical_adv == pytest.approx(report.exact_adv, abs=0.01), (

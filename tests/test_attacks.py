@@ -8,9 +8,11 @@ from rfidlab.attacks import (
     fwcfp_desync_attack,
 )
 from rfidlab.bits import BitString
-from rfidlab.game import PROTOCOLS, TrialAbort, estimate_advantage, run_upriv_game
+from rfidlab.game import PROTOCOLS, TrialAbort, run_upriv_game
 from rfidlab.rng import Rng
 from rfidlab.transcript import Transcript
+
+from pooled import pooled_estimate
 
 
 def fwcfp_world(seed=1, **params):
@@ -123,9 +125,7 @@ class TestFwcfpTrace:
         assert set(by_bit[1]) == {1}
 
     def test_success_rate_at_n4_matches_case_analysis(self):
-        report = estimate_advantage(
-            "fwcfp", "fwcfp-trace", fwcfp.FwcfpParams(hash_bits=4), 40_000, seed=10
-        )
+        report = pooled_estimate("fwcfp", "fwcfp-trace", fwcfp.FwcfpParams(hash_bits=4), 40_000, 10)
         assert report.empirical_p == pytest.approx(1 - 2**-5, abs=0.01)
 
     def test_uses_flow2_nonce_and_flow3_hash(self):
@@ -146,8 +146,8 @@ class TestFwcfpBackwardTrace:
         assert set(by_bit[1]) == {1}
 
     def test_advantage_at_n8_matches_case_analysis(self):
-        report = estimate_advantage(
-            "fwcfp", "fwcfp-backtrace", fwcfp.FwcfpParams(hash_bits=8), 40_000, seed=20
+        report = pooled_estimate(
+            "fwcfp", "fwcfp-backtrace", fwcfp.FwcfpParams(hash_bits=8), 40_000, 20
         )
         assert report.empirical_adv == pytest.approx(0.5 - 2**-9, abs=0.01)
 
@@ -190,9 +190,7 @@ class TestLwjxTrace:
         assert set(by_bit[0]) == {0}
 
     def test_key_hash_mode_at_n4_matches_case_analysis(self):
-        report = estimate_advantage(
-            "lwjx", "lwjx-trace-key", lwjx.LwjxParams(hash_bits=4), 40_000, seed=30
-        )
+        report = pooled_estimate("lwjx", "lwjx-trace-key", lwjx.LwjxParams(hash_bits=4), 40_000, 30)
         assert report.empirical_p == pytest.approx(1 - 2**-5, abs=0.01)
 
     def test_modes_disagree_exactly_on_single_collisions(self):

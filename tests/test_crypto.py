@@ -39,13 +39,17 @@ def reference_hash(params: HashParams, message: BitString) -> BitString:
 
 
 def reference_expand(params: HashParams, message: BitString, target_width: int) -> BitString:
-    """Independent mask oracle: the counter stream, always built block by block."""
+    """Independent mask oracle: the counter stream, always built block by block.
+
+    The stream is a bytearray, which grows in place, so that a test can
+    ask for millions of bits in linear time.
+    """
     prefix = (
         bytes((params.domain_tag,))
         + to_bytes(message)
         + message.width.to_bytes(8, "big")
     )
-    stream = hashlib.sha256(prefix).digest()
+    stream = bytearray(hashlib.sha256(prefix).digest())
     counter = 1
     need = (target_width + 7) // 8
     while len(stream) < need:
@@ -205,6 +209,14 @@ class TestExpandMask:
         for width in (0, 1, 7, 8, 9, 300):
             m = BitString(width, (1 << width) - 1)
             assert expand_mask(p, width, m.value, target) == reference_expand(p, m, target).value
+
+    def test_a_mask_of_four_million_bits_matches_the_reference(self):
+        # 2^22 bits is 16384 counter blocks: a stream grown block by block
+        # as bytes took quadratic time here
+        p = h_params(64)
+        target = 1 << 22
+        m = BitString(8, 7)
+        assert expand_mask(p, m.width, m.value, target) == reference_expand(p, m, target).value
 
     def test_target_width_positive(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,12 @@ error or a result, and the CLI with exit code 0, 1 or 2, never a traceback.
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rfidlab import replay
 from rfidlab.cli import main
-from rfidlab.snapshots import SnapshotError, load_db
+from rfidlab.snapshots import SnapshotError, load_db, read_doc
 from rfidlab.transcript import TranscriptFormatError, read_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -113,3 +114,40 @@ def test_mutated_snapshots_fail_cleanly(tmp_path, data, protocol):
         pass
     assert main(["snapshot", "--input", str(path)]) in (0, 1, 2)
     assert main(["snapshot", "--input", str(path), "--master-key", "00" * 16]) in (0, 1, 2)
+
+
+# JSON that the parser gives up on with an exception other than
+# JSONDecodeError: RecursionError and ValueError
+DEEP = "[" * 100_000
+LONG_INT = '{"schema": ' + "1" * 5000 + "}"
+UNPARSABLE = pytest.mark.parametrize(
+    "text, reason",
+    [(DEEP, "nested too deeply"), (LONG_INT, "integer too long")],
+    ids=["deep-nesting", "long-integer"],
+)
+
+
+@UNPARSABLE
+def test_an_unparsable_transcript_line_is_one_error_line(tmp_path, capsys, text, reason):
+    lines = (FIXTURES / "lwjx_honest.jsonl").read_text().splitlines()
+    lines[1] = text
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(TranscriptFormatError) as caught:
+        read_jsonl(path)
+    assert str(caught.value) == f"line 2: invalid JSON ({reason})"
+    assert [(i.field, i.line) for i in replay.replay_file(path).issues] == [("format", 2)]
+    capsys.readouterr()
+    assert main(["replay", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: line 2: invalid JSON ({reason})\n"
+
+
+@UNPARSABLE
+def test_an_unparsable_snapshot_is_one_error_line(tmp_path, capsys, text, reason):
+    path = tmp_path / "db.json"
+    path.write_text(text)
+    with pytest.raises(SnapshotError) as caught:
+        read_doc(path)
+    assert str(caught.value) == f"malformed snapshot: {reason}"
+    assert main(["snapshot", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: malformed snapshot: {reason}\n"

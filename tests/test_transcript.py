@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -97,6 +98,61 @@ class TestSerialization:
         t.add("flow3", "reader", {"h2": BitString(8, 1)})
         t.add("flow3", "adversary", {}, note="blocked")
         assert t.delivered("flow3") is None
+
+
+def mixed_transcripts():
+    """Both protocols, with tampered, blocked and rejected sessions."""
+    rng = Rng(8)
+    f_db = fwcfp.FwcfpReaderDb.create(fwcfp.FwcfpParams(), rng)
+    f_tag = f_db.provision_tag(rng)
+    l_db = lwjx.LwjxReaderDb(lwjx.LwjxParams())
+    l_tag = l_db.provision(rng)
+    mask = BitString(f_db.params.alias_bits, 1)
+
+    def tamper(flow, message):
+        if flow == "flow3":
+            return fwcfp.Flow3(h2=message.h2, a=message.a ^ mask, b=message.b ^ mask)
+        return message
+
+    results = [
+        fwcfp.run_honest_session(f_tag, f_db, rng, disclose_secrets=True),
+        lwjx.run_honest_session(l_tag, l_db, rng, disclose_secrets=True),
+        fwcfp.run_honest_session(f_tag, f_db, rng, interpose=tamper, disclose_secrets=True),
+        lwjx.run_honest_session(l_tag, l_db, rng, drop_flow3=True, disclose_secrets=True),
+        fwcfp.run_honest_session(f_tag, f_db, rng),
+    ]
+    return [result.transcript for result in results]
+
+
+def kept_names(t):
+    """Every name a parsed transcript keeps: the strings that are not bit strings."""
+    yield t.protocol
+    yield from t.params
+    for fields in [t.secrets or {}] + [e.fields for e in t.entries]:
+        yield from fields
+        yield from (v for v in fields.values() if isinstance(v, str))
+    for e in t.entries:
+        yield from (e.flow, e.sender)
+        if e.note is not None:
+            yield e.note
+
+
+class TestInternedNames:
+    """A parsed file holds one interned copy of each name."""
+
+    def test_every_name_is_interned(self, tmp_path):
+        written = mixed_transcripts()
+        path = tmp_path / "mixed.jsonl"
+        write_jsonl(path, written)
+        loaded = read_jsonl(path)
+        assert loaded == written
+        notes = {e.note for t in loaded for e in t.entries}
+        assert {"tampered", "blocked"} <= notes
+        assert any(e.flow == "reject" for t in loaded for e in t.entries)
+        for source in (path, FIXTURES / "fwcfp_honest.jsonl", FIXTURES / "lwjx_honest.jsonl"):
+            names = [name for t in read_jsonl(source) for name in kept_names(t)]
+            assert names
+            assert [name for name in names if sys.intern(name) is not name] == []
 
 
 def bits(value):
