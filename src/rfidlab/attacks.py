@@ -39,7 +39,6 @@ class DesyncOutcome:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
             "kind": "desync-outcome",
             "mask": self.mask.render(),
             "alias_before": self.alias_before.render(),

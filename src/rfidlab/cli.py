@@ -144,23 +144,7 @@ def _to_csv(doc: dict) -> str:
     return buffer.getvalue()
 
 
-def write_report(doc: dict, path: str, fmt: str):
-    text = canonical_json(doc) if fmt == "json" else _to_csv(doc)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
-def _stamp(doc: dict, include: bool) -> dict:
-    if include and "generated_at" not in doc:
-        doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    if not include:
-        doc.pop("generated_at", None)
-    return doc
-
-
-def _cmd_honest(args):
-    params = build_params(args)
-    seed = _resolve_seed(args)
+def _cmd_honest(args, params, seed):
     trials = args.trials
     drop_rate = args.drop_flow3_rate
     if drop_rate is not None and args.protocol != "lwjx":
@@ -178,13 +162,8 @@ def _cmd_honest(args):
             result = fwcfp.run_honest_session(tag, db, rng)
             both += int(result.both_accepted)
             consistent += int(fwcfp.alias_identity(db, tag) == tag.bookkeeping_idt)
-        doc = {
-            "schema": 1,
+        body = {
             "kind": "honest-run",
-            "protocol": "fwcfp",
-            "experiment": "honest",
-            "params": params.to_dict(),
-            "seed": seed,
             "sessions": trials,
             "both_accepted": both,
             "alias_consistent": consistent,
@@ -194,7 +173,7 @@ def _cmd_honest(args):
             f"fwcfp honest: {both}/{trials} sessions accepted,"
             f" alias consistent {consistent}/{trials}"
         )
-        return (EXIT_OK if ok else EXIT_THRESHOLD), doc, summary
+        return ok, body, summary
 
     record = db.records[0]
     accepts = case_b = case_c = drops = sync_violations = 0
@@ -212,13 +191,8 @@ def _cmd_honest(args):
                 case_c += 1
         max_m = max(max_m, record.m)
         sync_violations += int(not lwjx.is_synchronized(db, tag))
-    doc = {
-        "schema": 1,
+    body = {
         "kind": "honest-run",
-        "protocol": "lwjx",
-        "experiment": "honest",
-        "params": params.to_dict(),
-        "seed": seed,
         "sessions": trials,
         "drop_flow3_rate": drop_rate,
         "reader_accepts": accepts,
@@ -234,12 +208,10 @@ def _cmd_honest(args):
         f" (new {case_b}, old {case_c}, drops {drops}), max M {max_m},"
         f" sync violations {sync_violations}"
     )
-    return (EXIT_OK if ok else EXIT_THRESHOLD), doc, summary
+    return ok, body, summary
 
 
-def _cmd_desync(args):
-    params = build_params(args)
-    seed = _resolve_seed(args)
+def _cmd_desync(args, params, seed):
     rng = Rng(seed)
     db = fwcfp.FwcfpReaderDb.create(params, rng)
     tag = db.provision_tag(rng)
@@ -254,15 +226,6 @@ def _cmd_desync(args):
         outcome = attacks.fwcfp_desync_attack(tag, db, mask, args.attempts, rng)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    doc = outcome.to_dict()
-    doc.update(
-        {
-            "protocol": "fwcfp",
-            "experiment": "desync",
-            "params": params.to_dict(),
-            "seed": seed,
-        }
-    )
     ok = (
         outcome.tamper_accepted
         and outcome.alias_shift_matches
@@ -274,7 +237,7 @@ def _cmd_desync(args):
         f" alias shift {'exact' if outcome.alias_shift_matches else 'WRONG'},"
         f" post-attack rejects {outcome.rejects}/{outcome.post_attack_attempts}"
     )
-    return (EXIT_OK if ok else EXIT_THRESHOLD), doc, summary
+    return ok, outcome.to_dict(), summary
 
 
 def _trace_strategy_name(args) -> str:
@@ -287,28 +250,23 @@ def _trace_strategy_name(args) -> str:
     return "lwjx-trace-key" if args.guess_mode == "key-hash" else "lwjx-trace-id"
 
 
-def _cmd_trace(args):
-    params = build_params(args)
+def _cmd_trace(args, params, seed):
     report = game.estimate_advantage(
         args.protocol,
         _trace_strategy_name(args),
         params,
         args.trials,
-        _resolve_seed(args),
+        seed,
         workers=args.workers,
-        timestamp=args.timestamp,
+        timestamp=False,
     )
-    doc = report.to_dict()
-    doc["experiment"] = args.command
-    ok = True
-    if args.tolerance is not None:
-        ok = abs(report.empirical_adv - report.exact_adv) <= args.tolerance
-    return (EXIT_OK if ok else EXIT_THRESHOLD), doc, report.summary_line()
+    ok = args.tolerance is None or abs(report.empirical_adv - report.exact_adv) <= args.tolerance
+    return ok, report.to_dict(), report.summary_line()
 
 
 def _cmd_replay(args):
     report = replay.verify_all(read_jsonl(args.input))
-    return (EXIT_OK if report.ok else EXIT_THRESHOLD), None, report.describe()
+    return report.ok, report.describe()
 
 
 # flags that shape a new snapshot; a snapshot read with --input has its own
@@ -339,11 +297,7 @@ def _cmd_snapshot(args):
             )
         regenerated = snapshots.db_to_doc(db, include_master_key="master_key" in original)
         ok = regenerated == original
-        return (
-            (EXIT_OK if ok else EXIT_THRESHOLD),
-            None,
-            "snapshot round-trip " + ("ok" if ok else "MISMATCH"),
-        )
+        return ok, "snapshot round-trip " + ("ok" if ok else "MISMATCH")
     if not args.output:
         raise ConfigError("snapshot needs --output (or --input to verify)")
     if args.master_key is not None:
@@ -362,7 +316,7 @@ def _cmd_snapshot(args):
     except ValueError as exc:  # FWCFP IDTs are drawn at random and must differ
         raise ConfigError(f"{exc} among {args.tags} tags; use a wider --id-bits") from None
     snapshots.snapshot_db(db, args.output, include_master_key=args.include_master_key)
-    return EXIT_OK, None, f"wrote {args.protocol} snapshot with {args.tags} tags to {args.output}"
+    return True, f"wrote {args.protocol} snapshot with {args.tags} tags to {args.output}"
 
 
 def _add_command(commands, name, run, help, protocols=("fwcfp", "lwjx")):
@@ -380,6 +334,7 @@ def _add_command(commands, name, run, help, protocols=("fwcfp", "lwjx")):
 
 def _add_report_flags(parser, *, trials: bool, workers: bool = False):
     """Flags of the commands that write a report, some of which run trials."""
+    parser.set_defaults(report=True)
     if trials:
         parser.add_argument("--trials", type=_at_least(1), default=1000)
     if workers:
@@ -439,24 +394,43 @@ def build_parser() -> _Parser:
 
 
 def run_experiment(argv) -> int:
-    """Parse, run, write any report, print the one-line summary."""
+    """Parse, run, write any report, print the one-line summary; the exit code.
+
+    A report command gets the params and seed its flags ask for and returns
+    ``(ok, body, summary)``; its report is the body under the header every
+    report shares (schema, protocol, experiment, params, seed, and
+    generated_at unless --no-timestamp). Other commands return ``(ok, summary)``.
+    """
     args = build_parser().parse_args(argv)
-    code, doc, summary = args.run(args)
-    if doc is not None:
-        _stamp(doc, args.timestamp)
+    if getattr(args, "report", False):
+        params = build_params(args)
+        seed = _resolve_seed(args)
+        ok, body, summary = args.run(args, params, seed)
+        doc = {
+            "schema": game.SCHEMA_VERSION,
+            "protocol": args.protocol,
+            "experiment": args.command,
+            "params": params.to_dict(),
+            "seed": seed,
+            **body,
+        }
+        if args.timestamp:
+            doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         if args.output:
-            write_report(doc, args.output, args.format)
+            text = canonical_json(doc) if args.format == "json" else _to_csv(doc)
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    else:
+        ok, summary = args.run(args)
     print(summary)
-    return code
+    return EXIT_OK if ok else EXIT_THRESHOLD
 
 
 def main(argv=None) -> int:
     try:
         return run_experiment(sys.argv[1:] if argv is None else argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (
+        ConfigError,
         OSError,
         snapshots.SnapshotError,
         TranscriptFormatError,

@@ -28,7 +28,9 @@ challenge bit, where a collision only misleads when b = 1.
 from __future__ import annotations
 
 import math
+import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from . import fwcfp, lwjx
@@ -308,12 +310,13 @@ def run_single_trial(protocol_name, strategy_name, params, seed, index):
     return run_upriv_game(PROTOCOLS[protocol_name], params, factory(adversary, params), world)
 
 
-def _trial_range(args):
+def _trial_range(args) -> Counter:
+    """How often each outcome came up in trials lo ... hi - 1."""
     protocol_name, strategy_name, params, seed, lo, hi = args
-    return [
+    return Counter(
         run_single_trial(protocol_name, strategy_name, params, seed, i)
         for i in range(lo, hi)
-    ]
+    )
 
 
 def nominal_advantage(hash_bits: int) -> float:
@@ -392,8 +395,9 @@ def estimate_advantage(
     _strategy_class(protocol_name, strategy_name)
     hash_bits = params.hash_bits
     if workers <= 1:
-        outcomes = _trial_range((protocol_name, strategy_name, params, seed, 0, trials))
+        counts = _trial_range((protocol_name, strategy_name, params, seed, 0, trials))
     else:
+        workers = min(workers, os.cpu_count() or 1)  # extra processes would only cost memory
         step = max(1, trials // (workers * 8))
         ranges = [
             (protocol_name, strategy_name, params, seed, lo, min(lo + step, trials))
@@ -403,19 +407,17 @@ def estimate_advantage(
         # is a sizeable import for every CLI run and benchmark set-up
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            outcomes = [item for chunk in pool.map(_trial_range, ranges) for item in chunk]
+        with multiprocessing.Pool(min(workers, len(ranges))) as pool:
+            counts = sum(pool.map(_trial_range, ranges), Counter())
 
-    correct = 0
-    completed = 0
+    correct = completed = 0
     discard_reasons: dict[str, int] = {}
-    for outcome in outcomes:
+    for outcome, n in counts.items():
         if outcome[0] == "ok":
-            completed += 1
-            correct += int(outcome[1] == outcome[2])
+            completed += n
+            correct += n * (outcome[1] == outcome[2])
         else:
-            reason = outcome[1]
-            discard_reasons[reason] = discard_reasons.get(reason, 0) + 1
+            discard_reasons[outcome[1]] = n  # one ("discarded", reason) key per reason
 
     empirical_p = correct / completed if completed else 0.0
     empirical_adv = abs(empirical_p - 0.5)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,50 @@ class TestGameRunner:
         serial = estimate_advantage(protocol, strategy_name, params, 200, seed=11, timestamp=False)
         pooled = estimate_advantage(protocol, strategy_name, params, 200, seed=11, timestamp=False, workers=2)
         assert serial.to_dict() == pooled.to_dict()
+
+    def test_worker_pool_never_outgrows_the_host(self, monkeypatch):
+        import multiprocessing
+
+        sizes, chunks = [], []
+
+        class RecordingPool:
+            """Records the size asked for and maps in this process: starts nothing."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                chunks.append(len(items))
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        serial = estimate_advantage("fwcfp", "fwcfp-trace", FWCFP_N8, 200, seed=11, timestamp=False)
+        pooled = estimate_advantage(
+            "fwcfp", "fwcfp-trace", FWCFP_N8, 200, seed=11, timestamp=False, workers=10_000
+        )
+        cpus = os.cpu_count() or 1
+        assert len(sizes) == 1 and 1 <= sizes[0] <= cpus
+        assert chunks[0] < 16 * cpus  # chunks sized for the processes started, not those asked for
+        assert pooled.to_dict() == serial.to_dict()
+
+    def test_an_estimate_does_not_hold_every_outcome(self, monkeypatch):
+        monkeypatch.setattr(
+            rfidlab.game, "run_single_trial", lambda *args: ("ok", args[-1] % 2, 0)
+        )
+        tracemalloc.start()
+        try:
+            report = estimate_advantage("fwcfp", "coin-flip", FWCFP_N8, 200_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.trials_completed, report.correct) == (200_000, 100_000)
+        assert peak < 1 << 20  # a list of 200 000 outcomes alone would take about 14 MB
 
     def test_each_strategy_names_the_protocol_it_attacks(self):
         protocols = {name: cls.protocol for name, cls in STRATEGY_FACTORIES.items()}

@@ -2,19 +2,22 @@
 
 The digests are the sha256 of ``canonical_report_bytes`` (the report with
 its timestamp removed) for each registered strategy at one fixed seed, at
-``hash_bits`` 8 and at the 96-bit defaults, plus one desync outcome. A
-change to the hash oracles, the permutation, the Rng streams or the game
-that moves any seeded number shows up here as a digest mismatch.
+``hash_bits`` 8 and at the 96-bit defaults, plus the honest and desync
+reports (desync also as CSV). A change to the hash oracles, the
+permutation, the Rng streams, the game or the report header that moves any
+seeded number or key shows up here as a digest mismatch.
 """
 
+import argparse
 import hashlib
 import json
+import re
 
 import pytest
 
-from rfidlab.cli import EXIT_OK, EXIT_THRESHOLD, canonical_report_bytes, main
+from rfidlab.cli import EXIT_OK, EXIT_THRESHOLD, build_parser, canonical_report_bytes, main
 from rfidlab.fwcfp import FwcfpParams
-from rfidlab.game import estimate_advantage
+from rfidlab.game import SCHEMA_VERSION, estimate_advantage
 from rfidlab.lwjx import LwjxParams
 
 SEED = 2024
@@ -46,6 +49,21 @@ DIGESTS = {
 }
 
 DESYNC_DIGEST = "ff04c8f0969eccc74feee7ed6c6f627e33db0cf9352d635b8f829fbc6ebff79e"
+DESYNC_ARGS = ["desync", "--protocol", "fwcfp", "--attempts", "20"]
+# sha256 of the CSV file itself: it has no timestamp with --no-timestamp
+DESYNC_CSV_DIGEST = "4ca6bc9e3db28f09eca7dc24cff6eece34d81e31e1f13dd090a8b386b5e9fdd1"
+
+HONEST_ARGS = {
+    "honest-fwcfp": ["honest", "--protocol", "fwcfp", "--trials", "50"],
+    "honest-lwjx-drops": [
+        "honest", "--protocol", "lwjx", "--trials", str(TRIALS), "--drop-flow3-rate", "0.3",
+    ],
+}
+
+HONEST_DIGESTS = {
+    "honest-fwcfp": "7d2838a123027b65eb95342e4ee6b2484299de01b5670e8b9118048ef1094f0f",
+    "honest-lwjx-drops": "42b7030d7ab5c3e5712685842cf8c24ceb3a8831ec7f572cfc408124962e5419",
+}
 
 
 def _report_doc(case, hash_bits, tmp_path):
@@ -68,6 +86,12 @@ def _report_doc(case, hash_bits, tmp_path):
     return json.loads(out.read_text())
 
 
+def _run(args, out):
+    code = main(args + ["--seed", str(SEED), "--no-timestamp", "--output", str(out)])
+    assert code == EXIT_OK
+    return out.read_bytes()
+
+
 def _digest(doc):
     return hashlib.sha256(canonical_report_bytes(doc)).hexdigest()
 
@@ -80,10 +104,54 @@ def test_advantage_report_bytes_are_pinned(case, hash_bits, tmp_path):
 
 
 def test_desync_report_bytes_are_pinned(tmp_path):
-    out = tmp_path / "desync.json"
-    code = main(
-        ["desync", "--protocol", "fwcfp", "--attempts", "20", "--seed", str(SEED),
-         "--no-timestamp", "--output", str(out)]
-    )
-    assert code == EXIT_OK
-    assert _digest(json.loads(out.read_text())) == DESYNC_DIGEST
+    doc = json.loads(_run(DESYNC_ARGS, tmp_path / "desync.json"))
+    assert _digest(doc) == DESYNC_DIGEST
+
+
+def test_desync_csv_bytes_are_pinned(tmp_path):
+    text = _run(DESYNC_ARGS + ["--format", "csv"], tmp_path / "desync.csv")
+    assert hashlib.sha256(text).hexdigest() == DESYNC_CSV_DIGEST
+
+
+@pytest.mark.parametrize("case", sorted(HONEST_ARGS))
+def test_honest_report_bytes_are_pinned(case, tmp_path):
+    doc = json.loads(_run(HONEST_ARGS[case], tmp_path / "honest.json"))
+    assert _digest(doc) == HONEST_DIGESTS[case]
+
+
+# a short run of every command that writes a report
+REPORT_RUNS = {
+    "honest": ["honest", "--trials", "3"],
+    "desync": ["desync", "--attempts", "2"],
+    "trace": ["trace", "--trials", "3", "--hash-bits", "8"],
+    "backtrace": ["backtrace", "--trials", "3", "--hash-bits", "8"],
+}
+
+
+def test_report_runs_cover_every_report_command():
+    # argparse has no public list of subcommands; its subparsers action holds one
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = action.choices
+    reporting = {name for name, sub in commands.items() if sub.get_default("report")}
+    assert reporting == set(REPORT_RUNS)
+
+
+@pytest.mark.parametrize("timestamp", [True, False], ids=["timestamp", "no-timestamp"])
+@pytest.mark.parametrize("command", sorted(REPORT_RUNS))
+def test_every_report_has_the_shared_header(command, timestamp, tmp_path):
+    out = tmp_path / "report.json"
+    flags = ["--seed", str(SEED), "--output", str(out)] + ([] if timestamp else ["--no-timestamp"])
+    assert main(REPORT_RUNS[command] + flags) in (EXIT_OK, EXIT_THRESHOLD)
+    doc = json.loads(out.read_text())
+    params = FwcfpParams() if command in ("honest", "desync") else FwcfpParams(hash_bits=8)
+    header = {
+        "schema": SCHEMA_VERSION,
+        "protocol": "fwcfp",
+        "experiment": command,
+        "params": params.to_dict(),
+        "seed": SEED,
+    }
+    assert {key: doc.get(key) for key in header} == header
+    assert ("generated_at" in doc) == timestamp
+    if timestamp:
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", doc["generated_at"])
