@@ -10,7 +10,24 @@ message is the first n bits of SHA-256 over
 and ``expand_mask`` extends that same stream with a 4-byte counter, so an
 expansion is always prefix-consistent with the plain hash. Counter blocks
 are hashed only as far as the mask needs, so a mask of up to 256 bits costs
-one SHA-256, the same as the plain hash.
+one SHA-256, the same as the plain hash, and a query the table below still
+holds costs none.
+
+``expand_mask`` answers from a table of the last 32 distinct queries (the
+lazily sampled random-oracle table of Bellare and Rogaway, kept only for
+recent queries). Tag and reader check each other by asking the same
+question, and both run in one process, so an honest FWCFP session
+computes 8 of its 16 digests and an LWJX new-branch session 4 of 8; the
+hit rate is the same for tables of 16 to 256 entries. The table is keyed
+by the domain tag byte, not the HashParams, whose generated ``__hash__``
+is a Python call, and by the message width and value and the target
+width with their types (``typed=True``), so 96 and 96.0 stay apart and a
+call that raises without the table still raises. On CPython 3.11 a
+96-bit hash of a query that never repeats takes about 1.7 µs instead of
+1.3 (the lookup and the table's upkeep), and a repeat about 0.25 µs
+instead of 1.2. The table sits below the traced names:
+``truncated_hash`` and ``expand_mask`` are still called once per query,
+so the counts the benchmark takes by wrapping them do not change.
 
 The oracles work on ints: a message is given as its width and its value
 (``truncated_hash(params, width, value)``,
@@ -96,8 +113,13 @@ def expand_mask(params: HashParams, width: int, value: int, target_width: int) -
     """
     if target_width < 1:
         raise ValueError(f"mask width must be >= 1, got {target_width}")
+    return _oracle(params.tag_byte, width, value, target_width)
+
+
+@lru_cache(maxsize=32, typed=True)
+def _oracle(tag_byte: bytes, width: int, value: int, target_width: int) -> int:
     prefix = (
-        params.tag_byte
+        tag_byte
         + value.to_bytes((width + 7) // 8, "big")
         + width.to_bytes(8, "big")
     )

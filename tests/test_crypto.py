@@ -223,6 +223,51 @@ class TestExpandMask:
             expand_mask(h_params(8), 8, 1, 0)
 
 
+class TestOracleTable:
+    """The table of recent queries under ``expand_mask`` changes no answer and no error."""
+
+    def test_repeated_and_interleaved_queries_match_the_reference(self):
+        m = BitString(96, 0x0123456789ABCDEF01234567)
+        feistel = HashParams(48, FEISTEL_TAG_BASE + 2)
+        queries = [
+            (h_params(96), 96),
+            (g_params(96), 96),
+            (feistel, 48),
+            (h_params(96), 64),
+            (h_params(96), 257),
+            (g_params(96), 512),
+        ]
+        crypto._oracle.cache_clear()
+        for _ in range(3):
+            for p, target in queries + queries[::-1]:
+                out = expand_mask(p, m.width, m.value, target)
+                assert out == reference_expand(p, m, target).value
+        assert crypto._oracle.cache_info().hits > 0
+
+    @pytest.mark.parametrize(
+        "answered, bad, error",
+        [
+            ((96, 5, 96), (96.0, 5, 96), TypeError),  # 96.0 == 96
+            ((96, 5, 96), (96, 5, 96.0), TypeError),
+            ((96, 5, 96), (96, -5, 96), OverflowError),
+            ((8, 5, 8), (8, 0x105, 8), OverflowError),  # 5 in its low 8 bits
+            ((96, 5, 96), (96, 5, 0), ValueError),
+        ],
+    )
+    def test_a_bad_query_still_raises_after_a_near_one_was_answered(self, answered, bad, error):
+        p = h_params(96)
+        expand_mask(p, *answered)
+        for _ in range(2):
+            with pytest.raises(error):
+                expand_mask(p, *bad)
+
+    def test_the_table_stays_bounded(self):
+        p = h_params(64)
+        for value in range(10_000):
+            expand_mask(p, 32, value, 64)
+        assert crypto._oracle.cache_info().currsize <= 32
+
+
 class TestPermutation:
     def test_exhaustive_bijection_and_round_trip_at_w8(self):
         for key_index in range(3):

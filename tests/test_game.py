@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import rfidlab
 from rfidlab import attacks  # noqa: F401  (registers strategies)
-from rfidlab import fwcfp, lwjx
+from rfidlab import crypto, fwcfp, lwjx
+from rfidlab.cli import canonical_report_bytes
 from rfidlab.game import (
     BUDGET,
     CORRUPT_AFTER_ARCHIVE,
@@ -387,6 +388,22 @@ class TestGameRunner:
         serial = estimate_advantage(protocol, strategy_name, params, 200, seed=11, timestamp=False)
         pooled = estimate_advantage(protocol, strategy_name, params, 200, seed=11, timestamp=False, workers=2)
         assert serial.to_dict() == pooled.to_dict()
+
+    @pytest.mark.parametrize("strategy_name", sorted(STRATEGY_FACTORIES))
+    def test_report_does_not_depend_on_the_oracle_table(self, strategy_name):
+        protocol = "lwjx" if strategy_name.startswith("lwjx") else "fwcfp"
+        params = (lwjx.LwjxParams if protocol == "lwjx" else fwcfp.FwcfpParams)(hash_bits=8)
+
+        def report():
+            doc = estimate_advantage(protocol, strategy_name, params, 200, seed=11, timestamp=False)
+            return canonical_report_bytes(doc.to_dict())
+
+        crypto._oracle.cache_clear()
+        cleared = report()
+        for value in range(64):
+            crypto.expand_mask(crypto.g_params(96), 96, value, 512)
+        assert crypto._oracle.cache_info().currsize == 32
+        assert report() == cleared
 
     def test_worker_pool_never_outgrows_the_host(self, monkeypatch):
         import multiprocessing
