@@ -162,23 +162,26 @@ def drive(
     """Drive one full session, optionally letting an adversary sit on the channel.
 
     ``interpose(flow_name, message)`` may pass the message through, return a
-    replacement, or return None to block it. Every honest emission and every
-    tamper or block event lands in the transcript.
+    replacement, or return None to block it. The transcript logs every
+    honest emission, every tamper or block event, every reject marker and
+    verdict, as the message or verdict object delivered; their fields and
+    the transcript's entries are built only if someone reads them.
     """
     sid, flow1 = db.begin(rng)
-    transcript = Transcript(session=sid, protocol=protocol.name, params=db.params.to_dict())
+    transcript = Transcript(sid, protocol.name, db.params)
     if disclose_secrets:
         transcript.secrets = protocol.disclose(tag)
+    add = transcript.add
 
     def deliver(flow, sender, message):
-        transcript.add(flow, sender, message.fields())
+        add(flow, sender, message)
         if interpose is None:
             return message
         delivered = interpose(flow, message)
         if delivered is None:
-            transcript.add(flow, "adversary", {}, note="blocked")
+            add(flow, "adversary", None, "blocked")
         elif delivered is not message:
-            transcript.add(flow, "adversary", delivered.fields(), note="tampered")
+            add(flow, "adversary", delivered, "tampered")
         return delivered
 
     message = deliver("flow1", "reader", flow1)
@@ -189,19 +192,19 @@ def drive(
         return SessionResult(transcript, None, None)
     reader_verdict, reply = db.authenticate(sid, message, rng)
     if not reader_verdict.ok:
-        transcript.add("reject", "reader", {})
-        transcript.add("verdict", "reader", reader_verdict.fields())
+        add("reject", "reader", None)
+        add("verdict", "reader", reader_verdict)
         return SessionResult(transcript, reader_verdict, None)
     message = deliver("flow3", "reader", reply)
-    transcript.add("verdict", "reader", reader_verdict.fields())
+    add("verdict", "reader", reader_verdict)
     if message is None:
         return SessionResult(transcript, reader_verdict, None)
     tag_verdict, final = protocol.finalize(tag, message)
     if isinstance(final, RejectMessage):
-        transcript.add("reject", "tag", {})
+        add("reject", "tag", None)
     elif final is not None:
         deliver("flow4", "tag", final)
-    transcript.add("verdict", "tag", tag_verdict.fields())
+    add("verdict", "tag", tag_verdict)
     if disclose_secrets:
         transcript.secrets.update(protocol.disclose_after(tag))
     return SessionResult(transcript, reader_verdict, tag_verdict)

@@ -6,6 +6,15 @@ events, and the parties' verdicts. Verdict entries carry the detailed
 internal reason and are experimenter-side annotations; on the wire every
 rejection looks the same.
 
+The session driver records lazily, since most sessions' transcripts are
+never read: it logs each message or verdict object as it is delivered,
+with its flow, sender and note, and keeps the reader's params object.
+The entries, with their fields dicts, and the params dict are built from
+that log on first read, and the log is then dropped, so a transcript
+never holds both. Writing reads the log directly and builds neither.
+Disclosed secrets are recorded at once, since the tag changes after the
+session.
+
 On disk a transcript is one meta line followed by one JSON object per
 entry, with every BitString in canonical "<width>:<hex>" text. The lines
 are written by one C encoder built at import, with the settings that
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 import json
 from _json import encode_basestring_ascii, make_encoder
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from sys import intern
 from typing import Iterable
 
@@ -52,27 +61,126 @@ class TranscriptEntry:
     note: str | None = None  # e.g. "tampered", "blocked"
 
 
-@dataclass(slots=True)
 class Transcript:
-    session: str
-    protocol: str
-    params: dict
-    entries: list[TranscriptEntry] = field(default_factory=list)
-    secrets: dict | None = None  # disclosed only in fixtures, never in games
+    """One session's transcript: its entries in order, its params and secrets.
 
-    def add(self, flow: str, sender: str, fields: dict, note: str | None = None):
-        self.entries.append(TranscriptEntry(flow, sender, fields, note))
+    A transcript made without ``entries`` records lazily. ``add`` logs what
+    it is given, and ``entries`` builds the TranscriptEntry list from that
+    log on first read and drops the log, so the two never live side by
+    side; ``delivered`` builds only the fields dict it returns. ``params``
+    may likewise be a protocol's params object; its ``to_dict()`` is built
+    on first read. ``write_jsonl`` builds neither: it writes straight from
+    the log. A transcript made with ``entries``, as ``read_jsonl`` makes
+    them, holds them as given.
+    """
+
+    __slots__ = ("session", "protocol", "secrets", "_params", "_entries", "_log")
+
+    def __init__(
+        self,
+        session: str,
+        protocol: str,
+        params,
+        entries: list[TranscriptEntry] | None = None,
+        secrets: dict | None = None,  # disclosed only in fixtures, never in games
+    ):
+        self.session = session
+        self.protocol = protocol
+        self.secrets = secrets
+        self._params = params
+        self._entries = entries
+        # flow, sender, fields source and note of each entry added, four
+        # slots apiece; None once the entries are built
+        self._log = [] if entries is None else None
+
+    def add(self, flow: str, sender: str, fields, note: str | None = None):
+        """Append an entry.
+
+        ``fields`` is the entry's fields dict, None for no fields, or a
+        message or verdict whose ``fields()`` gives them when the entry is
+        built. Messages and verdicts are frozen, so that is the dict that
+        ``fields()`` would give now.
+        """
+        log = self._log
+        if log is None:
+            self._entries.append(TranscriptEntry(flow, sender, _fields(fields), note))
+        else:
+            log += (flow, sender, fields, note)
+
+    @property
+    def entries(self) -> list[TranscriptEntry]:
+        if self._log is not None:
+            self._entries = [
+                TranscriptEntry(flow, sender, _fields(source), note)
+                for flow, sender, source, note in self._sources()
+            ]
+            self._log = None
+        return self._entries
+
+    @property
+    def params(self):
+        self._params = _params_doc(self._params)
+        return self._params
 
     def delivered(self, flow: str) -> dict | None:
         """Fields of the named flow as the receiving party saw them.
 
         When an adversary entry for the flow exists it supersedes the
         honest sender's entry; a "blocked" entry means nothing arrived.
+        Before the entries are built, only this entry's fields are: the
+        dict takes its source's place in the log, so the entry built
+        later holds this same dict.
         """
-        for entry in reversed(self.entries):
-            if entry.flow == flow:
-                return None if entry.note == "blocked" else entry.fields
+        log = self._log
+        if log is None:
+            for entry in reversed(self._entries):
+                if entry.flow == flow:
+                    return None if entry.note == "blocked" else entry.fields
+            return None
+        for i in range(len(log) - 4, -1, -4):
+            if log[i] == flow:
+                if log[i + 3] == "blocked":
+                    return None
+                fields = log[i + 2] = _fields(log[i + 2])
+                return fields
         return None
+
+    def _sources(self):
+        """(flow, sender, fields source, note) of each entry: from the log while there is one."""
+        log = self._log
+        if log is None:
+            return ((e.flow, e.sender, e.fields, e.note) for e in self._entries)
+        it = iter(log)
+        return zip(it, it, it, it)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.session, self.protocol, self.params, self.entries, self.secrets) == (
+            other.session, other.protocol, other.params, other.entries, other.secrets
+        )
+
+    __hash__ = None  # mutable, as a dataclass with eq
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(session={self.session!r}, protocol={self.protocol!r}, "
+            f"params={self.params!r}, entries={self.entries!r}, secrets={self.secrets!r})"
+        )
+
+
+def _fields(source) -> dict:
+    """The fields of an entry from their source: a dict as it is, {} for None, else ``fields()``."""
+    if source is None:
+        return {}
+    if isinstance(source, dict):
+        return source
+    return source.fields()
+
+
+def _params_doc(params):
+    """``params`` as transcripts hold them: a params object's ``to_dict()``, else as it is."""
+    return params.to_dict() if hasattr(params, "to_dict") else params
 
 
 def _decode_fields(fields: dict) -> dict:
@@ -107,28 +215,33 @@ def _text(doc: dict, key: str) -> str:
 
 
 def transcript_to_lines(transcript: Transcript) -> list[str]:
+    """The transcript's JSON lines; one that records lazily is written from its log.
+
+    The fields and params dicts built here are the lines' alone: the
+    transcript keeps its log and its params object, and builds no entries.
+    """
     meta = {
         "type": "meta",
         "schema": SCHEMA_VERSION,
         "session": transcript.session,
         "protocol": transcript.protocol,
         "hash": HASH_NAME,
-        "params": transcript.params,
+        "params": _params_doc(transcript._params),
     }
     if transcript.secrets is not None:
         meta["secrets"] = transcript.secrets
     join = "".join
     lines = [join(_ITERENCODE(meta, 0))]
-    for entry in transcript.entries:
+    for flow, sender, source, note in transcript._sources():
         doc = {
             "type": "entry",
             "session": transcript.session,
-            "flow": entry.flow,
-            "sender": entry.sender,
-            "fields": entry.fields,
+            "flow": flow,
+            "sender": sender,
+            "fields": _fields(source),
         }
-        if entry.note is not None:
-            doc["note"] = entry.note
+        if note is not None:
+            doc["note"] = note
         lines.append(join(_ITERENCODE(doc, 0)))
     return lines
 
@@ -189,6 +302,7 @@ def read_jsonl(path) -> list[Transcript]:
                             session=_text(doc, "session"),
                             protocol=intern(_text(doc, "protocol")),
                             params=_interned_keys(doc["params"]),
+                            entries=[],
                             secrets=_decode_fields(doc["secrets"])
                             if "secrets" in doc
                             else None,

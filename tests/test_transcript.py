@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_session_digests import FWCFP_CASES, LWJX_CASES, SEED
 
 from rfidlab import fwcfp, lwjx, session
 from rfidlab.bits import BitString
@@ -98,6 +99,84 @@ class TestSerialization:
         t.add("flow3", "reader", {"h2": BitString(8, 1)})
         t.add("flow3", "adversary", {}, note="blocked")
         assert t.delivered("flow3") is None
+
+    def test_repr_is_the_dataclass_form(self):
+        t = Transcript(session="s", protocol="fwcfp", params={"bits": 8})
+        t.add("flow1", "reader", {"rand1": BitString(8, 1)})
+        assert repr(t) == (
+            "Transcript(session='s', protocol='fwcfp', params={'bits': 8}, entries="
+            "[TranscriptEntry(flow='flow1', sender='reader', fields={'rand1': "
+            f"{BitString(8, 1)!r}}}, note=None)], secrets=None)"
+        )
+
+
+BRANCHES = [("fwcfp", case) for case in sorted(FWCFP_CASES)] + [
+    ("lwjx", case) for case in sorted(LWJX_CASES)
+]
+
+
+def recorded(protocol, case):
+    """A new, unread transcript of one branch of the session driver."""
+    rng = Rng(SEED)
+    if protocol == "fwcfp":
+        db = fwcfp.FwcfpReaderDb.create(fwcfp.FwcfpParams(), rng)
+        tag = db.provision_tag(rng)
+        interpose = FWCFP_CASES[case]
+    else:
+        db = lwjx.LwjxReaderDb(lwjx.LwjxParams())
+        tag = db.provision(rng)
+        interpose = LWJX_CASES[case]
+    module = fwcfp if protocol == "fwcfp" else lwjx
+    result = module.run_honest_session(tag, db, rng, interpose=interpose, disclose_secrets=True)
+    return result.transcript
+
+
+@pytest.mark.parametrize("protocol, case", BRANCHES, ids=[f"{p}-{c}" for p, c in BRANCHES])
+class TestRecordedMatchesLoaded:
+    """A transcript the driver records lazily reads as its written copy does."""
+
+    def test_equal_both_ways(self, tmp_path, protocol, case):
+        path = tmp_path / "t.jsonl"
+        write_jsonl(path, [recorded(protocol, case)])
+        (loaded,) = read_jsonl(path)
+        assert loaded == recorded(protocol, case)
+        assert recorded(protocol, case) == loaded
+
+    def test_delivered_agrees(self, tmp_path, protocol, case):
+        path = tmp_path / "t.jsonl"
+        write_jsonl(path, [recorded(protocol, case)])
+        (loaded,) = read_jsonl(path)
+        t = recorded(protocol, case)
+        for flow in ("flow1", "flow2", "flow3", "flow4"):
+            assert t.delivered(flow) == loaded.delivered(flow), flow
+        assert t == loaded
+        for flow in ("flow1", "flow2", "flow3", "flow4"):
+            assert t.delivered(flow) == loaded.delivered(flow), flow
+
+    def test_lines_from_the_log_equal_lines_from_entries(self, protocol, case):
+        t = recorded(protocol, case)
+        from_log = transcript_to_lines(t)
+        delivered = [t.delivered(flow) for flow in ("flow1", "flow2", "flow3", "flow4")]
+        assert transcript_to_lines(t) == from_log
+        for fields in delivered:
+            if fields is not None:
+                fields["extra"] = 1
+        changed = transcript_to_lines(t)
+        assert sum('"extra": 1' in line for line in changed) == 4 - delivered.count(None)
+        assert t.entries
+        assert transcript_to_lines(t) == changed
+
+    def test_add_after_a_read_lands_in_order(self, tmp_path, protocol, case):
+        t = recorded(protocol, case)
+        shape = [(e.flow, e.sender, e.note) for e in t.entries]
+        t.add("verdict", "adversary", {"guess": 1}, note="late")
+        assert [(e.flow, e.sender, e.note) for e in t.entries] == shape + [
+            ("verdict", "adversary", "late")
+        ]
+        assert t.entries[-1].fields == {"guess": 1}
+        path = tmp_path / "t.jsonl"
+        write_jsonl(path, [t])
+        assert read_jsonl(path) == [t]
 
 
 def mixed_transcripts():
