@@ -22,6 +22,7 @@ from .crypto import PermKey, expand_mask, h_params, invert, permute, truncated_h
 from .rng import Rng
 from .session import (
     Message,
+    Params,
     Protocol,
     ProtocolError,
     Reader,
@@ -43,7 +44,7 @@ _READER_BAD_H1 = SessionVerdict("reader", False, "bad-h1")
 
 
 @dataclass(frozen=True)
-class FwcfpParams:
+class FwcfpParams(Params):
     id_bits: int = 96
     key_bits: int = 96
     nonce_bits: int = 96
@@ -51,7 +52,7 @@ class FwcfpParams:
     rand0_bits: int = 32
 
     def __post_init__(self):
-        for name in ("id_bits", "key_bits", "nonce_bits", "hash_bits", "rand0_bits"):
+        for name in self.__dataclass_fields__:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if (self.id_bits + self.rand0_bits) % 2:
@@ -64,15 +65,6 @@ class FwcfpParams:
         # the alias nonce); hash is the H oracle every session calls.
         object.__setattr__(self, "alias_bits", self.id_bits + self.rand0_bits)
         object.__setattr__(self, "hash", h_params(self.hash_bits))
-
-    def to_dict(self) -> dict:
-        return {
-            "id_bits": self.id_bits,
-            "key_bits": self.key_bits,
-            "nonce_bits": self.nonce_bits,
-            "hash_bits": self.hash_bits,
-            "rand0_bits": self.rand0_bits,
-        }
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .crypto import g_params, h_params, truncated_hash
 from .rng import Rng
 from .session import (
     Message,
+    Params,
     Protocol,
     ProtocolError,
     Reader,
@@ -58,7 +59,7 @@ _READER_NO_MATCH = SessionVerdict("reader", False, "no-match")
 
 
 @dataclass(frozen=True)
-class LwjxParams:
+class LwjxParams(Params):
     bits: int = 96  # shared width of identifiers, keys and nonces
     hash_bits: int = 96
     m_limit: int = 5
@@ -73,9 +74,6 @@ class LwjxParams:
         # not fields: equality, hashing, repr and to_dict stay on the widths
         object.__setattr__(self, "h", h_params(self.hash_bits))
         object.__setattr__(self, "g", g_params(self.bits))
-
-    def to_dict(self) -> dict:
-        return {"bits": self.bits, "hash_bits": self.hash_bits, "m_limit": self.m_limit}
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,14 @@ class ProtocolError(ValueError):
     """A message no honest party could have produced (wrong shape or width)."""
 
 
+class Params:
+    """Base of both protocols' params dataclasses: the document of their fields."""
+
+    def to_dict(self) -> dict:
+        """The fields by name, in their order: what ``params_from_dict`` reads back."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+
 def params_from_dict(cls, doc):
     """Build a protocol's params dataclass from its ``to_dict`` form.
 

@@ -12,7 +12,7 @@ import json
 from contextlib import contextmanager
 
 from .bits import BitString
-from .crypto import PermKey
+from .crypto import PermKey, truncated_hash
 from .fwcfp import FwcfpParams, FwcfpReaderDb
 from .lwjx import LwjxParams, LwjxReaderDb, LwjxReaderRecord
 from .session import params_from_dict
@@ -100,21 +100,28 @@ def lwjx_db_to_doc(db: LwjxReaderDb) -> dict:
 
 
 def lwjx_db_from_doc(doc: dict) -> LwjxReaderDb:
+    """Build the reader a snapshot describes; each record's h_id_new must be H(id).
+
+    h_id_old is not checked: it hashes the old identifier, which G, being
+    one-way, does not give back from the current one.
+    """
     _validate(doc, "lwjx", "records")
     with _malformed("lwjx snapshot"):
         db = LwjxReaderDb(params_from_dict(LwjxParams, doc["params"]))
+    h = db.params.h
     for i, entry in enumerate(doc["records"]):
         with _malformed(f"record {i}"):
-            db.add_record(
-                LwjxReaderRecord(
-                    id=BitString.parse(entry["id"]),
-                    h_id_new=BitString.parse(entry["h_id_new"]),
-                    h_id_old=_parse_opt(entry["h_id_old"]),
-                    k_new=BitString.parse(entry["k_new"]),
-                    k_old=_parse_opt(entry["k_old"]),
-                    m=entry["m"],
-                )
+            rec = LwjxReaderRecord(
+                id=BitString.parse(entry["id"]),
+                h_id_new=BitString.parse(entry["h_id_new"]),
+                h_id_old=_parse_opt(entry["h_id_old"]),
+                k_new=BitString.parse(entry["k_new"]),
+                k_old=_parse_opt(entry["k_old"]),
+                m=entry["m"],
             )
+            db.add_record(rec)  # checks the widths first
+            if rec.h_id_new.value != truncated_hash(h, rec.id.width, rec.id.value):
+                raise ValueError(f"h_id_new {rec.h_id_new.render()} is not H(id)")
     return db
 
 

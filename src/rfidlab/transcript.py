@@ -6,12 +6,12 @@ events, and the parties' verdicts. Verdict entries carry the detailed
 internal reason and are experimenter-side annotations; on the wire every
 rejection looks the same.
 
-The session driver records lazily, since most sessions' transcripts are
-never read: it logs each message or verdict object as it is delivered,
-with its flow, sender and note, and keeps the reader's params object.
-The entries, with their fields dicts, and the params dict are built from
+A transcript records lazily, since most are never read: the session
+driver logs each message or verdict object it delivers, and the reader
+each parsed entry line's fields dict, with flow, sender and note. The
+entries, with their fields dicts, and the params dict are built from
 that log on first read, and the log is then dropped, so a transcript
-never holds both. Writing reads the log directly and builds neither.
+never holds both. Writing and replay read the log and build neither.
 Disclosed secrets are recorded at once, since the tag changes after the
 session.
 
@@ -64,14 +64,13 @@ class TranscriptEntry:
 class Transcript:
     """One session's transcript: its entries in order, its params and secrets.
 
-    A transcript made without ``entries`` records lazily. ``add`` logs what
-    it is given, and ``entries`` builds the TranscriptEntry list from that
-    log on first read and drops the log, so the two never live side by
-    side; ``delivered`` builds only the fields dict it returns. ``params``
-    may likewise be a protocol's params object; its ``to_dict()`` is built
-    on first read. ``write_jsonl`` builds neither: it writes straight from
-    the log. A transcript made with ``entries``, as ``read_jsonl`` makes
-    them, holds them as given.
+    ``add`` is the only way entries come in, from the session driver and
+    from ``read_jsonl`` alike: it logs what it is given, and ``entries``
+    builds the TranscriptEntry list from that log on first read and drops
+    the log, so the two never live side by side; ``delivered`` builds only
+    the fields dict it returns. ``params`` may likewise be a protocol's
+    params object; its ``to_dict()`` is built on first read.
+    ``write_jsonl`` builds neither: it writes straight from the log.
     """
 
     __slots__ = ("session", "protocol", "secrets", "_params", "_entries", "_log")
@@ -81,17 +80,16 @@ class Transcript:
         session: str,
         protocol: str,
         params,
-        entries: list[TranscriptEntry] | None = None,
         secrets: dict | None = None,  # disclosed only in fixtures, never in games
     ):
         self.session = session
         self.protocol = protocol
         self.secrets = secrets
         self._params = params
-        self._entries = entries
+        self._entries = None
         # flow, sender, fields source and note of each entry added, four
         # slots apiece; None once the entries are built
-        self._log = [] if entries is None else None
+        self._log = []
 
     def add(self, flow: str, sender: str, fields, note: str | None = None):
         """Append an entry.
@@ -302,7 +300,6 @@ def read_jsonl(path) -> list[Transcript]:
                             session=_text(doc, "session"),
                             protocol=intern(_text(doc, "protocol")),
                             params=_interned_keys(doc["params"]),
-                            entries=[],
                             secrets=_decode_fields(doc["secrets"])
                             if "secrets" in doc
                             else None,
@@ -316,16 +313,11 @@ def read_jsonl(path) -> list[Transcript]:
                     try:
                         if doc["session"] != current.session:
                             raise ValueError(f"session {doc['session']!r} is not the meta line's")
-                        flow = doc["flow"]
-                        if not isinstance(flow, str):
-                            raise ValueError(f"flow must be a string, got {flow!r}")
-                        sender = doc["sender"]
-                        if not isinstance(sender, str):
-                            raise ValueError(f"sender must be a string, got {sender!r}")
-                        fields = _decode_fields(doc["fields"])
-                        note = intern(_text(doc, "note")) if "note" in doc else None
-                        current.entries.append(
-                            TranscriptEntry(intern(flow), intern(sender), fields, note)
+                        current.add(
+                            intern(_text(doc, "flow")),
+                            intern(_text(doc, "sender")),
+                            _decode_fields(doc["fields"]),
+                            intern(_text(doc, "note")) if "note" in doc else None,
                         )
                     except (KeyError, ValueError) as exc:
                         raise TranscriptFormatError(number, f"bad entry ({exc})")

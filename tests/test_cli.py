@@ -334,6 +334,19 @@ class TestMalformedInputs:
         assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
         assert_one_error_line(capsys)
 
+    def test_snapshot_with_a_new_epoch_hash_that_is_not_h_of_the_id(self, tmp_path, capsys):
+        # H(8:01) is 8:0b at these widths: a reader loaded from this record
+        # would answer its tag no-match
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({
+            "schema": 1, "protocol": "lwjx",
+            "params": {"bits": 8, "hash_bits": 8, "m_limit": 5},
+            "records": [{"id": "8:01", "h_id_new": "8:00", "h_id_old": None,
+                         "k_new": "8:00", "k_old": None, "m": 0}],
+        }))
+        assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
+        assert assert_one_error_line(capsys) == "error: record 0: h_id_new 8:00 is not H(id)\n"
+
     @pytest.mark.parametrize(
         "line_number, key, value",
         [(2, "flow", 5), (2, "sender", []), (2, "note", {}), (2, "note", None),

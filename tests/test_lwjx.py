@@ -218,8 +218,10 @@ class TestIndexedRecords:
 
     @pytest.mark.parametrize(
         "field, value",
-        # three wrong widths, then an old epoch with its hash but no key
-        [("h_id_new", "8:00"), ("h_id_old", "8:00"), ("k_new", "8:00"), ("k_old", None)],
+        # three wrong widths, an old epoch with its hash but no key, then a
+        # new-epoch hash of the right width that is not H(id)
+        [("h_id_new", "8:00"), ("h_id_old", "8:00"), ("k_new", "8:00"), ("k_old", None),
+         ("h_id_new", "96:" + "0" * 24)],
     )
     def test_malformed_snapshot_record_is_rejected(self, field, value):
         tag, db, rng = make_world()

@@ -342,12 +342,22 @@ ENTRIES = st.builds(
     TranscriptEntry, st.text(max_size=8), st.text(max_size=8), FIELDS,
     st.none() | st.text(max_size=8),
 )
+
+
+def transcript_of(entries, **meta):
+    """A transcript of the given meta values, its entries added in order."""
+    t = Transcript(**meta)
+    for e in entries:
+        t.add(e.flow, e.sender, e.fields, e.note)
+    return t
+
+
 TRANSCRIPTS = st.builds(
-    Transcript,
+    transcript_of,
+    st.lists(ENTRIES, max_size=5),
     session=st.text(max_size=8),
     protocol=st.text(max_size=8),
     params=st.dictionaries(st.text(max_size=8), st.integers(), max_size=3),
-    entries=st.lists(ENTRIES, max_size=5),
     secrets=st.none() | FIELDS,
 )
 

@@ -5,21 +5,25 @@ transcript's entries, with their fields dicts, are built from that log
 only when someone reads them, and writing needs none of them. These tests
 pin both budgets: no fields dict and no entry while a transcript is
 unread, exactly the entries of an eager driver on the first read and none
-on the next, and retained bytes per session no more than the eager
-driver's.
+on the next, none at all to replay a file, and retained bytes per session
+no more than the eager driver's.
 """
 
 import gc
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from rfidlab import fwcfp, lwjx, transcript
+from rfidlab.replay import replay_file
 from rfidlab.rng import Rng
 from rfidlab.session import Message, SessionVerdict
 from rfidlab.transcript import TranscriptEntry, transcript_to_lines, write_jsonl
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -116,6 +120,15 @@ def test_a_change_to_read_fields_persists(built, case, first):
     # each entry's fields are built once, whichever read comes first
     assert built == first_read
     assert '"extra": 1' in transcript_to_lines(t)[2]
+
+
+@pytest.mark.parametrize("fixture", ["fwcfp_honest.jsonl", "lwjx_honest.jsonl"])
+def test_replay_builds_no_entry(built, fixture):
+    # a parsed file fills the log as the driver does, and replay reads only
+    # the delivered flows' fields dicts, which the reader already decoded
+    report = replay_file(FIXTURES / fixture)
+    assert report.ok, report.describe()
+    assert built == {}
 
 
 # The record-replay workload's mix: honest FWCFP and LWJX sessions in turn,
