@@ -166,7 +166,12 @@ def verify_transcript(t: Transcript) -> ReplayReport:
 
 
 def replay_file(path) -> ReplayReport:
-    """Verify every transcript in a JSON-lines file; a malformed file fails."""
+    """Verify every transcript in a JSON-lines file; a malformed file fails.
+
+    The file is read one transcript at a time (``verify_all``), so replay
+    holds one parsed transcript and the issues found so far, not the
+    file. A format error surfaces when the reading reaches its line.
+    """
     try:
         return verify_all(read_jsonl(path))
     except TranscriptFormatError as exc:
@@ -177,13 +182,26 @@ def replay_file(path) -> ReplayReport:
 
 
 def verify_all(transcripts) -> ReplayReport:
-    """Verify a file's worth of transcripts; an empty file fails."""
-    if not transcripts:
-        return ReplayReport(0, [ReplayIssue("file", "no transcripts found")])
-    total = 0
+    """Verify a file's worth of transcripts as they arrive; an empty file fails.
+
+    Each transcript is verified and dropped before the next is taken, so
+    over ``read_jsonl`` this holds one parsed transcript at a time. After
+    a TranscriptParamsError the rest is read, unverified, before it is
+    raised again, so a format error later in the file still wins, as it
+    does when a whole file is parsed before any transcript is verified.
+    """
+    transcripts = iter(transcripts)
+    count = total = 0
     issues: list[ReplayIssue] = []
-    for t in transcripts:
-        report = verify_transcript(t)
-        total += report.checked
-        issues.extend(report.issues)
+    try:
+        for report in map(verify_transcript, transcripts):
+            count += 1
+            total += report.checked
+            issues.extend(report.issues)
+    except TranscriptParamsError:
+        for _ in transcripts:
+            pass
+        raise
+    if not count:
+        return ReplayReport(0, [ReplayIssue("file", "no transcripts found")])
     return ReplayReport(total, issues)

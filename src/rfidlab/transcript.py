@@ -25,6 +25,14 @@ into a BitString through ``bits.literal_bits``, the function that
 keeps: each entry's flow, sender and note, the meta line's protocol, the
 keys of fields, secrets and params, and every field string that is not a
 literal. A parsed file so holds one copy of each name, not one per line.
+
+``read_jsonl`` reads a file one transcript at a time: it yields each
+transcript once the next meta line, or the end of the file, shows that
+its entries are complete, and keeps only that one and the text field
+values read so far. Replay verifies and drops each transcript before the
+next is read, so it holds one parsed transcript, not the file. A
+malformed line raises its error when the reading reaches it, after the
+transcripts before it have been yielded.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import json
 from _json import encode_basestring_ascii, make_encoder
 from dataclasses import dataclass
 from sys import intern
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .bits import BitString, literal_bits
 from .crypto import HASH_NAME
@@ -181,11 +189,13 @@ def _params_doc(params):
     return params.to_dict() if hasattr(params, "to_dict") else params
 
 
-def _decode_fields(fields: dict) -> dict:
+def _decode_fields(fields: dict, values: dict) -> dict:
     """A new dict of ``fields``: interned keys, and each string value parsed.
 
     A string of a literal's shape becomes a BitString; any other string is
-    interned. Other values are kept as they are.
+    interned, and ``values`` keeps the first copy of each, so the copy the
+    interpreter's table holds lives as long as ``values`` does. Other
+    values are kept as they are.
     """
     if not isinstance(fields, dict):
         raise ValueError(f"expected an object of fields, got {fields!r}")
@@ -193,7 +203,7 @@ def _decode_fields(fields: dict) -> dict:
     for k, v in fields.items():
         if isinstance(v, str):
             bits = literal_bits(v)
-            v = intern(v) if bits is None else bits
+            v = intern(values.setdefault(v, v)) if bits is None else bits
         decoded[intern(k)] = v
     return decoded
 
@@ -258,10 +268,23 @@ class TranscriptFormatError(ValueError):
         self.line_number = line_number
 
 
-def read_jsonl(path) -> list[Transcript]:
-    """Parse a transcript file; malformed lines report their line number."""
-    transcripts: list[Transcript] = []
+def read_jsonl(path) -> Iterator[Transcript]:
+    """Parse a transcript file, yielding one transcript at a time.
+
+    A transcript is yielded once its last entry line has been read: at
+    the next meta line, or at the end of the file. The reader holds only
+    the transcript being read, so a caller that drops each one it is
+    given holds one parsed transcript, not the file. The file is opened
+    on the first ``next()``, and a malformed line raises
+    TranscriptFormatError, naming its line number, when the reading
+    reaches it, after the transcripts before it have been yielded.
+    """
     current: Transcript | None = None  # that of the last meta line
+    # every text field value read so far. A value that no module holds as a
+    # name, such as the verdict reason "new-branch", would otherwise leave
+    # the interpreter's table of interned strings with each transcript
+    # dropped and be added again with the next.
+    values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         try:
             for number, raw in enumerate(handle, start=1):
@@ -296,17 +319,19 @@ def read_jsonl(path) -> list[Transcript]:
                     if type(schema) is not int or schema != SCHEMA_VERSION:
                         raise TranscriptFormatError(number, f"unsupported schema {schema!r}")
                     try:
-                        current = Transcript(
+                        meta = Transcript(
                             session=_text(doc, "session"),
                             protocol=intern(_text(doc, "protocol")),
                             params=_interned_keys(doc["params"]),
-                            secrets=_decode_fields(doc["secrets"])
+                            secrets=_decode_fields(doc["secrets"], values)
                             if "secrets" in doc
                             else None,
                         )
                     except (KeyError, ValueError) as exc:
                         raise TranscriptFormatError(number, f"bad meta line ({exc})")
-                    transcripts.append(current)
+                    if current is not None:
+                        yield current
+                    current = meta
                 elif kind == "entry":
                     if current is None:
                         raise TranscriptFormatError(number, "entry before any meta line")
@@ -316,7 +341,7 @@ def read_jsonl(path) -> list[Transcript]:
                         current.add(
                             intern(_text(doc, "flow")),
                             intern(_text(doc, "sender")),
-                            _decode_fields(doc["fields"]),
+                            _decode_fields(doc["fields"], values),
                             intern(_text(doc, "note")) if "note" in doc else None,
                         )
                     except (KeyError, ValueError) as exc:
@@ -327,7 +352,8 @@ def read_jsonl(path) -> list[Transcript]:
             # the decoder reads ahead of the line it hands out, so the bad
             # bytes are found again in the raw file
             raise TranscriptFormatError(_first_non_utf8_line(path), "not UTF-8 text") from None
-    return transcripts
+    if current is not None:
+        yield current
 
 
 def _first_non_utf8_line(path) -> int:

@@ -414,7 +414,7 @@ class TestMalformedInputs:
         assert run(["replay", "--input", str(path)]) == EXIT_CONFIG
         assert_one_error_line(capsys)
         with pytest.raises(TranscriptFormatError, match="not UTF-8 text") as caught:
-            read_jsonl(path)
+            list(read_jsonl(path))
         assert caught.value.line_number == 1
         report = replay_file(path)
         assert not report.ok
@@ -432,13 +432,13 @@ class TestMalformedInputs:
         assert run(["replay", "--input", str(path)]) == EXIT_CONFIG
         assert "line 15: not UTF-8 text" in assert_one_error_line(capsys)
         with pytest.raises(TranscriptFormatError, match="not UTF-8 text") as caught:
-            read_jsonl(path)
+            list(read_jsonl(path))
         assert caught.value.line_number == 15
         # a bad byte inside a line: that line, not the next
         lines[4] = lines[4][:10] + "\udcff" + lines[4][10:]
         path.write_bytes(newline.join(lines).encode("utf-8", "surrogateescape"))
         with pytest.raises(TranscriptFormatError, match="not UTF-8 text") as caught:
-            read_jsonl(path)
+            list(read_jsonl(path))
         assert caught.value.line_number == 5
 
     def test_master_key_that_is_not_hex(self, tmp_path, capsys):

@@ -134,7 +134,7 @@ def test_an_unparsable_transcript_line_is_one_error_line(tmp_path, capsys, text,
     path = tmp_path / "t.jsonl"
     path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(TranscriptFormatError) as caught:
-        read_jsonl(path)
+        list(read_jsonl(path))
     assert str(caught.value) == f"line 2: invalid JSON ({reason})"
     assert [(i.field, i.line) for i in replay.replay_file(path).issues] == [("format", 2)]
     capsys.readouterr()

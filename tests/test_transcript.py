@@ -12,7 +12,7 @@ from test_session_digests import FWCFP_CASES, LWJX_CASES, SEED
 
 from rfidlab import fwcfp, lwjx, session
 from rfidlab.bits import BitString
-from rfidlab.cli import EXIT_THRESHOLD, main
+from rfidlab.cli import EXIT_CONFIG, EXIT_THRESHOLD, main
 from rfidlab.replay import TranscriptParamsError, replay_file, verify_transcript
 from rfidlab.rng import Rng
 from rfidlab.session import Message, RejectMessage, params_from_dict
@@ -176,7 +176,7 @@ class TestRecordedMatchesLoaded:
         assert t.entries[-1].fields == {"guess": 1}
         path = tmp_path / "t.jsonl"
         write_jsonl(path, [t])
-        assert read_jsonl(path) == [t]
+        assert list(read_jsonl(path)) == [t]
 
 
 def mixed_transcripts():
@@ -223,7 +223,7 @@ class TestInternedNames:
         written = mixed_transcripts()
         path = tmp_path / "mixed.jsonl"
         write_jsonl(path, written)
-        loaded = read_jsonl(path)
+        loaded = list(read_jsonl(path))
         assert loaded == written
         notes = {e.note for t in loaded for e in t.entries}
         assert {"tampered", "blocked"} <= notes
@@ -367,12 +367,12 @@ class TestDecodeSemantics:
 
     @pytest.mark.parametrize("text", ["8:ff", "0:", "16:00ff", "1:1"])
     def test_canonical_literals_become_bit_strings(self, tmp_path, text):
-        t = read_jsonl(with_field(tmp_path, text))[0]
+        t = list(read_jsonl(with_field(tmp_path, text)))[0]
         assert t.entries[0].fields["x"] == BitString.parse(text)
 
     @pytest.mark.parametrize("text", ["8:FF", " 8:ff", "+8:ff", "accept"])
     def test_other_text_stays_a_string(self, tmp_path, text):
-        t = read_jsonl(with_field(tmp_path, text))[0]
+        t = list(read_jsonl(with_field(tmp_path, text)))[0]
         assert t.entries[0].fields["x"] == text
 
     @pytest.mark.parametrize(
@@ -389,7 +389,7 @@ class TestDecodeSemantics:
     )
     def test_non_canonical_literals_fail_the_line(self, tmp_path, text, message):
         with pytest.raises(TranscriptFormatError) as caught:
-            read_jsonl(with_field(tmp_path, text))
+            list(read_jsonl(with_field(tmp_path, text)))
         assert caught.value.line_number == 2
         assert str(caught.value) == f"line 2: bad entry ({message})"
 
@@ -405,7 +405,7 @@ class TestDecodeSemantics:
             assert text == "".join(
                 line + "\n" for t in transcripts for line in reference_lines(t)
             )
-            assert read_jsonl(path) == transcripts
+            assert list(read_jsonl(path)) == transcripts
 
 
 # the regex loader's rule for a field string, kept as an independent reference
@@ -485,11 +485,11 @@ class TestLiteralDecoderMatchesTheRegex:
             path = with_field(Path(tmp), text)
             if message is not None:
                 with pytest.raises(TranscriptFormatError) as caught:
-                    read_jsonl(path)
+                    list(read_jsonl(path))
                 assert caught.value.line_number == 2
                 assert str(caught.value) == f"line 2: bad entry ({message})"
             else:
-                value = read_jsonl(path)[0].entries[0].fields["x"]
+                value = list(read_jsonl(path))[0].entries[0].fields["x"]
                 assert type(value) is type(expected) and value == expected
         if isinstance(expected, BitString):
             assert BitString.parse(text) == expected
@@ -576,7 +576,7 @@ class TestReplay:
         path = tmp_path / "t.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TranscriptFormatError) as caught:
-            read_jsonl(path)
+            list(read_jsonl(path))
         assert caught.value.line_number == line_number
         report = replay_file(path)
         assert [(i.field, i.line) for i in report.issues] == [("format", line_number)]
@@ -597,7 +597,7 @@ class TestReplay:
         path = tmp_path / "t.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TranscriptFormatError) as caught:
-            read_jsonl(path)
+            list(read_jsonl(path))
         assert caught.value.line_number == line_number
         report = replay_file(path)
         assert [(i.field, i.line) for i in report.issues] == [("format", line_number)]
@@ -671,7 +671,7 @@ class TestReplay:
     )
     def test_partial_verification(self, protocol, spoils, ok, checked, issues):
         """What a spoiled session still checks, and the order of its issues."""
-        t = read_jsonl(FIXTURES / f"{protocol}_honest.jsonl")[0]
+        t = list(read_jsonl(FIXTURES / f"{protocol}_honest.jsonl"))[0]
         for spoil in spoils:
             action, target = spoil.split()
             where, _, name = target.partition(".")
@@ -786,7 +786,7 @@ class TestLoaderErrorText:
         path = tmp_path / "t.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(TranscriptFormatError) as caught:
-            read_jsonl(path)
+            list(read_jsonl(path))
         assert str(caught.value) == f"line {index + 1}: {message}"
         assert caught.value.line_number == index + 1
         report = replay_file(path)
@@ -796,8 +796,48 @@ class TestLoaderErrorText:
         fixture = FIXTURES / "fwcfp_honest.jsonl"
         path = tmp_path / "t.jsonl"
         path.write_text("".join(f" \t{line} \r\n" for line in fixture.read_text().splitlines()))
-        assert read_jsonl(path) == read_jsonl(fixture)
+        assert list(read_jsonl(path)) == list(read_jsonl(fixture))
         assert replay_file(path).ok
+
+
+class TestStreamedReplay:
+    """Replay reads one transcript at a time, with the outcomes of parsing the whole file first."""
+
+    def test_a_transcript_is_yielded_with_all_its_entries(self):
+        first = next(read_jsonl(FIXTURES / "fwcfp_honest.jsonl"))
+        assert first.session == "s0"
+        assert [(e.flow, e.sender) for e in first.entries] == [
+            ("flow1", "reader"),
+            ("flow2", "tag"),
+            ("flow3", "reader"),
+            ("verdict", "reader"),
+            ("flow4", "tag"),
+            ("verdict", "tag"),
+        ]
+
+    def test_a_later_format_error_wins_over_a_params_error(self, tmp_path, capsys):
+        lines = (FIXTURES / "fwcfp_honest.jsonl").read_text().splitlines()
+        meta = json.loads(lines[0])
+        meta["params"]["extra"] = 1
+        lines[0] = json.dumps(meta)
+        lines[9] += "x"  # in the second transcript
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        message = "line 10: invalid JSON (Extra data)"
+        report = replay_file(path)
+        assert [(i.field, i.message, i.line) for i in report.issues] == [
+            ("format", message, 10)
+        ]
+        assert main(["replay", "--input", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_an_empty_file_has_no_transcripts(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n \n")
+        report = replay_file(path)
+        assert [(i.field, i.message) for i in report.issues] == [("file", "no transcripts found")]
+        assert main(["replay", "--input", str(path)]) == EXIT_THRESHOLD
+        assert "no transcripts found" in capsys.readouterr().out
 
 
 class TestSnapshots:

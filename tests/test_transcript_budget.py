@@ -144,8 +144,8 @@ WARM_UP = 70  # sessions per protocol first, so caches and tables are full
 EAGER_BYTES_PER_SESSION = 2300
 
 
-def retained_bytes_per_session(path):
-    """tracemalloc bytes per kept session: recorded, then written to path, then read."""
+def warmed_up_pairs():
+    """(protocol module, tag, reader, rng) for FWCFP and LWJX, WARM_UP sessions in."""
     f_rng = Rng(7, stream=0)
     f_db = fwcfp.FwcfpReaderDb.create(fwcfp.FwcfpParams(), f_rng)
     f_tag = f_db.provision_tag(f_rng)
@@ -156,6 +156,12 @@ def retained_bytes_per_session(path):
     for protocol, tag, db, rng in pairs:
         for _ in range(WARM_UP):
             protocol.run_honest_session(tag, db, rng, disclose_secrets=True)
+    return pairs
+
+
+def retained_bytes_per_session(path):
+    """tracemalloc bytes per kept session: recorded, then written to path, then read."""
+    pairs = warmed_up_pairs()
     gc.collect()
     tracemalloc.start()
     try:
@@ -189,3 +195,41 @@ def test_kept_transcripts_take_no_more_memory_than_eager_ones(tmp_path):
     assert written <= EAGER_BYTES_PER_SESSION
     # built entries replace the log: a transcript never holds both
     assert read <= EAGER_BYTES_PER_SESSION
+
+
+# Replay reads one transcript at a time, so its peak does not grow with
+# the file: at 06dff86, which parsed the whole file first, the 2000-session
+# file peaked about 4.8 MB above the 200-session one.
+STREAMED_PEAK_SLACK = 200_000
+
+
+def replay_peak_bytes(path):
+    """The tracemalloc peak, in bytes, of replaying path; the replay must pass."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = replay_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok, report.describe()
+    return peak
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the slack was measured on CPython 3.11",
+)
+def test_replay_memory_does_not_grow_with_the_file(tmp_path):
+    pairs = warmed_up_pairs()
+    kept = [
+        protocol.run_honest_session(tag, db, rng, disclose_secrets=True).transcript
+        for _ in range(SESSIONS_KEPT // 2)
+        for protocol, tag, db, rng in pairs
+    ]
+    small, large = tmp_path / "200.jsonl", tmp_path / "2000.jsonl"
+    write_jsonl(small, kept[:200])
+    write_jsonl(large, kept)
+    del kept
+    replay_peak_bytes(small)  # so that caches fill before either peak is taken
+    assert replay_peak_bytes(large) - replay_peak_bytes(small) <= STREAMED_PEAK_SLACK
