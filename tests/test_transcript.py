@@ -833,7 +833,7 @@ class TestStreamedReplay:
 
     def test_an_empty_file_has_no_transcripts(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
-        path.write_text("\n \n")
+        path.write_text("")
         report = replay_file(path)
         assert [(i.field, i.message) for i in report.issues] == [("file", "no transcripts found")]
         assert main(["replay", "--input", str(path)]) == EXIT_THRESHOLD

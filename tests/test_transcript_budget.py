@@ -5,8 +5,9 @@ transcript's entries, with their fields dicts, are built from that log
 only when someone reads them, and writing needs none of them. These tests
 pin both budgets: no fields dict and no entry while a transcript is
 unread, exactly the entries of an eager driver on the first read and none
-on the next, none at all to replay a file, and retained bytes per session
-no more than the eager driver's.
+on the next, none at all to replay a file, retained bytes per session
+no more than the eager driver's, and a replay peak that does not grow
+with the file.
 """
 
 import gc
