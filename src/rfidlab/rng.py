@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import hashlib
 from _random import Random
 
 from .bits import BitString
+from .crypto import _sha256
 
 _MASK64 = (1 << 64) - 1
 
@@ -22,10 +22,9 @@ class _FirstDraw:
     def __get__(self, rng, owner=None):
         if rng is None:
             return self
-        material = hashlib.sha256(
-            b"rfidlab.rng:"
-            + rng.seed.to_bytes(8, "big")
-            + rng.stream.to_bytes(8, "big")
+        # seed and stream are masked to 64 bits: 8 bytes each, seed first
+        material = _sha256(
+            b"rfidlab.rng:" + (rng.seed << 64 | rng.stream).to_bytes(16, "big")
         ).digest()
         gen = rng._gen = Random(int.from_bytes(material, "big"))
         return gen

@@ -54,7 +54,7 @@ def params_from_dict(cls, doc):
         unknown = sorted(doc.keys() - names)
         if unknown:
             raise ValueError(f"unknown params {', '.join(unknown)}")
-        raise ValueError(f"params lack {', '.join(names - doc.keys())}")
+        raise ValueError(f"params lack {', '.join(sorted(names - doc.keys()))}")
     for name, value in doc.items():
         if type(value) is not int:
             raise ValueError(f"params {name} must be an integer, got {value!r}")
@@ -174,23 +174,18 @@ def drive(
     honest emission, every tamper or block event, every reject marker and
     verdict, as the message or verdict object delivered; their fields and
     the transcript's entries are built only if someone reads them.
+
+    Each flow goes through ``deliver(flow, sender, message)``, which returns
+    the message that arrives. With no interposer that is ``Transcript.add``
+    itself, which logs the message and returns it, so an honest flow costs
+    one call; with one it is :func:`_interposed`.
     """
     sid, flow1 = db.begin(rng)
     transcript = Transcript(sid, protocol.name, db.params)
     if disclose_secrets:
         transcript.secrets = protocol.disclose(tag)
     add = transcript.add
-
-    def deliver(flow, sender, message):
-        add(flow, sender, message)
-        if interpose is None:
-            return message
-        delivered = interpose(flow, message)
-        if delivered is None:
-            add(flow, "adversary", None, "blocked")
-        elif delivered is not message:
-            add(flow, "adversary", delivered, "tampered")
-        return delivered
+    deliver = add if interpose is None else _interposed(add, interpose)
 
     message = deliver("flow1", "reader", flow1)
     if message is None:
@@ -216,3 +211,18 @@ def drive(
     if disclose_secrets:
         transcript.secrets.update(protocol.disclose_after(tag))
     return SessionResult(transcript, reader_verdict, tag_verdict)
+
+
+def _interposed(add, interpose):
+    """A ``deliver`` that logs each flow, hands it to ``interpose`` and logs what that did."""
+
+    def deliver(flow, sender, message):
+        add(flow, sender, message)
+        delivered = interpose(flow, message)
+        if delivered is None:
+            add(flow, "adversary", None, "blocked")
+        elif delivered is not message:
+            add(flow, "adversary", delivered, "tampered")
+        return delivered
+
+    return deliver

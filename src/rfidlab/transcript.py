@@ -100,18 +100,20 @@ class Transcript:
         self._log = []
 
     def add(self, flow: str, sender: str, fields, note: str | None = None):
-        """Append an entry.
+        """Append an entry and return ``fields``, the source it logged.
 
         ``fields`` is the entry's fields dict, None for no fields, or a
         message or verdict whose ``fields()`` gives them when the entry is
         built. Messages and verdicts are frozen, so that is the dict that
-        ``fields()`` would give now.
+        ``fields()`` would give now. Returning it lets the session driver
+        use ``add`` as the delivery of a flow no adversary sits on.
         """
         log = self._log
         if log is None:
             self._entries.append(TranscriptEntry(flow, sender, _fields(fields), note))
         else:
             log += (flow, sender, fields, note)
+        return fields
 
     @property
     def entries(self) -> list[TranscriptEntry]:

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rfidlab
 from rfidlab.cli import (
     DEFAULT_SEED,
     EXIT_CONFIG,
@@ -302,6 +306,29 @@ class TestMalformedInputs:
         path.write_text("\n".join(lines) + "\n")
         assert run(["replay", "--input", str(path)]) == EXIT_CONFIG
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2", "3", "4"])
+    def test_transcript_params_lacking_several_names_them_sorted(self, tmp_path, hash_seed):
+        # the missing names are a set, whose order follows the string hash
+        # seed: each seed runs in its own interpreter
+        lines = (FIXTURES / "fwcfp_honest.jsonl").read_text().splitlines()
+        meta = json.loads(lines[0])
+        meta["params"] = {"id_bits": 96}
+        lines[0] = json.dumps(meta, sort_keys=True)
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        src = Path(rfidlab.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-m", "rfidlab.cli", "replay", "--input", str(path)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == EXIT_CONFIG
+        assert out.stderr == (
+            "error: session s0: params lack hash_bits, key_bits, nonce_bits, rand0_bits\n"
+        )
 
     def lwjx_snapshot(self, tmp_path):
         path = tmp_path / "db.json"

@@ -1,9 +1,16 @@
 import hashlib
+import importlib.util
 import math
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rfidlab
 from rfidlab import crypto
 from rfidlab.bits import BitString, WidthError
 from rfidlab.crypto import (
@@ -252,6 +259,7 @@ class TestOracleTable:
             ((96, 5, 96), (96, -5, 96), OverflowError),
             ((8, 5, 8), (8, 0x105, 8), OverflowError),  # 5 in its low 8 bits
             ((96, 5, 96), (96, 5, 0), ValueError),
+            ((96, 5, 96), (-8, 5, 96), ValueError),  # a negative byte length
         ],
     )
     def test_a_bad_query_still_raises_after_a_near_one_was_answered(self, answered, bad, error):
@@ -408,3 +416,30 @@ def test_truncation_collision_rate_matches_birthday_expectation(n):
     assert abs(collisions - mean) <= 3 * sd, (
         f"n={n}: {collisions} colliding pairs, expected {mean:.1f} +- {sd:.1f}"
     )
+
+
+@pytest.mark.skipif(
+    not (importlib.util.find_spec("_sha256") or importlib.util.find_spec("_sha2")),
+    reason="the interpreter has no builtin SHA-256 module",
+)
+def test_importing_every_module_leaves_openssl_unloaded():
+    # hashlib loads OpenSSL's _hashlib; a fresh interpreter shows whether any
+    # rfidlab module, the benchmark's set-up probe's included, pulls it in
+    src = Path(rfidlab.__file__).resolve().parent.parent
+    modules = [f"rfidlab.{m.name}" for m in pkgutil.iter_modules(rfidlab.__path__)]
+    assert len(modules) >= 11
+    probe = (
+        "import importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "print('_hashlib' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *modules],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"

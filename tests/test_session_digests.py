@@ -36,6 +36,7 @@ def _tamper(name, change):
 
 FWCFP_CASES = {
     "honest": None,
+    "passthrough": lambda flow, m: m,
     "flow1-blocked": _block("flow1"),
     "flow2-blocked": _block("flow2"),
     "flow2-tampered": _tamper(
@@ -50,6 +51,7 @@ FWCFP_CASES = {
 
 LWJX_CASES = {
     "honest": None,
+    "passthrough": lambda flow, m: m,
     "flow1-blocked": _block("flow1"),
     "flow2-blocked": _block("flow2"),
     "flow2-tampered": _tamper(
@@ -61,6 +63,8 @@ LWJX_CASES = {
 
 FWCFP_DIGESTS = {
     "honest": "6cf027ab30050d560579a017f2d1826f981854769b207b5e45483436e89af1f4",
+    # an interposer that passes every flow records what no interposer does
+    "passthrough": "6cf027ab30050d560579a017f2d1826f981854769b207b5e45483436e89af1f4",
     "flow1-blocked": "bdbd0416a8d97e16866051e2b5a1f0615d0132f81b59ee00ddf5d84ee42dc5fb",
     "flow2-blocked": "5ba98546f67b52321a5fa95c925ad618d54ac188cf008dc7dc6d47be06b526b7",
     "flow2-tampered": "b633c12014af21bd82226ea4cbaa94472ee8dc2c35a4b332d8b4fc873cbb2af8",
@@ -71,6 +75,7 @@ FWCFP_DIGESTS = {
 
 LWJX_DIGESTS = {
     "honest": "2c52f4fd85c76887a6c96e284c26a7182dc10ac1ff7089bd5516d0f04f030484",
+    "passthrough": "2c52f4fd85c76887a6c96e284c26a7182dc10ac1ff7089bd5516d0f04f030484",
     "flow1-blocked": "d4ae785256aced08c82cf6facb0ed885c14b84d696cf02a6accf8f2589b14e1e",
     "flow2-blocked": "52dcf8bdbe9c4ea4cfcbfefa2545834d616ecb64c8cb62ec83203d78fc54847c",
     "flow2-tampered": "5b3c0a346cdd8ef5f3dd65f846e07ea16031a209d69c7b8ce4102299c71b5af8",
