@@ -3,10 +3,9 @@
 Everything here is derived from SHA-256 (``HASH_NAME``) with a one-byte
 domain tag, so the two protocol hash oracles H and G look independent and
 the permutation's round functions are separated from both. The digests
-come from the interpreter's builtin SHA-256 module, as ``random.py`` takes
-its SHA-512: ``hashlib`` would load OpenSSL, whose set-up per call costs
-more than hashing a message this short (about 300 against 230 ns for 33
-bytes), and whose import adds about 2 ms to start-up. The hash of a
+come from the interpreter's builtin SHA-256, as ``random.py`` takes its
+SHA-512: OpenSSL, which ``hashlib`` loads, costs about 2 ms to import and
+more per call than a 33-byte message (300 against 230 ns). The hash of a
 message is the first n bits of SHA-256 over
 
     domain_tag || canonical bytes of the message || 8-byte width

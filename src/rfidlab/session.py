@@ -175,10 +175,9 @@ def drive(
     verdict, as the message or verdict object delivered; their fields and
     the transcript's entries are built only if someone reads them.
 
-    Each flow goes through ``deliver(flow, sender, message)``, which returns
-    the message that arrives. With no interposer that is ``Transcript.add``
-    itself, which logs the message and returns it, so an honest flow costs
-    one call; with one it is :func:`_interposed`.
+    ``deliver(flow, sender, message)`` logs a flow and returns what arrives:
+    ``Transcript.add`` itself when no one interposes, so a flow costs one
+    call, else :func:`_interposed`.
     """
     sid, flow1 = db.begin(rng)
     transcript = Transcript(sid, protocol.name, db.params)

@@ -1000,11 +1000,6 @@ class TestParamsFromDict:
         with pytest.raises(ValueError):
             params_from_dict(lwjx.LwjxParams, doc)
 
-    def test_missing_params_are_named_in_sorted_order(self):
-        with pytest.raises(ValueError) as caught:
-            params_from_dict(fwcfp.FwcfpParams, {"id_bits": 96})
-        assert str(caught.value) == "params lack hash_bits, key_bits, nonce_bits, rand0_bits"
-
     def test_equal_documents_share_one_params_object(self):
         doc = {"bits": 8, "hash_bits": 8, "m_limit": 5}
         params = params_from_dict(lwjx.LwjxParams, doc)
