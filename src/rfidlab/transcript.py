@@ -9,11 +9,12 @@ rejection looks the same.
 A transcript records lazily, since most are never read: the session
 driver logs each message or verdict object it delivers, and the reader
 each parsed entry line's fields dict, with flow, sender and note. The
-entries, with their fields dicts, and the params dict are built from
-that log on first read, and the log is then dropped, so a transcript
-never holds both. Writing and replay read the log and build neither.
-Disclosed secrets are recorded at once, since the tag changes after the
-session.
+log is a transcript's one store. A read of an entry's fields builds the
+dict and puts it in the log in its source's place, so it is built once;
+each read of ``entries`` builds a new list of entries over those dicts,
+which the transcript does not keep. The params dict is built on first
+read. Writing and replay read the log and build no entry. Disclosed
+secrets are recorded at once, since the tag changes after the session.
 
 On disk a transcript is one meta line followed by one JSON object per
 entry, with every BitString in canonical "<width>:<hex>" text. The lines
@@ -39,9 +40,8 @@ from __future__ import annotations
 
 import json
 from _json import encode_basestring_ascii, make_encoder
-from dataclasses import dataclass
 from sys import intern
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .bits import BitString, literal_bits
 from .crypto import HASH_NAME
@@ -61,8 +61,7 @@ _ITERENCODE = make_encoder(
 _SCAN = json.JSONDecoder().scan_once
 
 
-@dataclass(slots=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     flow: str  # "flow1".."flow4", "reject" or "verdict"
     sender: str  # "reader", "tag" or "adversary"
     fields: dict
@@ -73,15 +72,15 @@ class Transcript:
     """One session's transcript: its entries in order, its params and secrets.
 
     ``add`` is the only way entries come in, from the session driver and
-    from ``read_jsonl`` alike: it logs what it is given, and ``entries``
-    builds the TranscriptEntry list from that log on first read and drops
-    the log, so the two never live side by side; ``delivered`` builds only
-    the fields dict it returns. ``params`` may likewise be a protocol's
-    params object; its ``to_dict()`` is built on first read.
-    ``write_jsonl`` builds neither: it writes straight from the log.
+    from ``read_jsonl`` alike: it logs what it is given, and the log is
+    the one store. ``entries`` and ``delivered`` build each fields dict
+    they read once, in the log's slot for it; ``entries`` returns a new
+    list of read-only entries on each read. ``params`` may likewise be a
+    protocol's params object; its ``to_dict()`` is built on first read.
+    ``write_jsonl`` builds no entry: it writes straight from the log.
     """
 
-    __slots__ = ("session", "protocol", "secrets", "_params", "_entries", "_log")
+    __slots__ = ("session", "protocol", "secrets", "_params", "_log")
 
     def __init__(
         self,
@@ -94,36 +93,30 @@ class Transcript:
         self.protocol = protocol
         self.secrets = secrets
         self._params = params
-        self._entries = None
         # flow, sender, fields source and note of each entry added, four
-        # slots apiece; None once the entries are built
+        # slots apiece; a source is replaced by its fields dict once read
         self._log = []
 
     def add(self, flow: str, sender: str, fields, note: str | None = None):
         """Append an entry and return ``fields``, the source it logged.
 
         ``fields`` is the entry's fields dict, None for no fields, or a
-        message or verdict whose ``fields()`` gives them when the entry is
-        built. Messages and verdicts are frozen, so that is the dict that
+        message or verdict whose ``fields()`` gives them when they are
+        read. Messages and verdicts are frozen, so that is the dict that
         ``fields()`` would give now. Returning it lets the session driver
         use ``add`` as the delivery of a flow no adversary sits on.
         """
-        log = self._log
-        if log is None:
-            self._entries.append(TranscriptEntry(flow, sender, _fields(fields), note))
-        else:
-            log += (flow, sender, fields, note)
+        self._log += (flow, sender, fields, note)
         return fields
 
     @property
     def entries(self) -> list[TranscriptEntry]:
-        if self._log is not None:
-            self._entries = [
-                TranscriptEntry(flow, sender, _fields(source), note)
-                for flow, sender, source, note in self._sources()
-            ]
-            self._log = None
-        return self._entries
+        """A new list of the entries; their fields dicts are the log's own."""
+        log = self._log
+        for i in range(2, len(log), 4):
+            log[i] = _fields(log[i])
+        it = iter(log)
+        return [TranscriptEntry(*entry) for entry in zip(it, it, it, it)]
 
     @property
     def params(self):
@@ -135,16 +128,10 @@ class Transcript:
 
         When an adversary entry for the flow exists it supersedes the
         honest sender's entry; a "blocked" entry means nothing arrived.
-        Before the entries are built, only this entry's fields are: the
-        dict takes its source's place in the log, so the entry built
-        later holds this same dict.
+        Only this entry's fields are built: the dict takes its source's
+        place in the log, so ``entries`` holds this same dict.
         """
         log = self._log
-        if log is None:
-            for entry in reversed(self._entries):
-                if entry.flow == flow:
-                    return None if entry.note == "blocked" else entry.fields
-            return None
         for i in range(len(log) - 4, -1, -4):
             if log[i] == flow:
                 if log[i + 3] == "blocked":
@@ -152,14 +139,6 @@ class Transcript:
                 fields = log[i + 2] = _fields(log[i + 2])
                 return fields
         return None
-
-    def _sources(self):
-        """(flow, sender, fields source, note) of each entry: from the log while there is one."""
-        log = self._log
-        if log is None:
-            return ((e.flow, e.sender, e.fields, e.note) for e in self._entries)
-        it = iter(log)
-        return zip(it, it, it, it)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -225,7 +204,7 @@ def _text(doc: dict, key: str) -> str:
 
 
 def transcript_to_lines(transcript: Transcript) -> list[str]:
-    """The transcript's JSON lines; one that records lazily is written from its log.
+    """The transcript's JSON lines, written from its log.
 
     The fields and params dicts built here are the lines' alone: the
     transcript keeps its log and its params object, and builds no entries.
@@ -242,7 +221,8 @@ def transcript_to_lines(transcript: Transcript) -> list[str]:
         meta["secrets"] = transcript.secrets
     join = "".join
     lines = [join(_ITERENCODE(meta, 0))]
-    for flow, sender, source, note in transcript._sources():
+    it = iter(transcript._log)
+    for flow, sender, source, note in zip(it, it, it, it):
         doc = {
             "type": "entry",
             "session": transcript.session,

@@ -178,6 +178,18 @@ class TestRecordedMatchesLoaded:
         write_jsonl(path, [t])
         assert list(read_jsonl(path)) == [t]
 
+    def test_entries_are_read_only_views_of_the_log(self, protocol, case):
+        t = recorded(protocol, case)
+        with pytest.raises(AttributeError):
+            t.entries[0].note = "x"
+        assert t.entries[0].note is None
+        # a change to an entry's fields is one to the log's dict
+        last = {e.flow: e for e in t.entries}  # the entry that each flow delivered
+        for flow in ("flow1", "flow2", "flow3", "flow4"):
+            if flow in last and last[flow].note != "blocked":
+                last[flow].fields["extra"] = flow
+                assert t.delivered(flow)["extra"] == flow
+
 
 def mixed_transcripts():
     """Both protocols, with tampered, blocked and rejected sessions."""
