@@ -17,15 +17,15 @@ read. Writing and replay read the log and build no entry. Disclosed
 secrets are recorded at once, since the tag changes after the session.
 
 On disk a transcript is one meta line followed by one JSON object per
-entry, with every BitString in canonical "<width>:<hex>" text. The lines
-are written by one C encoder built at import, with the settings that
-``json.dumps(doc, sort_keys=True)`` uses, so the writer makes no encoder
-per line. The reader turns each field string that is a canonical literal
-into a BitString through ``bits.literal_bits``, the function that
-``BitString.parse`` uses too. It interns (``sys.intern``) every name it
-keeps: each entry's flow, sender and note, the meta line's protocol, the
-keys of fields, secrets and params, and every field string that is not a
-literal. A parsed file so holds one copy of each name, not one per line.
+entry, with every BitString in canonical "<width>:<hex>" text: the bytes
+of ``json.dumps(doc, sort_keys=True)``, joined from fixed pieces with no
+doc built (see ``transcript_to_lines``). The reader turns each field
+string that is a canonical literal into a BitString through
+``bits.literal_bits``, the function that ``BitString.parse`` uses too.
+It interns (``sys.intern``) every name it keeps: each entry's flow,
+sender and note, the meta line's protocol, the keys of fields, secrets
+and params, and every field string that is not a literal. A parsed file
+so holds one copy of each name, not one per line.
 
 ``read_jsonl`` reads a file one transcript at a time: it yields each
 transcript once the next meta line, or the end of the file, shows that
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 from _json import encode_basestring_ascii, make_encoder
+from functools import lru_cache
 from sys import intern
 from typing import Iterable, Iterator, NamedTuple
 
@@ -52,7 +53,7 @@ SCHEMA_VERSION = 1
 # built once: (markers, default, string encoder, indent, key separator, item
 # separator, sort_keys, skipkeys, allow_nan). It writes each BitString as its
 # canonical literal; markers=None drops the cycle check, as no transcript
-# holds a cycle. _ITERENCODE(doc, 0) gives the pieces of one line.
+# holds a cycle. _ITERENCODE(value, 0) gives the pieces of its JSON text.
 _ITERENCODE = make_encoder(
     None, BitString.render, encode_basestring_ascii, None, ": ", ", ", True, False, True
 )
@@ -120,7 +121,9 @@ class Transcript:
 
     @property
     def params(self):
-        self._params = _params_doc(self._params)
+        """The params dict: a params object's ``to_dict()``, built on first read."""
+        if hasattr(self._params, "to_dict"):
+            self._params = self._params.to_dict()
         return self._params
 
     def delivered(self, flow: str) -> dict | None:
@@ -165,9 +168,12 @@ def _fields(source) -> dict:
     return source.fields()
 
 
-def _params_doc(params):
-    """``params`` as transcripts hold them: a params object's ``to_dict()``, else as it is."""
-    return params.to_dict() if hasattr(params, "to_dict") else params
+# A params object's document as JSON text, encoded once per distinct object,
+# as session._build_params builds each parsed one once. Equal objects share
+# it, as their widths are ints (params_from_dict reads back no other).
+@lru_cache(maxsize=64)
+def _params_text(params) -> str:
+    return "".join(_ITERENCODE(params.to_dict(), 0))
 
 
 def _decode_fields(fields: dict, values: dict) -> dict:
@@ -206,33 +212,37 @@ def _text(doc: dict, key: str) -> str:
 def transcript_to_lines(transcript: Transcript) -> list[str]:
     """The transcript's JSON lines, written from its log.
 
-    The fields and params dicts built here are the lines' alone: the
-    transcript keeps its log and its params object, and builds no entries.
+    Each line is joined from fixed pieces in the key order of
+    ``json.dumps(doc, sort_keys=True)``, which wrote the committed
+    fixtures and pinned digests, so their bytes stay the same: ``hash``,
+    ``params``, ``protocol``, ``schema``, [``secrets``], ``session``,
+    ``type`` on the meta line; ``fields``, ``flow``, [``note``],
+    ``sender``, ``session``, ``type`` on an entry line. Session,
+    protocol, flow, sender and note are ``str`` (every driver passes
+    ``str``; ``read_jsonl`` requires it) and go through the C string
+    encoder, the session once per transcript. Only the fields, secrets
+    and params dicts go through ``_ITERENCODE``, and a params object's
+    document once per distinct object. The transcript builds no entries.
     """
-    meta = {
-        "type": "meta",
-        "schema": SCHEMA_VERSION,
-        "session": transcript.session,
-        "protocol": transcript.protocol,
-        "hash": HASH_NAME,
-        "params": _params_doc(transcript._params),
-    }
-    if transcript.secrets is not None:
-        meta["secrets"] = transcript.secrets
+    encode = encode_basestring_ascii
     join = "".join
-    lines = [join(_ITERENCODE(meta, 0))]
+    session = encode(transcript.session)
+    params = transcript._params
+    params = _params_text(params) if hasattr(params, "to_dict") else join(_ITERENCODE(params, 0))
+    secrets = transcript.secrets
+    secrets = "" if secrets is None else f', "secrets": {join(_ITERENCODE(secrets, 0))}'
+    lines = [
+        f'{{"hash": "{HASH_NAME}", "params": {params}, "protocol": {encode(transcript.protocol)}'
+        f', "schema": {SCHEMA_VERSION}{secrets}, "session": {session}, "type": "meta"}}'
+    ]
+    tail = f', "session": {session}, "type": "entry"}}'
     it = iter(transcript._log)
     for flow, sender, source, note in zip(it, it, it, it):
-        doc = {
-            "type": "entry",
-            "session": transcript.session,
-            "flow": flow,
-            "sender": sender,
-            "fields": _fields(source),
-        }
-        if note is not None:
-            doc["note"] = note
-        lines.append(join(_ITERENCODE(doc, 0)))
+        note = "" if note is None else f', "note": {encode(note)}'
+        lines.append(
+            f'{{"fields": {join(_ITERENCODE(_fields(source), 0))}, "flow": {encode(flow)}{note}'
+            f', "sender": {encode(sender)}{tail}'
+        )
     return lines
 
 

@@ -100,7 +100,7 @@ class TestSerialization:
         t.add("flow3", "adversary", {}, note="blocked")
         assert t.delivered("flow3") is None
 
-    def test_repr_is_the_dataclass_form(self):
+    def test_repr_lists_the_entries_as_named_tuples(self):
         t = Transcript(session="s", protocol="fwcfp", params={"bits": 8})
         t.add("flow1", "reader", {"rand1": BitString(8, 1)})
         assert repr(t) == (
@@ -364,12 +364,24 @@ def transcript_of(entries, **meta):
     return t
 
 
+# Params objects over drawn widths, up to 300 bits: the writer encodes an
+# object's document once and reuses the text for every equal object.
+WIDTHS = st.integers(1, 300)
+FWCFP_WIDTHS = st.tuples(WIDTHS, WIDTHS, WIDTHS, WIDTHS, WIDTHS).filter(
+    lambda w: (w[0] + w[4]) % 2 == 0  # id_bits + rand0_bits is even
+)
+PARAMS_OBJECTS = FWCFP_WIDTHS.map(lambda w: fwcfp.FwcfpParams(*w)) | st.builds(
+    lwjx.LwjxParams, WIDTHS, WIDTHS, st.integers(0, 9)
+)
 TRANSCRIPTS = st.builds(
     transcript_of,
     st.lists(ENTRIES, max_size=5),
     session=st.text(max_size=8),
     protocol=st.text(max_size=8),
-    params=st.dictionaries(st.text(max_size=8), st.integers(), max_size=3),
+    # a shared object is the same one in every transcript of a drawn list
+    params=st.dictionaries(st.text(max_size=8), st.integers(), max_size=3)
+    | PARAMS_OBJECTS
+    | st.shared(PARAMS_OBJECTS, key="params"),
     secrets=st.none() | FIELDS,
 )
 
@@ -408,15 +420,16 @@ class TestDecodeSemantics:
     @settings(max_examples=200, deadline=None)
     @given(transcripts=st.lists(TRANSCRIPTS, min_size=1, max_size=3))
     def test_lines_and_round_trip_match_the_reference(self, transcripts):
-        for t in transcripts:
-            assert transcript_to_lines(t) == reference_lines(t)
+        # written before the reference reads t.params, which turns a params
+        # object into its dict for good, so the writer sees the object
+        lines = [transcript_to_lines(t) for t in transcripts]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.jsonl"
             write_jsonl(path, transcripts)
             text = path.read_text(encoding="utf-8")
-            assert text == "".join(
-                line + "\n" for t in transcripts for line in reference_lines(t)
-            )
+            references = [reference_lines(t) for t in transcripts]
+            assert lines == references
+            assert text == "".join(line + "\n" for reference in references for line in reference)
             assert list(read_jsonl(path)) == transcripts
 
 

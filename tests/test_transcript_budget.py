@@ -6,7 +6,8 @@ only when someone reads them, and writing needs none of them. These tests
 pin both budgets: no fields dict and no entry while a transcript is
 unread, exactly the entries of an eager driver on the first read, no
 fields dict on the next and a new entry list on each, none at all to
-replay a file, retained bytes per session no more than the eager
+replay a file, one params document for the transcripts that share a
+params object, retained bytes per session no more than the eager
 driver's, no entry kept by a read, and a replay peak that does not grow
 with the file.
 """
@@ -20,10 +21,11 @@ from pathlib import Path
 import pytest
 
 from rfidlab import fwcfp, lwjx, transcript
+from rfidlab.bits import BitString
 from rfidlab.replay import replay_file
 from rfidlab.rng import Rng
-from rfidlab.session import Message, SessionVerdict
-from rfidlab.transcript import TranscriptEntry, transcript_to_lines, write_jsonl
+from rfidlab.session import Message, Params, SessionVerdict
+from rfidlab.transcript import Transcript, TranscriptEntry, transcript_to_lines, write_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -94,7 +96,7 @@ SESSIONS = {
 
 
 @pytest.mark.parametrize("case", sorted(SESSIONS))
-def test_entries_are_built_on_first_read_only(built, case):
+def test_fields_are_built_once_and_entries_on_every_read(built, case):
     run, shape, first_read = SESSIONS[case]
     t = run()
     assert built == {}  # unread: no fields dict, no entry
@@ -129,6 +131,21 @@ def test_a_change_to_read_fields_persists(built, case, first):
     assert built["SessionVerdict"] == first_read["SessionVerdict"]
     assert built["TranscriptEntry"] == reads * first_read["TranscriptEntry"]
     assert '"extra": 1' in transcript_to_lines(t)[2]
+
+
+def test_a_shared_params_object_is_encoded_once(monkeypatch, tmp_path):
+    # widths no other test writes, so no earlier write has cached them
+    params = lwjx.LwjxParams(bits=1001, hash_bits=1003, m_limit=7)
+    calls = []
+    to_dict = Params.to_dict
+    monkeypatch.setattr(Params, "to_dict", lambda self: calls.append(self) or to_dict(self))
+    kept = []
+    for i in range(100):
+        t = Transcript(f"s{i}", "lwjx", params)
+        t.add("flow1", "reader", {"rr": BitString(8, i)})
+        kept.append(t)
+    write_jsonl(tmp_path / "t.jsonl", kept)
+    assert calls == [params]
 
 
 @pytest.mark.parametrize("fixture", ["fwcfp_honest.jsonl", "lwjx_honest.jsonl"])
