@@ -52,6 +52,7 @@ class FwcfpParams(Params):
     rand0_bits: int = 32
 
     def __post_init__(self):
+        super().__post_init__()
         for name in self.__dataclass_fields__:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")

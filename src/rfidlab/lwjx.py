@@ -65,6 +65,7 @@ class LwjxParams(Params):
     m_limit: int = 5
 
     def __post_init__(self):
+        super().__post_init__()
         if self.bits < 1:
             raise ValueError("bits must be positive")
         if self.hash_bits < 1:

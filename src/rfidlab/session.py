@@ -31,6 +31,14 @@ class ProtocolError(ValueError):
 class Params:
     """Base of both protocols' params dataclasses: the document of their fields."""
 
+    def __post_init__(self):
+        # what params_from_dict requires of a document, so that equal params
+        # write one document: 96.0 and True compare equal to 96 and 1
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+
     def to_dict(self) -> dict:
         """The fields by name, in their order: what ``params_from_dict`` reads back."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}

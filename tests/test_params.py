@@ -56,6 +56,13 @@ class TestDerivedParams:
         body = ", ".join(f"{name}={getattr(params, name)!r}" for name in fields)
         assert repr(params) == f"{type(params).__name__}({body})"
 
+    @pytest.mark.parametrize("value", [96.0, True])
+    def test_widths_must_be_ints(self, params, widths, derived, value):
+        # as params_from_dict requires: equal params write one document
+        name = next(iter(widths))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            dataclasses.replace(params, **{name: value})
+
     def test_equal_params_compare_and_hash_equal(self, params, widths, derived):
         twin = type(params)(**params.to_dict())
         assert twin == params
