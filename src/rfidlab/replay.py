@@ -106,7 +106,8 @@ def _verify_fwcfp(t: Transcript, params: fwcfp.FwcfpParams) -> Iterator[tuple]:
         yield "A/B", alias1, alias2
     flow4 = t.delivered("flow4")
     if flow4 is not None:
-        yield "ok", True, flow4.get("ok")
+        # only JSON true: 1 and 1.0 compare equal to True
+        yield "ok", True, flow4.get("ok") is True
 
 
 def _verify_lwjx(t: Transcript, params: lwjx.LwjxParams) -> Iterator[tuple]:

@@ -20,20 +20,19 @@ On disk a transcript is one meta line followed by one JSON object per
 entry, with every BitString in canonical "<width>:<hex>" text: the bytes
 of ``json.dumps(doc, sort_keys=True)``, joined from fixed pieces with no
 doc built (see ``transcript_to_lines``). The reader turns each field
-string that is a canonical literal into a BitString through
-``bits.literal_bits``, the function that ``BitString.parse`` uses too.
-It interns (``sys.intern``) every name it keeps: each entry's flow,
-sender and note, the meta line's protocol, the keys of fields, secrets
-and params, and every field string that is not a literal. A parsed file
-so holds one copy of each name, not one per line.
+string that is a canonical literal into a BitString, in the parsed
+fields dict itself, through ``bits.literal_bits``, the function that
+``BitString.parse`` uses too; every other value stays as JSON gave it.
 
 ``read_jsonl`` reads a file one transcript at a time: it yields each
 transcript once the next meta line, or the end of the file, shows that
-its entries are complete, and keeps only that one and the text field
-values read so far. Replay verifies and drops each transcript before the
-next is read, so it holds one parsed transcript, not the file. A
-malformed line raises its error when the reading reaches it, after the
-transcripts before it have been yielded.
+its entries are complete, and keeps only that one. Replay verifies and
+drops each transcript before the next is read, so it holds one parsed
+transcript, not the file. Names (flow, sender, note, keys, text values)
+are kept as each line's parse gave them, so a caller that keeps a whole
+parsed file keeps a copy of each per line. A malformed line raises its
+error when the reading reaches it, after the transcripts before it have
+been yielded.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from __future__ import annotations
 import json
 from _json import encode_basestring_ascii, make_encoder
 from functools import lru_cache
-from sys import intern
 from typing import Iterable, Iterator, NamedTuple
 
 from .bits import BitString, literal_bits
@@ -176,30 +174,19 @@ def _params_text(params) -> str:
     return "".join(_ITERENCODE(params.to_dict(), 0))
 
 
-def _decode_fields(fields: dict, values: dict) -> dict:
-    """A new dict of ``fields``: interned keys, and each string value parsed.
+def _decode_fields(fields: dict) -> dict:
+    """``fields`` itself, each string of a literal's shape made a BitString.
 
-    A string of a literal's shape becomes a BitString; any other string is
-    interned, and ``values`` keeps the first copy of each, so the copy the
-    interpreter's table holds lives as long as ``values`` does. Other
-    values are kept as they are.
+    Any other value, and every key, is kept as JSON parsed it.
     """
     if not isinstance(fields, dict):
         raise ValueError(f"expected an object of fields, got {fields!r}")
-    decoded = {}
     for k, v in fields.items():
         if isinstance(v, str):
             bits = literal_bits(v)
-            v = intern(values.setdefault(v, v)) if bits is None else bits
-        decoded[intern(k)] = v
-    return decoded
-
-
-def _interned_keys(params):
-    """``params`` with interned keys; as it is when not an object, for replay to report."""
-    if not isinstance(params, dict):
-        return params
-    return {intern(k): v for k, v in params.items()}
+            if bits is not None:
+                fields[k] = bits
+    return fields
 
 
 def _text(doc: dict, key: str) -> str:
@@ -272,11 +259,6 @@ def read_jsonl(path) -> Iterator[Transcript]:
     reaches it, after the transcripts before it have been yielded.
     """
     current: Transcript | None = None  # that of the last meta line
-    # every text field value read so far. A value that no module holds as a
-    # name, such as the verdict reason "new-branch", would otherwise leave
-    # the interpreter's table of interned strings with each transcript
-    # dropped and be added again with the next.
-    values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         try:
             for number, raw in enumerate(handle, start=1):
@@ -313,11 +295,9 @@ def read_jsonl(path) -> Iterator[Transcript]:
                     try:
                         meta = Transcript(
                             session=_text(doc, "session"),
-                            protocol=intern(_text(doc, "protocol")),
-                            params=_interned_keys(doc["params"]),
-                            secrets=_decode_fields(doc["secrets"], values)
-                            if "secrets" in doc
-                            else None,
+                            protocol=_text(doc, "protocol"),
+                            params=doc["params"],
+                            secrets=_decode_fields(doc["secrets"]) if "secrets" in doc else None,
                         )
                     except (KeyError, ValueError) as exc:
                         raise TranscriptFormatError(number, f"bad meta line ({exc})")
@@ -331,10 +311,10 @@ def read_jsonl(path) -> Iterator[Transcript]:
                         if doc["session"] != current.session:
                             raise ValueError(f"session {doc['session']!r} is not the meta line's")
                         current.add(
-                            intern(_text(doc, "flow")),
-                            intern(_text(doc, "sender")),
-                            _decode_fields(doc["fields"], values),
-                            intern(_text(doc, "note")) if "note" in doc else None,
+                            _text(doc, "flow"),
+                            _text(doc, "sender"),
+                            _decode_fields(doc["fields"]),
+                            _text(doc, "note") if "note" in doc else None,
                         )
                     except (KeyError, ValueError) as exc:
                         raise TranscriptFormatError(number, f"bad entry ({exc})")

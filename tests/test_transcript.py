@@ -2,7 +2,6 @@ import dataclasses
 import importlib.util
 import json
 import re
-import sys
 import tempfile
 from pathlib import Path
 
@@ -38,18 +37,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GENERATOR = Path(__file__).parent.parent / "scripts" / "generate_fixtures.py"
 
 
-def fwcfp_disclosed_session(seed=5):
+def fwcfp_disclosed_session(seed=5, interpose=None):
     rng = Rng(seed)
     db = fwcfp.FwcfpReaderDb.create(fwcfp.FwcfpParams(), rng)
     tag = db.provision_tag(rng)
-    return fwcfp.run_honest_session(tag, db, rng, disclose_secrets=True)
+    return fwcfp.run_honest_session(tag, db, rng, interpose=interpose, disclose_secrets=True)
 
 
-def lwjx_disclosed_session(seed=5):
+def lwjx_disclosed_session(seed=5, interpose=None):
     rng = Rng(seed)
     db = lwjx.LwjxReaderDb(lwjx.LwjxParams())
     tag = db.provision(rng)
-    return lwjx.run_honest_session(tag, db, rng, disclose_secrets=True)
+    return lwjx.run_honest_session(tag, db, rng, interpose=interpose, disclose_secrets=True)
 
 
 def retyped(line, **values):
@@ -215,23 +214,10 @@ def mixed_transcripts():
     return [result.transcript for result in results]
 
 
-def kept_names(t):
-    """Every name a parsed transcript keeps: the strings that are not bit strings."""
-    yield t.protocol
-    yield from t.params
-    for fields in [t.secrets or {}] + [e.fields for e in t.entries]:
-        yield from fields
-        yield from (v for v in fields.values() if isinstance(v, str))
-    for e in t.entries:
-        yield from (e.flow, e.sender)
-        if e.note is not None:
-            yield e.note
+class TestMixedFile:
+    """One file of both protocols' honest, tampered, blocked and rejected sessions."""
 
-
-class TestInternedNames:
-    """A parsed file holds one interned copy of each name."""
-
-    def test_every_name_is_interned(self, tmp_path):
+    def test_round_trip_keeps_notes_and_rejects(self, tmp_path):
         written = mixed_transcripts()
         path = tmp_path / "mixed.jsonl"
         write_jsonl(path, written)
@@ -240,10 +226,6 @@ class TestInternedNames:
         notes = {e.note for t in loaded for e in t.entries}
         assert {"tampered", "blocked"} <= notes
         assert any(e.flow == "reject" for t in loaded for e in t.entries)
-        for source in (path, FIXTURES / "fwcfp_honest.jsonl", FIXTURES / "lwjx_honest.jsonl"):
-            names = [name for t in read_jsonl(source) for name in kept_names(t)]
-            assert names
-            assert [name for name in names if sys.intern(name) is not name] == []
 
 
 def bits(value):
@@ -555,6 +537,61 @@ class TestReplay:
         report = replay_file(path)
         assert not report.ok
         assert [issue.field for issue in report.issues] == ["A"]
+
+    @pytest.mark.parametrize(
+        "protocol, target, checked, issues",
+        [
+            ("lwjx", "flow3.hkt", 5, ["hkt", "id_after", "k_after"]),
+            ("lwjx", "flow2.rt", 5, ["id_after", "k_after"]),
+            ("lwjx", "flow2.hk", 2, ["hk"]),
+            ("lwjx", "flow2.hid", 2, ["hid"]),
+            ("lwjx", "flow1.rr", 2, []),
+            ("fwcfp", "flow3.h2", 5, ["h2", "A", "B"]),
+            ("fwcfp", "flow3.a", 5, ["A", "B"]),
+            ("fwcfp", "flow3.b", 5, ["A", "B"]),
+            ("fwcfp", "flow2.rand2", 5, ["A", "B"]),
+            ("fwcfp", "flow2.h1", 2, ["h1"]),
+            ("fwcfp", "flow2.idta", 2, ["idta"]),
+            ("fwcfp", "flow1.rand1", 2, []),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_tampered_session_reports(self, tmp_path, protocol, target, checked, issues, seed):
+        """A driven session whose interposer flips the low bit of one field."""
+        flow, name = target.split(".")
+
+        def flip(at, message):
+            if at != flow:
+                return message
+            value = getattr(message, name)
+            return dataclasses.replace(message, **{name: value ^ BitString(value.width, 1)})
+
+        session = fwcfp_disclosed_session if protocol == "fwcfp" else lwjx_disclosed_session
+        t = session(seed, interpose=flip).transcript
+        path = tmp_path / "tampered.jsonl"
+        write_jsonl(path, [t])
+        for report in (verify_transcript(t), replay_file(path)):
+            assert report.checked == checked
+            assert [(i.field, i.message) for i in report.issues] == [
+                (field, "recomputed value differs from the transcript") for field in issues
+            ]
+
+    @pytest.mark.parametrize(
+        "ok, passes",
+        [("true", True), ("1", False), ("1.0", False), ("false", False), ('"true"', False),
+         (None, False)],
+        ids=["true", "one", "one-point-zero", "false", "string", "missing"],
+    )
+    def test_only_json_true_is_an_ok_flow4(self, tmp_path, ok, passes):
+        text = (FIXTURES / "fwcfp_honest.jsonl").read_text()
+        fields = "{}" if ok is None else f'{{"ok": {ok}}}'
+        path = tmp_path / "t.jsonl"
+        path.write_text(text.replace('{"ok": true}', fields, 1))
+        report = replay_file(path)
+        assert report.checked == 12
+        assert [(i.field, i.message) for i in report.issues] == (
+            [] if passes else [("ok", "recomputed value differs from the transcript")]
+        )
 
     def test_malformed_line_reports_its_number(self, tmp_path):
         result = fwcfp_disclosed_session()
