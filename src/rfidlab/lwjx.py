@@ -95,28 +95,54 @@ class Flow3(Message):
 
 
 class LwjxTag:
-    """Tag side: identifier and key, both rewritten on a verified reply."""
+    """Tag side: identifier and key, both rewritten on a verified reply.
+
+    The tag keeps its identifier, key and pending ``(rr, rt)`` as ints, the
+    form the oracles take, so a session builds a BitString only for its
+    flow fields. ``id`` and ``k`` are read views: each read builds a
+    BitString, and a write (Corrupt's overwrite) takes one of the protocol
+    width.
+    """
+
+    __slots__ = ("params", "_id", "_k", "_session")
 
     def __init__(self, params: LwjxParams, id_: BitString, k: BitString):
-        if id_.width != params.bits or k.width != params.bits:
-            raise ProtocolError("tag secrets must use the protocol width")
         self.params = params
-        self.id = id_
-        self.k = k
-        self._session: tuple[BitString, BitString] | None = None
+        self._id = self._secret(id_)
+        self._k = self._secret(k)
+        self._session: tuple[int, int] | None = None
+
+    @property
+    def id(self) -> BitString:
+        return BitString(self.params.bits, self._id)
+
+    @id.setter
+    def id(self, value: BitString):
+        self._id = self._secret(value)
+
+    @property
+    def k(self) -> BitString:
+        return BitString(self.params.bits, self._k)
+
+    @k.setter
+    def k(self, value: BitString):
+        self._k = self._secret(value)
+
+    def _secret(self, value: BitString) -> int:
+        if value.width != self.params.bits:
+            raise ProtocolError("tag secrets must use the protocol width")
+        return value.value
 
     def respond(self, flow1: Flow1, rng: Rng) -> Flow2:
         p = self.params
         if not isinstance(flow1, Flow1) or flow1.rr.width != p.bits:
             raise ProtocolError("flow1 must carry a nonce of the protocol width")
         rt = rng.bits(p.bits)
-        self._session = (flow1.rr, rt)
-        n = p.bits
+        n, rr = p.bits, flow1.rr.value
+        self._session = (rr, rt.value)
         return Flow2(
-            hid=BitString(p.hash_bits, truncated_hash(p.h, n, self.id.value)),
-            hk=BitString(
-                p.hash_bits, truncated_hash(p.h, 2 * n, (self.k.value << n) | flow1.rr.value)
-            ),
+            hid=BitString(p.hash_bits, truncated_hash(p.h, n, self._id)),
+            hk=BitString(p.hash_bits, truncated_hash(p.h, 2 * n, (self._k << n) | rr)),
             rt=rt,
         )
 
@@ -129,23 +155,99 @@ class LwjxTag:
             raise ProtocolError("no session in progress")
         rr, rt = self._session
         n = p.bits
-        if truncated_hash(p.h, 2 * n, (self.k.value << n) | rt.value) != flow3.hkt.value:
+        if truncated_hash(p.h, 2 * n, (self._k << n) | rt) != flow3.hkt.value:
             return _TAG_BAD_HKT
-        new_id = truncated_hash(p.g, n, self.id.value)
-        self.id = BitString(n, new_id)
-        self.k = BitString(n, new_id ^ rr.value ^ rt.value)
+        new_id = truncated_hash(p.g, n, self._id)
+        self._id = new_id
+        self._k = new_id ^ rr ^ rt
         self._session = None
         return _TAG_ACCEPT
 
 
-@dataclass
+_RECORD_WIDTHS = "record fields must match the protocol widths, old epoch all or nothing"
+
+
+def _check_m(m):
+    if type(m) is not int or m < 0:
+        raise ValueError(f"m must be a non-negative integer, got {m!r}")
+
+
+class _RecordBits:
+    """A record field kept as an int (or None) in the slot ``_<name>``.
+
+    Read, it is a BitString of the record's ``bits`` or ``hash_bits``
+    (None for an empty old epoch); written, it takes a BitString of that
+    width.
+    """
+
+    def __init__(self, width: str):
+        self.width = width
+
+    def __set_name__(self, owner, name):
+        self.name, self.slot = name, "_" + name
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            return self
+        value = getattr(rec, self.slot)
+        return None if value is None else BitString(getattr(rec, self.width), value)
+
+    def __set__(self, rec, bits: BitString):
+        width = getattr(rec, self.width)
+        if not isinstance(bits, BitString) or bits.width != width:
+            raise ValueError(f"{self.name} must be a BitString of {width} bits, got {bits!r}")
+        setattr(rec, self.slot, bits.value)
+
+
 class LwjxReaderRecord:
-    id: BitString
-    h_id_new: BitString
-    h_id_old: BitString | None
-    k_new: BitString
-    k_old: BitString | None
-    m: int = 0
+    """One tag's record: its identifier, both epochs' H(ID) and key, and M.
+
+    The values are kept as ints (None for an empty old epoch), with the
+    identifier width ``bits`` and the hash width ``hash_bits``; the reader
+    reads and rewrites the ints. ``id``, ``h_id_new``, ``h_id_old``,
+    ``k_new`` and ``k_old`` are read views for snapshots, the CLI and
+    tests: each read builds a BitString, and a write takes one of the
+    field's width. The constructor takes BitStrings, checks that the
+    fields agree on the two widths and that the old epoch is all or
+    nothing, and stores their values; ``add_record`` checks the widths
+    against the protocol's.
+    """
+
+    __slots__ = ("bits", "hash_bits", "_id", "_h_id_new", "_h_id_old", "_k_new", "_k_old", "m")
+
+    id = _RecordBits("bits")
+    h_id_new = _RecordBits("hash_bits")
+    h_id_old = _RecordBits("hash_bits")
+    k_new = _RecordBits("bits")
+    k_old = _RecordBits("bits")
+
+    def __init__(
+        self,
+        id: BitString,
+        h_id_new: BitString,
+        h_id_old: BitString | None,
+        k_new: BitString,
+        k_old: BitString | None,
+        m: int = 0,
+    ):
+        bits = self.bits = id.width
+        hash_bits = self.hash_bits = h_id_new.width
+        if (
+            k_new.width != bits
+            or (h_id_old is None) != (k_old is None)
+            or (h_id_old is not None and (h_id_old.width != hash_bits or k_old.width != bits))
+        ):
+            _check_m(m)  # a bad counter is reported before bad widths
+            raise ValueError(_RECORD_WIDTHS)
+        self._id = id.value
+        self._h_id_new = h_id_new.value
+        self._k_new = k_new.value
+        if h_id_old is None:
+            self._h_id_old = self._k_old = None
+        else:
+            self._h_id_old = h_id_old.value
+            self._k_old = k_old.value
+        self.m = m
 
 
 class LwjxReaderDb(Reader):
@@ -170,29 +272,19 @@ class LwjxReaderDb(Reader):
     def add_record(self, rec: LwjxReaderRecord):
         """Append a record and index its epochs.
 
-        The index keys on hash values alone, so the widths are checked here,
-        and so is the counter, which the reader compares with ``m_limit``.
+        The index keys on hash values alone, so the record's widths are
+        checked here, and so is the counter, which the reader compares with
+        ``m_limit``. The record's fields already agree on its two widths.
         """
         p = self.params
-        old_hash, old_key = rec.h_id_old, rec.k_old
-        if type(rec.m) is not int or rec.m < 0:
-            raise ValueError(f"m must be a non-negative integer, got {rec.m!r}")
-        if (
-            rec.id.width != p.bits
-            or rec.k_new.width != p.bits
-            or rec.h_id_new.width != p.hash_bits
-            or (old_hash is None) != (old_key is None)
-            or (old_hash is not None and old_hash.width != p.hash_bits)
-            or (old_key is not None and old_key.width != p.bits)
-        ):
-            raise ValueError(
-                "record fields must match the protocol widths, old epoch all or nothing"
-            )
+        _check_m(rec.m)
+        if rec.bits != p.bits or rec.hash_bits != p.hash_bits:
+            raise ValueError(_RECORD_WIDTHS)
         pos = len(self.records)
         self.records.append(rec)
-        _index(self._by_new, rec.h_id_new.value, pos)
-        if old_hash is not None:
-            _index(self._by_old, old_hash.value, pos)
+        _index(self._by_new, rec._h_id_new, pos)
+        if rec._h_id_old is not None:
+            _index(self._by_old, rec._h_id_old, pos)
 
     def provision(
         self, rng: Rng, id_: BitString | None = None, k: BitString | None = None
@@ -248,22 +340,22 @@ class LwjxReaderDb(Reader):
         if new_bucket is not None:
             for pos in new_bucket:
                 rec = records[pos]
-                shifted_key = rec.k_new.value << n
+                shifted_key = rec._k_new << n
                 if truncated_hash(p.h, width, shifted_key | rr) == hk:
                     reply = truncated_hash(p.h, width, shifted_key | rt)
                     # unindex both epochs before reindexing: at narrow hash
                     # widths the old, current and next H(ID) may coincide
                     _unindex(self._by_new, key, pos)
-                    if rec.h_id_old is not None:
-                        _unindex(self._by_old, rec.h_id_old.value, pos)
+                    if rec._h_id_old is not None:
+                        _unindex(self._by_old, rec._h_id_old, pos)
                     rec.m = 0
-                    new_id = truncated_hash(p.g, n, rec.id.value)
+                    new_id = truncated_hash(p.g, n, rec._id)
                     new_hash = truncated_hash(p.h, n, new_id)
-                    rec.id = BitString(n, new_id)
-                    rec.h_id_old = rec.h_id_new
-                    rec.h_id_new = BitString(p.hash_bits, new_hash)
-                    rec.k_old = rec.k_new
-                    rec.k_new = BitString(n, new_id ^ rr ^ rt)
+                    rec._id = new_id
+                    rec._h_id_old = key  # the new epoch's H(ID), its bucket's key
+                    rec._h_id_new = new_hash
+                    rec._k_old = rec._k_new
+                    rec._k_new = new_id ^ rr ^ rt
                     _index(self._by_old, key, pos)
                     _index(self._by_new, new_hash, pos)
                     return _READER_NEW_BRANCH, Flow3(BitString(p.hash_bits, reply))
@@ -276,13 +368,13 @@ class LwjxReaderDb(Reader):
                     limit_hit = True
                     continue
                 rec.m += 1
-                shifted_key = rec.k_old.value << n
+                shifted_key = rec._k_old << n
                 if truncated_hash(p.h, width, shifted_key | rr) == hk:
                     reply = truncated_hash(p.h, width, shifted_key | rt)
                     # a tag that verifies this reply rebuilds its key from the
                     # current nonces; the stored new key must follow or the next
                     # new-epoch check could never verify again
-                    rec.k_new = BitString(n, rec.id.value ^ rr ^ rt)
+                    rec._k_new = rec._id ^ rr ^ rt
                     return _READER_OLD_BRANCH, Flow3(BitString(p.hash_bits, reply))
         if limit_hit:
             return _READER_WARN_LIMIT, RejectMessage()
@@ -311,10 +403,10 @@ def _unindex(index: dict[int, list[int]], key: int, pos: int):
 
 def is_synchronized(db: LwjxReaderDb, tag: LwjxTag) -> bool:
     """Some record's new or old epoch matches the tag's (H(ID), K)."""
-    key = truncated_hash(db.params.h, tag.id.width, tag.id.value)
-    records = db.records
-    return any(records[pos].k_new == tag.k for pos in db._by_new.get(key, ())) or any(
-        records[pos].k_old == tag.k for pos in db._by_old.get(key, ())
+    key = truncated_hash(db.params.h, tag.params.bits, tag._id)
+    records, k = db.records, tag._k
+    return any(records[pos]._k_new == k for pos in db._by_new.get(key, ())) or any(
+        records[pos]._k_old == k for pos in db._by_old.get(key, ())
     )
 
 

@@ -4,7 +4,8 @@ Works on transcripts that disclose the tag's session-start secrets (the
 fixture format). Each hash, mask and alias relation is recomputed from the
 disclosed secrets and the on-wire nonces; any mismatch is reported with
 the name of the offending field, and so is a field the recomputation needs
-that is missing or not a bit string of the protocol's width.
+that is missing or not a bit string of the protocol's width, and a
+delivered flow's key that the flow's message does not declare.
 """
 
 from __future__ import annotations
@@ -66,23 +67,22 @@ def _bits(fields: dict, where: str, name: str, width: int) -> BitString:
     return value
 
 
-def _exchange(t: Transcript) -> tuple[dict, dict, dict | None]:
-    """The delivered flow1, flow2 and flow3; unverifiable without the first two."""
-    flow1 = t.delivered("flow1")
-    flow2 = t.delivered("flow2")
-    if flow1 is None or flow2 is None:
+def _exchange(flows: list) -> list:
+    """The delivered flows from flow1 on; unverifiable without the first two."""
+    if flows[0] is None or flows[1] is None:
         raise _Unverifiable(ReplayIssue("transcript", "session has no complete exchange"))
-    return flow1, flow2, t.delivered("flow3")
+    return flows
 
 
-# A verifier yields (field, recomputed, observed) for every relation it
-# checks, and raises _Unverifiable when a field it needs is unusable.
-def _verify_fwcfp(t: Transcript, params: fwcfp.FwcfpParams) -> Iterator[tuple]:
-    secrets = t.secrets
+# A verifier takes the disclosed secrets and the delivered fields of each of
+# the protocol's flows (None for a flow that did not arrive). It yields
+# (field, recomputed, observed) for every relation it checks, and raises
+# _Unverifiable when a field it needs is unusable.
+def _verify_fwcfp(secrets: dict, flows: list, params: fwcfp.FwcfpParams) -> Iterator[tuple]:
     alias_bits = params.alias_bits
     hp = params.hash
     k = _bits(secrets, "secrets", "k", params.key_bits)
-    flow1, flow2, flow3 = _exchange(t)
+    flow1, flow2, flow3, flow4 = _exchange(flows)
     rand1 = _bits(flow1, "flow1", "rand1", params.nonce_bits)
     alias_before = _bits(secrets, "secrets", "alias_before", alias_bits)
     yield "idta", alias_before, _bits(flow2, "flow2", "idta", alias_bits)
@@ -104,19 +104,17 @@ def _verify_fwcfp(t: Transcript, params: fwcfp.FwcfpParams) -> Iterator[tuple]:
         yield "B", alias2, alias_after
     else:
         yield "A/B", alias1, alias2
-    flow4 = t.delivered("flow4")
     if flow4 is not None:
         # only JSON true: 1 and 1.0 compare equal to True
         yield "ok", True, flow4.get("ok") is True
 
 
-def _verify_lwjx(t: Transcript, params: lwjx.LwjxParams) -> Iterator[tuple]:
-    secrets = t.secrets
+def _verify_lwjx(secrets: dict, flows: list, params: lwjx.LwjxParams) -> Iterator[tuple]:
     hp = params.h
     gp = params.g
     id_ = _bits(secrets, "secrets", "id", params.bits)
     k = _bits(secrets, "secrets", "k", params.bits)
-    flow1, flow2, flow3 = _exchange(t)
+    flow1, flow2, flow3 = _exchange(flows)
     rr = _bits(flow1, "flow1", "rr", params.bits).value
     n, id_, k = params.bits, id_.value, k.value
     hid = _bits(flow2, "flow2", "hid", params.hash_bits)
@@ -136,17 +134,38 @@ def _verify_lwjx(t: Transcript, params: lwjx.LwjxParams) -> Iterator[tuple]:
         yield "k_after", id_after ^ rr ^ rt, observed.value
 
 
+_FLOWS = ("flow1", "flow2", "flow3", "flow4")
+
+
+def _declared(*messages) -> tuple:
+    """The field names of each of a protocol's flows, from flow1 on."""
+    return tuple(frozenset(message.__dataclass_fields__) for message in messages)
+
+
 _PROTOCOLS = {
-    fwcfp.PROTOCOL_NAME: (fwcfp.FwcfpParams, _verify_fwcfp),
-    lwjx.PROTOCOL_NAME: (lwjx.LwjxParams, _verify_lwjx),
+    fwcfp.PROTOCOL_NAME: (
+        fwcfp.FwcfpParams,
+        _verify_fwcfp,
+        _declared(fwcfp.Flow1, fwcfp.Flow2, fwcfp.Flow3, fwcfp.Flow4),
+    ),
+    lwjx.PROTOCOL_NAME: (
+        lwjx.LwjxParams,
+        _verify_lwjx,
+        _declared(lwjx.Flow1, lwjx.Flow2, lwjx.Flow3),
+    ),
 }
 
 
 def verify_transcript(t: Transcript) -> ReplayReport:
-    """Re-derive t's fields; raises TranscriptParamsError on malformed params."""
+    """Re-derive t's fields; raises TranscriptParamsError on malformed params.
+
+    The verifier's issues come first. Then each delivered flow's keys that
+    its message does not declare give one issue apiece, flows in order and
+    keys sorted; they add nothing to ``checked``.
+    """
     if t.protocol not in _PROTOCOLS:
         return ReplayReport(0, [ReplayIssue("protocol", f"unknown protocol {t.protocol!r}")])
-    params_cls, verify = _PROTOCOLS[t.protocol]
+    params_cls, verify, declared = _PROTOCOLS[t.protocol]
     try:
         params = params_from_dict(params_cls, t.params)
     except ValueError as exc:
@@ -154,15 +173,23 @@ def verify_transcript(t: Transcript) -> ReplayReport:
     if t.secrets is None:
         issue = ReplayIssue("secrets", "transcript discloses no secrets; nothing derivable")
         return ReplayReport(0, [issue])
+    names = _FLOWS[: len(declared)]
+    delivered = list(map(t.delivered, names))
     checked = 0
     issues: list[ReplayIssue] = []
     try:
-        for name, recomputed, observed in verify(t, params):
+        for name, recomputed, observed in verify(t.secrets, delivered, params):
             checked += 1
             if recomputed != observed:
                 issues.append(ReplayIssue(name, "recomputed value differs from the transcript"))
     except _Unverifiable as exc:
         issues.append(exc.issue)
+    for name, fields, known in zip(names, delivered, declared):
+        if fields is not None and not known.issuperset(fields):
+            issues.extend(
+                ReplayIssue(f"{name}.{key}", "not a field of this flow")
+                for key in sorted(fields.keys() - known)
+            )
     return ReplayReport(checked, issues)
 
 

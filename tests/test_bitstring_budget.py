@@ -1,9 +1,11 @@
 """How many BitStrings one honest session builds.
 
 The oracles take and return ints, so a session should build a BitString
-only for a value something keeps: a flow field, tag or reader state, or
-the verdict's issued alias. These tests pin that budget, so a throwaway
-BitString that creeps back into a session fails here.
+only for a value something keeps: a flow field, FWCFP tag or reader
+state, or the verdict's issued alias. LWJX tags and records keep their
+state as ints, so an LWJX session builds only its flow fields. These
+tests pin that budget, so a throwaway BitString that creeps back into a
+session fails here.
 """
 
 import pytest
@@ -35,9 +37,9 @@ def test_lwjx_new_branch_session(built):
     result = lwjx.run_honest_session(tag, db, rng)
     assert result.reader_verdict.reason == "new-branch"
     assert result.tag_verdict.ok
-    # rr, rt; flow2 hid, hk; flow3 hkt; the record's id, h_id_new, k_new;
-    # the tag's id, k
-    assert len(built) == 10, built
+    # rr, rt; flow2 hid, hk; flow3 hkt. The record and the tag rewrite
+    # their ints and build none
+    assert len(built) == 5, built
 
 
 def test_fwcfp_honest_session(built):

@@ -284,6 +284,13 @@ class TestReplayCommand:
         assert run(["replay", "--input", str(bad)]) == EXIT_THRESHOLD
         assert "A" in capsys.readouterr().out
 
+    def test_a_field_the_flow_does_not_have_fails_with_exit_2(self, tmp_path, capsys):
+        source = (FIXTURES / "lwjx_honest.jsonl").read_text()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(source.replace('{"hkt": ', '{"extra": "ok", "hkt": ', 1))
+        assert run(["replay", "--input", str(bad)]) == EXIT_THRESHOLD
+        assert "flow3.extra: not a field of this flow" in capsys.readouterr().out
+
     def test_missing_file_is_a_config_error(self):
         assert run(["replay", "--input", "/nonexistent/t.jsonl"]) == EXIT_CONFIG
 

@@ -27,6 +27,7 @@ from rfidlab.game import (
     run_single_trial,
     run_upriv_game,
 )
+from rfidlab.bits import BitString
 from rfidlab.rng import Rng
 from rfidlab.session import MAX_OPEN_SESSIONS, ProtocolError, RejectMessage
 
@@ -202,6 +203,20 @@ class TestCorruptQuery:
     def test_lwjx_corrupt_returns_id_and_key(self):
         game = fresh_game("lwjx")
         assert game.corrupt(1) == {"id": game.tag1.id, "k": game.tag1.k}
+
+    def test_lwjx_replacement_is_applied_and_checked(self):
+        game = fresh_game("lwjx")
+        params = game.db.params
+        new = {"id": Rng(3).bits(params.bits), "k": Rng(4).bits(params.bits)}
+        game.corrupt(0, new)
+        assert (game.tag0.id, game.tag0.k) == (new["id"], new["k"])
+        sid, flow1 = game.db.begin(Rng(5))
+        flow2 = game.tag0.respond(flow1, Rng(6))
+        expected = crypto.truncated_hash(params.h, params.bits, new["id"].value)
+        assert flow2.hid == BitString(params.hash_bits, expected)
+        with pytest.raises(ProtocolError):
+            game.corrupt(0, {"id": Rng(7).bits(params.bits + 1), "k": Rng(8).bits(params.bits)})
+        assert (game.tag0.id, game.tag0.k) == (new["id"], new["k"])
 
     def test_handle_is_not_a_corrupt_target(self):
         game = fresh_game()
