@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import rfidlab
 from rfidlab import attacks  # noqa: F401  (registers strategies)
 from rfidlab import crypto, fwcfp, lwjx
+from rfidlab.bits import BitString
 from rfidlab.cli import canonical_report_bytes
 from rfidlab.game import (
     BUDGET,
@@ -27,7 +28,6 @@ from rfidlab.game import (
     run_single_trial,
     run_upriv_game,
 )
-from rfidlab.bits import BitString
 from rfidlab.rng import Rng
 from rfidlab.session import MAX_OPEN_SESSIONS, ProtocolError, RejectMessage
 

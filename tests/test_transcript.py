@@ -35,6 +35,7 @@ from rfidlab.transcript import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GENERATOR = Path(__file__).parent.parent / "scripts" / "generate_fixtures.py"
+EXTRA = "not a field of this flow"
 
 
 def fwcfp_disclosed_session(seed=5, interpose=None):
@@ -594,46 +595,30 @@ class TestReplay:
         )
 
     @pytest.mark.parametrize(
-        "name, extras, issues",
+        "name, edits, issues",
         [
             ("fwcfp_honest.jsonl", {"flow1": {"extra": "8:ff"}, "flow2": {"extra": "8:ff"}},
-             ["flow1.extra", "flow2.extra"]),
-            ("lwjx_honest.jsonl", {"flow3": {"extra": "ok"}}, ["flow3.extra"]),
+             [("flow1.extra", EXTRA), ("flow2.extra", EXTRA)]),
+            ("lwjx_honest.jsonl", {"flow3": {"extra": "ok"}}, [("flow3.extra", EXTRA)]),
             ("lwjx_honest.jsonl", {"flow3": {"zz": 1, "aa": None}, "flow1": {"b": "8:ff"}},
-             ["flow1.b", "flow3.aa", "flow3.zz"]),
+             [("flow1.b", EXTRA), ("flow3.aa", EXTRA), ("flow3.zz", EXTRA)]),
+            # the recomputation's issue comes before the extra field's
+            ("lwjx_honest.jsonl", {"flow2": {"extra": "x", "hk": "96:" + "0" * 24}},
+             [("hk", "recomputed value differs from the transcript"), ("flow2.extra", EXTRA)]),
         ],
-        ids=["fwcfp-flow1-flow2", "lwjx-flow3", "lwjx-flows-in-order-keys-sorted"],
+        ids=["fwcfp-flow1-flow2", "lwjx-flow3", "lwjx-flows-in-order-keys-sorted",
+             "lwjx-after-the-verifiers-issues"],
     )
-    def test_a_field_the_flow_does_not_have_is_reported(self, tmp_path, name, extras, issues):
+    def test_a_field_the_flow_does_not_have_is_reported(self, tmp_path, name, edits, issues):
         docs = [json.loads(line) for line in (FIXTURES / name).read_text().splitlines()]
         for doc in docs:
-            if doc["session"] == "s0" and doc.get("flow") in extras:
-                doc["fields"].update(extras[doc["flow"]])
+            if doc["session"] == "s0" and doc.get("flow") in edits:
+                doc["fields"].update(edits[doc["flow"]])
         path = tmp_path / "t.jsonl"
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         report = replay_file(path)
         assert report.checked == 12
-        assert [(i.field, i.message) for i in report.issues] == [
-            (field, "not a field of this flow") for field in issues
-        ]
-
-    def test_extra_fields_follow_the_verifiers_issues(self, tmp_path):
-        # s0's flow2 carries an extra field and a changed hk: the
-        # recomputation's issue comes first
-        lines = (FIXTURES / "lwjx_honest.jsonl").read_text().splitlines()
-        docs = [json.loads(line) for line in lines]
-        for doc in docs:
-            if doc["session"] == "s0" and doc.get("flow") == "flow2":
-                doc["fields"]["extra"] = "x"
-                doc["fields"]["hk"] = "96:" + "0" * 24
-        path = tmp_path / "t.jsonl"
-        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
-        report = replay_file(path)
-        assert report.checked == 12
-        assert [(i.field, i.message) for i in report.issues] == [
-            ("hk", "recomputed value differs from the transcript"),
-            ("flow2.extra", "not a field of this flow"),
-        ]
+        assert [(i.field, i.message) for i in report.issues] == issues
 
     def test_malformed_line_reports_its_number(self, tmp_path):
         result = fwcfp_disclosed_session()
