@@ -9,17 +9,15 @@ both halves of the reader's final message, which the tag cannot detect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import fwcfp, game, lwjx
 from .bits import BitString
 from .crypto import truncated_hash
+from .records import Record
 from .rng import Rng
 from .transcript import Transcript, transcript_to_lines
 
 
-@dataclass
-class DesyncOutcome:
+class DesyncOutcome(Record):
     """What one desynchronization run did and what it cost the tag."""
 
     mask: BitString
@@ -31,6 +29,28 @@ class DesyncOutcome:
     post_attack_attempts: int
     rejects: int
     reject_reasons: dict
+
+    def __init__(
+        self,
+        mask: BitString,
+        alias_before: BitString,
+        issued_alias: BitString,
+        alias_after: BitString,
+        tamper_accepted: bool,
+        tampered_session: Transcript,
+        post_attack_attempts: int,
+        rejects: int,
+        reject_reasons: dict,
+    ):
+        self.mask = mask
+        self.alias_before = alias_before
+        self.issued_alias = issued_alias
+        self.alias_after = alias_after
+        self.tamper_accepted = tamper_accepted
+        self.tampered_session = tampered_session
+        self.post_attack_attempts = post_attack_attempts
+        self.rejects = rejects
+        self.reject_reasons = reject_reasons
 
     @property
     def alias_shift_matches(self) -> bool:
@@ -75,7 +95,7 @@ def fwcfp_desync_attack(
 
     def tamper(flow, message):
         if flow == "flow3":
-            return fwcfp.Flow3(h2=message.h2, a=message.a ^ mask, b=message.b ^ mask)
+            return message._replace(a=message.a ^ mask, b=message.b ^ mask)
         return message
 
     result = fwcfp.run_honest_session(tag, db, rng, interpose=tamper)

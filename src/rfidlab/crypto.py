@@ -22,8 +22,8 @@ recent queries). Tag and reader check each other by asking the same
 question, and both run in one process, so an honest FWCFP session
 computes 8 of its 16 digests and an LWJX new-branch session 4 of 8; the
 hit rate is the same for tables of 16 to 256 entries. The table is keyed
-by the domain tag byte, not the HashParams, whose generated ``__hash__``
-is a Python call, and by the message width and value and the target
+by the domain tag byte, not the HashParams, whose ``__hash__`` (the
+record base's) is a Python call, and by the message width and value and the target
 width with their types (``typed=True``), so 96 and 96.0 stay apart and a
 call that raises without the table still raises. On CPython 3.11.7 (2
 vCPUs) a 96-bit hash of a query that never repeats takes about 0.84 µs
@@ -62,10 +62,10 @@ are memoised per width; HashParams are immutable, so sharing them is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bits import WidthError
+from .records import FrozenRecord, setfield
 
 try:
     from _sha256 import sha256 as _sha256  # CPython up to 3.11
@@ -85,20 +85,21 @@ FEISTEL_ROUNDS = 4
 PERM_KEY_BYTES = 16  # key length of a generated permutation key
 
 
-@dataclass(frozen=True)
-class HashParams:
+class HashParams(FrozenRecord):
     """Output width and domain tag of one hash oracle."""
 
     output_bits: int
     domain_tag: int
 
-    def __post_init__(self):
-        if self.output_bits < 1:
-            raise ValueError(f"hash output must be >= 1 bit, got {self.output_bits}")
-        if not 0 <= self.domain_tag <= 0xFF:
-            raise ValueError(f"domain tag must be one byte, got {self.domain_tag}")
+    def __init__(self, output_bits: int, domain_tag: int):
+        if output_bits < 1:
+            raise ValueError(f"hash output must be >= 1 bit, got {output_bits}")
+        if not 0 <= domain_tag <= 0xFF:
+            raise ValueError(f"domain tag must be one byte, got {domain_tag}")
+        setfield(self, "output_bits", output_bits)
+        setfield(self, "domain_tag", domain_tag)
         # not a field: equality, hashing and repr stay on (output_bits, domain_tag)
-        object.__setattr__(self, "tag_byte", bytes((self.domain_tag,)))
+        setfield(self, "tag_byte", bytes((domain_tag,)))
 
 
 @lru_cache
@@ -155,23 +156,24 @@ def _round_params(half: int) -> tuple[HashParams, ...]:
     return tuple(HashParams(half, FEISTEL_TAG_BASE + rnd) for rnd in range(FEISTEL_ROUNDS))
 
 
-@dataclass(frozen=True)
-class PermKey:
+class PermKey(FrozenRecord):
     """Key material and block width of the invertible permutation."""
 
     key: bytes
     width: int
 
-    def __post_init__(self):
-        if not self.key:
+    def __init__(self, key: bytes, width: int):
+        if not key:
             raise ValueError("permutation key must be non-empty")
-        if self.width < 2 or self.width % 2:
-            raise WidthError(f"block width must be even and >= 2, got {self.width}")
+        if width < 2 or width % 2:
+            raise WidthError(f"block width must be even and >= 2, got {width}")
+        setfield(self, "key", key)
+        setfield(self, "width", width)
         # not fields: a round hashes key || right half, built from these
-        half = self.width // 2
-        object.__setattr__(self, "round_params", _round_params(half))
-        object.__setattr__(self, "shifted_key", int.from_bytes(self.key, "big") << half)
-        object.__setattr__(self, "message_width", 8 * len(self.key) + half)
+        half = width // 2
+        setfield(self, "round_params", _round_params(half))
+        setfield(self, "shifted_key", int.from_bytes(key, "big") << half)
+        setfield(self, "message_width", 8 * len(key) + half)
 
     @classmethod
     def generate(cls, rng, width: int) -> PermKey:

@@ -15,10 +15,9 @@ hash masks. The tag accepts the new alias only when both maskings agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bits import BitString
 from .crypto import PermKey, expand_mask, h_params, invert, permute, truncated_hash
+from .records import setfield
 from .rng import Rng
 from .session import (
     Message,
@@ -43,53 +42,69 @@ _READER_UNKNOWN_IDT = SessionVerdict("reader", False, "unknown-idt")
 _READER_BAD_H1 = SessionVerdict("reader", False, "bad-h1")
 
 
-@dataclass(frozen=True)
 class FwcfpParams(Params):
-    id_bits: int = 96
-    key_bits: int = 96
-    nonce_bits: int = 96
-    hash_bits: int = 96
-    rand0_bits: int = 32
+    id_bits: int
+    key_bits: int
+    nonce_bits: int
+    hash_bits: int
+    rand0_bits: int
 
-    def __post_init__(self):
-        super().__post_init__()
-        for name in self.__dataclass_fields__:
+    def __init__(
+        self,
+        id_bits: int = 96,
+        key_bits: int = 96,
+        nonce_bits: int = 96,
+        hash_bits: int = 96,
+        rand0_bits: int = 32,
+    ):
+        self._set_widths(id_bits, key_bits, nonce_bits, hash_bits, rand0_bits)
+        for name in self._fields:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if (self.id_bits + self.rand0_bits) % 2:
+        if (id_bits + rand0_bits) % 2:
             # the alias cipher is a balanced Feistel network over IDT || nonce
-            raise ValueError(
-                f"id_bits + rand0_bits must be even, got {self.id_bits} + {self.rand0_bits}"
-            )
+            raise ValueError(f"id_bits + rand0_bits must be even, got {id_bits} + {rand0_bits}")
         # not fields: equality, hashing, repr and to_dict stay on the widths.
         # alias_bits is the alias block width (the ciphertext encodes IDT and
         # the alias nonce); hash is the H oracle every session calls.
-        object.__setattr__(self, "alias_bits", self.id_bits + self.rand0_bits)
-        object.__setattr__(self, "hash", h_params(self.hash_bits))
+        setfield(self, "alias_bits", id_bits + rand0_bits)
+        setfield(self, "hash", h_params(hash_bits))
 
 
-@dataclass(frozen=True)
 class Flow1(Message):
     rand1: BitString
 
+    def __init__(self, rand1: BitString):
+        setfield(self, "rand1", rand1)
 
-@dataclass(frozen=True)
+
 class Flow2(Message):
     idta: BitString
     h1: BitString
     rand2: BitString
 
+    def __init__(self, idta: BitString, h1: BitString, rand2: BitString):
+        setfield(self, "idta", idta)
+        setfield(self, "h1", h1)
+        setfield(self, "rand2", rand2)
 
-@dataclass(frozen=True)
+
 class Flow3(Message):
     h2: BitString
     a: BitString
     b: BitString
 
+    def __init__(self, h2: BitString, a: BitString, b: BitString):
+        setfield(self, "h2", h2)
+        setfield(self, "a", a)
+        setfield(self, "b", b)
 
-@dataclass(frozen=True)
+
 class Flow4(Message):
-    ok: bool = True
+    ok: bool
+
+    def __init__(self, ok: bool = True):
+        setfield(self, "ok", ok)
 
 
 def alias_masks(p: FwcfpParams, k: int, rand1: int, rand2: int) -> tuple[int, int]:
@@ -273,6 +288,7 @@ PROTOCOL = Protocol(
     state=("k", "idta"),
     disclose=lambda tag: {"k": tag.k, "idt": tag.bookkeeping_idt, "alias_before": tag.idta},
     disclose_after=lambda tag: {"alias_after": tag.idta},
+    disclosed=frozenset({"k", "idt", "alias_before", "alias_after"}),
     finalize=lambda tag, flow3: tag.finalize(flow3),
     new_reader=FwcfpReaderDb.create,
     provision=FwcfpReaderDb.provision_tag,

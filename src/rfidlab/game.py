@@ -31,11 +31,11 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
 
 from . import fwcfp, lwjx
 from .bits import BitString
 from .crypto import HASH_NAME
+from .records import FrozenRecord, Record, setfield
 from .rng import Rng
 from .session import Protocol, ProtocolError, RejectMessage
 from .transcript import Transcript
@@ -63,11 +63,13 @@ class TrialAbort(RuntimeError):
     """A strategy gave up on this trial; the trial is discarded, not failed."""
 
 
-@dataclass(frozen=True)
-class ChallengeHandle:
+class ChallengeHandle(FrozenRecord):
     """Opaque routing token for the hidden tag; the token is fresh randomness."""
 
     token: BitString
+
+    def __init__(self, token: BitString):
+        setfield(self, "token", token)
 
 
 PROTOCOLS = {fwcfp.PROTOCOL_NAME: fwcfp.PROTOCOL, lwjx.PROTOCOL_NAME: lwjx.PROTOCOL}
@@ -329,8 +331,7 @@ def exact_advantage(hash_bits: int) -> float:
     return 0.5 - 2.0 ** (-(hash_bits + 1))
 
 
-@dataclass
-class AdvantageReport:
+class AdvantageReport(Record):
     protocol: str
     strategy: str
     params: dict
@@ -348,12 +349,61 @@ class AdvantageReport:
     exact_adv: float
     nominal_within_ci: bool
     exact_within_ci: bool
-    hash_name: str = HASH_NAME
-    schema: int = SCHEMA_VERSION
-    generated_at: str | None = None
+    hash_name: str
+    schema: int
+    generated_at: str | None
+
+    def __init__(
+        self,
+        protocol: str,
+        strategy: str,
+        params: dict,
+        seed: int,
+        trials_requested: int,
+        trials_completed: int,
+        discarded: int,
+        discard_reasons: dict,
+        correct: int,
+        empirical_p: float,
+        empirical_adv: float,
+        ci95: float,
+        ci_method: str,
+        nominal_adv: float,
+        exact_adv: float,
+        nominal_within_ci: bool,
+        exact_within_ci: bool,
+        hash_name: str = HASH_NAME,
+        schema: int = SCHEMA_VERSION,
+        generated_at: str | None = None,
+    ):
+        self.protocol = protocol
+        self.strategy = strategy
+        self.params = params
+        self.seed = seed
+        self.trials_requested = trials_requested
+        self.trials_completed = trials_completed
+        self.discarded = discarded
+        self.discard_reasons = discard_reasons
+        self.correct = correct
+        self.empirical_p = empirical_p
+        self.empirical_adv = empirical_adv
+        self.ci95 = ci95
+        self.ci_method = ci_method
+        self.nominal_adv = nominal_adv
+        self.exact_adv = exact_adv
+        self.nominal_within_ci = nominal_within_ci
+        self.exact_within_ci = exact_within_ci
+        self.hash_name = hash_name
+        self.schema = schema
+        self.generated_at = generated_at
 
     def to_dict(self) -> dict:
-        doc = {"kind": "advantage-report", **asdict(self)}
+        """The report's document: its fields in order, the two dicts copied."""
+        doc = {"kind": "advantage-report"}
+        for name in self._fields:
+            doc[name] = getattr(self, name)
+        doc["params"] = dict(self.params)
+        doc["discard_reasons"] = dict(self.discard_reasons)
         if self.generated_at is None:
             del doc["generated_at"]
         return doc

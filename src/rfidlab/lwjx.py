@@ -28,10 +28,10 @@ value width because the identifier chain feeds back into the key.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 
 from .bits import BitString
 from .crypto import g_params, h_params, truncated_hash
+from .records import setfield
 from .rng import Rng
 from .session import (
     Message,
@@ -58,40 +58,47 @@ _READER_BAD_KEY_HASH = SessionVerdict("reader", False, "bad-key-hash")
 _READER_NO_MATCH = SessionVerdict("reader", False, "no-match")
 
 
-@dataclass(frozen=True)
 class LwjxParams(Params):
-    bits: int = 96  # shared width of identifiers, keys and nonces
-    hash_bits: int = 96
-    m_limit: int = 5
+    bits: int  # shared width of identifiers, keys and nonces
+    hash_bits: int
+    m_limit: int
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.bits < 1:
+    def __init__(self, bits: int = 96, hash_bits: int = 96, m_limit: int = 5):
+        self._set_widths(bits, hash_bits, m_limit)
+        if bits < 1:
             raise ValueError("bits must be positive")
-        if self.hash_bits < 1:
+        if hash_bits < 1:
             raise ValueError("hash_bits must be positive")
-        if self.m_limit < 0:
+        if m_limit < 0:
             raise ValueError("m_limit must be >= 0")
         # not fields: equality, hashing, repr and to_dict stay on the widths
-        object.__setattr__(self, "h", h_params(self.hash_bits))
-        object.__setattr__(self, "g", g_params(self.bits))
+        setfield(self, "h", h_params(hash_bits))
+        setfield(self, "g", g_params(bits))
 
 
-@dataclass(frozen=True)
 class Flow1(Message):
     rr: BitString
 
+    def __init__(self, rr: BitString):
+        setfield(self, "rr", rr)
 
-@dataclass(frozen=True)
+
 class Flow2(Message):
     hid: BitString
     hk: BitString
     rt: BitString
 
+    def __init__(self, hid: BitString, hk: BitString, rt: BitString):
+        setfield(self, "hid", hid)
+        setfield(self, "hk", hk)
+        setfield(self, "rt", rt)
 
-@dataclass(frozen=True)
+
 class Flow3(Message):
     hkt: BitString
+
+    def __init__(self, hkt: BitString):
+        setfield(self, "hkt", hkt)
 
 
 class LwjxTag:
@@ -444,6 +451,7 @@ PROTOCOL = Protocol(
     state=("id", "k"),
     disclose=lambda tag: {"id": tag.id, "k": tag.k},
     disclose_after=lambda tag: {"id_after": tag.id, "k_after": tag.k},
+    disclosed=frozenset({"id", "k", "id_after", "k_after"}),
     # the tag sends nothing once it has judged the reply: no flow4, no reject
     finalize=lambda tag, flow3: (tag.finalize(flow3), None),
     new_reader=lambda params, rng: LwjxReaderDb(params),

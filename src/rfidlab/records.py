@@ -1,0 +1,90 @@
+"""The base of rfidlab's value classes: messages, verdicts, params and reports.
+
+A record class declares its fields as class annotations, in order, and
+writes its own ``__init__``; :class:`Record` gives every record, once for
+all classes:
+
+- ``_fields``, the field names in declaration order, and ``_replace``,
+  which builds a copy with some fields changed through the constructor;
+- equality that holds only between records of one class, over the
+  compared fields: all of them, less the names a class passes as
+  ``uncompared`` (``class V(FrozenRecord, uncompared=("x",))``);
+- the ``Name(field=value, ...)`` repr over every field;
+- pickling and copying through the constructor, so values the
+  constructor derives from the fields are derived again.
+
+A :class:`FrozenRecord` also refuses any assignment or deletion with
+:class:`FrozenRecordError` and hashes its compared fields; its
+constructor stores each field, and any value derived from them, with
+``setfield``. Records keep an instance ``__dict__``, so a constructor
+costs as many stores as the class has fields and a message's
+``fields()`` can copy it.
+
+This replaces ``dataclasses``: importing it (which pulls in ``inspect``,
+``ast``, ``dis`` and ``tokenize``) and generating each class's methods
+took about a third of a cold import of rfidlab.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+setfield = object.__setattr__  # a frozen record's constructor stores with this
+
+
+class FrozenRecordError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a frozen record."""
+
+
+def _key_getter(names: tuple[str, ...]) -> attrgetter:
+    """What a record compares and hashes: its value of one field, else a tuple.
+
+    A record with no compared fields gives its class, which is the same
+    for every record it is compared with. An attrgetter is no descriptor,
+    so ``record._key`` is the getter itself.
+    """
+    return attrgetter(*names) if names else attrgetter("__class__")
+
+
+class Record:
+    """A mutable record: unhashable, as it compares by value."""
+
+    _fields = ()  # the field names in declaration order
+
+    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a class without annotations of its own reads {} here (3.10+)
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = _key_getter(tuple(n for n in cls._fields if n not in uncompared))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __repr__(self):
+        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        """A new record of this class: these fields changed, the others as they are."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return type(self)(**values)
+
+
+class FrozenRecord(Record):
+    """An immutable record, hashed over the fields it compares."""
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._key(self))

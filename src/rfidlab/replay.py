@@ -4,18 +4,19 @@ Works on transcripts that disclose the tag's session-start secrets (the
 fixture format). Each hash, mask and alias relation is recomputed from the
 disclosed secrets and the on-wire nonces; any mismatch is reported with
 the name of the offending field, and so is a field the recomputation needs
-that is missing or not a bit string of the protocol's width, and a
-delivered flow's key that the flow's message does not declare.
+that is missing or not a bit string of the protocol's width, a delivered
+flow's key that the flow's message does not declare, an entry of a flow
+the protocol does not have, and a disclosed secret it does not disclose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import fwcfp, lwjx
 from .bits import BitString
 from .crypto import truncated_hash
+from .records import Record
 from .session import params_from_dict
 from .transcript import Transcript, TranscriptFormatError, read_jsonl
 
@@ -24,17 +25,24 @@ class TranscriptParamsError(ValueError):
     """A transcript's params do not build its protocol's params object."""
 
 
-@dataclass
-class ReplayIssue:
+class ReplayIssue(Record):
     field: str
     message: str
-    line: int | None = None
+    line: int | None
+
+    def __init__(self, field: str, message: str, line: int | None = None):
+        self.field = field
+        self.message = message
+        self.line = line
 
 
-@dataclass
-class ReplayReport:
+class ReplayReport(Record):
     checked: int
-    issues: list[ReplayIssue] = field(default_factory=list)
+    issues: list[ReplayIssue]
+
+    def __init__(self, checked: int, issues: list[ReplayIssue] | None = None):
+        self.checked = checked
+        self.issues = [] if issues is None else issues
 
     @property
     def ok(self) -> bool:
@@ -139,7 +147,7 @@ _FLOWS = ("flow1", "flow2", "flow3", "flow4")
 
 def _declared(*messages) -> tuple:
     """The field names of each of a protocol's flows, from flow1 on."""
-    return tuple(frozenset(message.__dataclass_fields__) for message in messages)
+    return tuple(frozenset(message._fields) for message in messages)
 
 
 _PROTOCOLS = {
@@ -147,11 +155,13 @@ _PROTOCOLS = {
         fwcfp.FwcfpParams,
         _verify_fwcfp,
         _declared(fwcfp.Flow1, fwcfp.Flow2, fwcfp.Flow3, fwcfp.Flow4),
+        fwcfp.PROTOCOL.disclosed,
     ),
     lwjx.PROTOCOL_NAME: (
         lwjx.LwjxParams,
         _verify_lwjx,
         _declared(lwjx.Flow1, lwjx.Flow2, lwjx.Flow3),
+        lwjx.PROTOCOL.disclosed,
     ),
 }
 
@@ -159,26 +169,33 @@ _PROTOCOLS = {
 def verify_transcript(t: Transcript) -> ReplayReport:
     """Re-derive t's fields; raises TranscriptParamsError on malformed params.
 
-    The verifier's issues come first. Then each delivered flow's keys that
-    its message does not declare give one issue apiece, flows in order and
-    keys sorted; they add nothing to ``checked``.
+    The verifier's issues come first. Then, each giving one issue and
+    adding nothing to ``checked``: each delivered flow's keys that its
+    message does not declare, flows in order and keys sorted; each flow
+    the log has entries of that the protocol does not have, in the order
+    of their first entries; and each disclosed secret the protocol does
+    not disclose, sorted.
     """
     if t.protocol not in _PROTOCOLS:
         return ReplayReport(0, [ReplayIssue("protocol", f"unknown protocol {t.protocol!r}")])
-    params_cls, verify, declared = _PROTOCOLS[t.protocol]
+    params_cls, verify, declared, disclosed = _PROTOCOLS[t.protocol]
     try:
         params = params_from_dict(params_cls, t.params)
     except ValueError as exc:
         raise TranscriptParamsError(f"session {t.session}: {exc}") from None
-    if t.secrets is None:
+    secrets = t.secrets
+    if secrets is None:
         issue = ReplayIssue("secrets", "transcript discloses no secrets; nothing derivable")
         return ReplayReport(0, [issue])
     names = _FLOWS[: len(declared)]
-    delivered = list(map(t.delivered, names))
+    flows = t.delivered_flows()
+    delivered = []
+    for name in names:
+        delivered.append(flows.pop(name, None))  # leaves the flows it does not have
     checked = 0
     issues: list[ReplayIssue] = []
     try:
-        for name, recomputed, observed in verify(t.secrets, delivered, params):
+        for name, recomputed, observed in verify(secrets, delivered, params):
             checked += 1
             if recomputed != observed:
                 issues.append(ReplayIssue(name, "recomputed value differs from the transcript"))
@@ -190,6 +207,13 @@ def verify_transcript(t: Transcript) -> ReplayReport:
                 ReplayIssue(f"{name}.{key}", "not a field of this flow")
                 for key in sorted(fields.keys() - known)
             )
+    if flows:
+        issues.extend(ReplayIssue(name, "not a flow of this protocol") for name in flows)
+    if not disclosed.issuperset(secrets):
+        issues.extend(
+            ReplayIssue(f"secrets.{key}", "not a secret of this protocol")
+            for key in sorted(secrets.keys() - disclosed)
+        )
     return ReplayReport(checked, issues)
 
 

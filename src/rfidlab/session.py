@@ -8,11 +8,11 @@ for either protocol, reading what differs from the protocol's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 from .bits import BitString
+from .records import FrozenRecord, Record, setfield
 from .transcript import Transcript
 
 
@@ -28,24 +28,39 @@ class ProtocolError(ValueError):
     """A message no honest party could have produced (wrong shape or width)."""
 
 
-class Params:
-    """Base of both protocols' params dataclasses: the document of their fields."""
+class Params(FrozenRecord):
+    """Base of both protocols' params: frozen records of int widths, and their document.
 
-    def __post_init__(self):
-        # what params_from_dict requires of a document, so that equal params
-        # write one document: 96.0 and True compare equal to 96 and 1
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
+    A params object's hash is taken once, when it is built: transcript
+    writing looks its document up by it once per transcript.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._names = frozenset(cls._fields)  # the keys params_from_dict requires
+
+    def _set_widths(self, *values: int):
+        """Store the fields, given in their order; each must be an int.
+
+        As params_from_dict requires of a document, so that equal params
+        write one document: 96.0 and True compare equal to 96 and 1.
+        """
+        for name, value in zip(self._fields, values):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            setfield(self, name, value)
+        setfield(self, "_hash", hash(values))
+
+    def __hash__(self):
+        return self._hash
 
     def to_dict(self) -> dict:
         """The fields by name, in their order: what ``params_from_dict`` reads back."""
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def params_from_dict(cls, doc):
-    """Build a protocol's params dataclass from its ``to_dict`` form.
+    """Build a protocol's params from its ``to_dict`` form.
 
     Every field must be present and an int, and no other key is allowed, so
     a transcript or snapshot that names a width the protocol does not have
@@ -57,7 +72,7 @@ def params_from_dict(cls, doc):
     """
     if not isinstance(doc, dict):
         raise ValueError(f"params must be an object, got {doc!r}")
-    names = cls.__dataclass_fields__.keys()
+    names = cls._names
     if doc.keys() != names:
         unknown = sorted(doc.keys() - names)
         if unknown:
@@ -76,14 +91,16 @@ def _build_params(cls, items: tuple):
     return cls(**dict(items))
 
 
-class Message:
-    """Base of every on-wire message: its transcript fields are its dataclass fields."""
+class Message(FrozenRecord):
+    """Base of every on-wire message: a frozen record whose fields are its transcript fields.
+
+    A message stores nothing but its fields, so its ``__dict__`` is their dict.
+    """
 
     def fields(self) -> dict:
         return self.__dict__.copy()  # a new dict: the caller may change it
 
 
-@dataclass(frozen=True)
 class RejectMessage(Message):
     """The uniform on-wire rejection; deliberately carries no reason."""
 
@@ -109,21 +126,29 @@ class Reader:
         return sid, self._flow1(nonce)
 
 
-@dataclass(frozen=True)
-class SessionVerdict:
+class SessionVerdict(FrozenRecord, uncompared=("issued",)):
     """One party's decision for one session.
 
     ``reason`` is the internal, machine-readable detail ("unknown-idt",
     "bad-h1", ... or the accept branch for LWJX readers); it appears in
     transcripts and logs but never on the wire. ``issued`` is what an
     accepting reader handed out in the session (the FWCFP alias); it
-    appears neither on the wire nor in transcripts.
+    appears neither on the wire nor in transcripts, and verdicts compare
+    and hash without it.
     """
 
     party: str
     ok: bool
-    reason: str | None = None
-    issued: BitString | None = field(default=None, compare=False)
+    reason: str | None
+    issued: BitString | None
+
+    def __init__(
+        self, party: str, ok: bool, reason: str | None = None, issued: BitString | None = None
+    ):
+        setfield(self, "party", party)
+        setfield(self, "ok", ok)
+        setfield(self, "reason", reason)
+        setfield(self, "issued", issued)
 
     def fields(self) -> dict:
         out = {"party": self.party, "outcome": "accept" if self.ok else "reject"}
@@ -132,11 +157,20 @@ class SessionVerdict:
         return out
 
 
-@dataclass
-class SessionResult:
+class SessionResult(Record):
     transcript: Transcript
     reader_verdict: SessionVerdict | None
     tag_verdict: SessionVerdict | None
+
+    def __init__(
+        self,
+        transcript: Transcript,
+        reader_verdict: SessionVerdict | None,
+        tag_verdict: SessionVerdict | None,
+    ):
+        self.transcript = transcript
+        self.reader_verdict = reader_verdict
+        self.tag_verdict = tag_verdict
 
     @property
     def both_accepted(self) -> bool:
@@ -148,8 +182,7 @@ class SessionResult:
         )
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(FrozenRecord):
     """What one protocol looks like to the session driver and to the game.
 
     The driver and the game call ``respond``, ``begin`` and ``authenticate``
@@ -165,11 +198,29 @@ class Protocol:
     state: tuple[str, ...]  # the tag attributes Corrupt reads and may overwrite
     disclose: Callable  # tag -> the secrets disclosed at session start
     disclose_after: Callable  # tag -> the secrets added once the tag has judged
+    disclosed: frozenset  # the names of all the secrets these two disclose
     finalize: Callable  # (tag, flow3) -> (verdict, flow4 or reject, or None)
     new_reader: Callable  # (params, rng) -> a reader with no tags
     provision: Callable  # (db, rng[, id, k]) -> a new tag registered with db
     widths: Callable  # params -> (identifier width, key width)
     run_session: Callable  # (tag, db, rng) -> SessionResult, the module's driver
+
+    def __init__(
+        self, name, flow1, flow3, state, disclose, disclose_after, disclosed, finalize,
+        new_reader, provision, widths, run_session,
+    ):
+        setfield(self, "name", name)
+        setfield(self, "flow1", flow1)
+        setfield(self, "flow3", flow3)
+        setfield(self, "state", state)
+        setfield(self, "disclose", disclose)
+        setfield(self, "disclose_after", disclose_after)
+        setfield(self, "disclosed", disclosed)
+        setfield(self, "finalize", finalize)
+        setfield(self, "new_reader", new_reader)
+        setfield(self, "provision", provision)
+        setfield(self, "widths", widths)
+        setfield(self, "run_session", run_session)
 
 
 def drive(

@@ -60,6 +60,9 @@ _ITERENCODE = make_encoder(
 _SCAN = json.JSONDecoder().scan_once
 
 
+_NOT_FLOWS = ("reject", "verdict")  # the entry names that are not flows
+
+
 class TranscriptEntry(NamedTuple):
     flow: str  # "flow1".."flow4", "reject" or "verdict"
     sender: str  # "reader", "tag" or "adversary"
@@ -101,8 +104,8 @@ class Transcript:
 
         ``fields`` is the entry's fields dict, None for no fields, or a
         message or verdict whose ``fields()`` gives them when they are
-        read. Messages and verdicts are frozen, so that is the dict that
-        ``fields()`` would give now. Returning it lets the session driver
+        read. Messages and verdicts are frozen records, so that is the
+        dict that ``fields()`` would give now. Returning it lets the session driver
         use ``add`` as the delivery of a flow no adversary sits on.
         """
         self._log += (flow, sender, fields, note)
@@ -141,6 +144,28 @@ class Transcript:
                 return fields
         return None
 
+    def delivered_flows(self) -> dict[str, dict | None]:
+        """``delivered`` of every flow the log has entries of, in one pass.
+
+        Flow name -> fields or None, in the order of each flow's first
+        entry; "reject" and "verdict" entries are not flows. As with
+        ``delivered``, only the fields returned are built, each in its
+        log slot.
+        """
+        log = self._log
+        last = {}  # flow name -> index of its last entry
+        for i in range(0, len(log), 4):
+            last[log[i]] = i
+        flows = {}
+        for flow, i in last.items():
+            if flow in _NOT_FLOWS:
+                continue
+            if log[i + 3] == "blocked":
+                flows[flow] = None
+            else:
+                flows[flow] = log[i + 2] = _fields(log[i + 2])
+        return flows
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -148,7 +173,7 @@ class Transcript:
             other.session, other.protocol, other.params, other.entries, other.secrets
         )
 
-    __hash__ = None  # mutable, as a dataclass with eq
+    __hash__ = None  # mutable and compared by value, as a mutable record
 
     def __repr__(self):
         return (

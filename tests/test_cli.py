@@ -284,12 +284,29 @@ class TestReplayCommand:
         assert run(["replay", "--input", str(bad)]) == EXIT_THRESHOLD
         assert "A" in capsys.readouterr().out
 
-    def test_a_field_the_flow_does_not_have_fails_with_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "old, new, problem",
+        [
+            ('{"hkt": ', '{"extra": "ok", "hkt": ', "flow3.extra: not a field of this flow"),
+            # an entry of a flow LWJX does not have, after s0's flow3
+            ('"flow": "flow3", "sender": "reader", "session": "s0", "type": "entry"}\n',
+             '"flow": "flow3", "sender": "reader", "session": "s0", "type": "entry"}\n'
+             '{"fields": {"ok": true, "x": "8:ff"}, "flow": "flow4", "sender": "tag",'
+             ' "session": "s0", "type": "entry"}\n',
+             "flow4: not a flow of this protocol"),
+            ('"secrets": {', '"secrets": {"extra": "8:ff", ', "secrets.extra: not a secret of this protocol"),
+        ],
+        ids=["field", "flow", "secret"],
+    )
+    def test_a_field_the_flow_does_not_have_fails_with_exit_2(
+        self, tmp_path, capsys, old, new, problem
+    ):
         source = (FIXTURES / "lwjx_honest.jsonl").read_text()
+        assert old in source
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(source.replace('{"hkt": ', '{"extra": "ok", "hkt": ', 1))
+        bad.write_text(source.replace(old, new, 1))
         assert run(["replay", "--input", str(bad)]) == EXIT_THRESHOLD
-        assert "flow3.extra: not a field of this flow" in capsys.readouterr().out
+        assert f"  {problem}\n" in capsys.readouterr().out
 
     def test_missing_file_is_a_config_error(self):
         assert run(["replay", "--input", "/nonexistent/t.jsonl"]) == EXIT_CONFIG

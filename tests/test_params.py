@@ -2,16 +2,17 @@
 
 A params object holds its derived widths and oracle params as plain
 attributes next to its fields, and the readers and tags return shared
-verdict values. Both are safe only while these invariants hold.
+verdict values. Both are safe only while these invariants hold, which
+every frozen record keeps.
 """
 
-import dataclasses
 import pickle
 
 import pytest
 
+from rfidlab import fwcfp, lwjx
 from rfidlab.bits import BitString
-from rfidlab.crypto import g_params, h_params, permute
+from rfidlab.crypto import HashParams, PermKey, g_params, h_params, permute
 from rfidlab.fwcfp import Flow2 as FwcfpFlow2
 from rfidlab.fwcfp import Flow3 as FwcfpFlow3
 from rfidlab.fwcfp import FwcfpParams, FwcfpReaderDb
@@ -20,7 +21,11 @@ from rfidlab.lwjx import Flow2 as LwjxFlow2
 from rfidlab.lwjx import Flow3 as LwjxFlow3
 from rfidlab.lwjx import LwjxParams, LwjxReaderDb
 from rfidlab.lwjx import run_honest_session as lwjx_session
+from rfidlab.game import ChallengeHandle
+from rfidlab.records import FrozenRecordError
+from rfidlab.replay import ReplayIssue, ReplayReport
 from rfidlab.rng import Rng
+from rfidlab.session import Message, RejectMessage, SessionVerdict
 
 
 def fwcfp_derived(p):
@@ -50,7 +55,7 @@ class TestDerivedParams:
 
     def test_derived_values_are_not_fields(self, params, widths, derived):
         names = derived(params).keys()
-        fields = [f.name for f in dataclasses.fields(params)]
+        fields = list(params._fields)
         assert not names & set(fields)
         assert list(params.to_dict()) == fields
         body = ", ".join(f"{name}={getattr(params, name)!r}" for name in fields)
@@ -61,7 +66,7 @@ class TestDerivedParams:
         # as params_from_dict requires: equal params write one document
         name = next(iter(widths))
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
-            dataclasses.replace(params, **{name: value})
+            params._replace(**{name: value})
 
     def test_equal_params_compare_and_hash_equal(self, params, widths, derived):
         twin = type(params)(**params.to_dict())
@@ -75,7 +80,7 @@ class TestDerivedParams:
             assert getattr(copy, name) == value
 
     def test_replace_rederives(self, params, widths, derived):
-        changed = dataclasses.replace(params, **widths)
+        changed = params._replace(**widths)
         assert changed.to_dict() == {**params.to_dict(), **widths}
         for name, value in derived(changed).items():
             assert getattr(changed, name) == value
@@ -83,7 +88,7 @@ class TestDerivedParams:
 
     def test_derived_values_cannot_be_assigned(self, params, widths, derived):
         for name in derived(params):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(FrozenRecordError):
                 setattr(params, name, 1)
 
 
@@ -173,5 +178,45 @@ def test_every_verdict_is_frozen(collect, expected):
     assert {(v.party, v.ok, v.reason) for v in verdicts} == expected
     for verdict in verdicts:
         for name in ("party", "ok", "reason", "issued"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(FrozenRecordError):
                 setattr(verdict, name, None)
+
+
+X, Y, Z = BitString(8, 1), BitString(8, 2), BitString(8, 3)
+
+
+# each frozen record, and a record of another class whose compared values
+# are the same where one exists: the other protocol's message of that name,
+# else any record class that holds such values
+@pytest.mark.parametrize(
+    "record, other",
+    [
+        (fwcfp.Flow1(X), lwjx.Flow1(X)),
+        (lwjx.Flow1(X), fwcfp.Flow1(X)),
+        (fwcfp.Flow2(X, Y, Z), lwjx.Flow2(X, Y, Z)),
+        (lwjx.Flow2(X, Y, Z), fwcfp.Flow3(X, Y, Z)),
+        (fwcfp.Flow3(X, Y, Z), fwcfp.Flow2(X, Y, Z)),
+        (fwcfp.Flow4(), lwjx.Flow3(True)),
+        (lwjx.Flow3(X), ChallengeHandle(X)),
+        (RejectMessage(), Message()),
+        (SessionVerdict("reader", True, "new-branch", X), ReplayIssue("reader", True, "new-branch")),
+        (SessionVerdict("tag", False, "bad-hkt"), ReplayIssue("tag", False, "bad-hkt")),
+        (HashParams(8, 1), ReplayReport(8, 1)),
+        (PermKey(bytes(16), 8), ReplayReport(bytes(16), 8)),
+        (ChallengeHandle(X), fwcfp.Flow1(X)),
+        (FwcfpParams(id_bits=40, key_bits=24, nonce_bits=16, hash_bits=12), LwjxParams()),
+        (LwjxParams(bits=20, hash_bits=6, m_limit=3), SessionVerdict(20, 6, 3)),
+    ],
+    ids=lambda value: f"{type(value).__module__[8:]}-{type(value).__name__}",
+)
+def test_every_frozen_record_is_immutable_picklable_and_class_strict(record, other):
+    for name in (*record._fields, "extra"):
+        with pytest.raises(FrozenRecordError):
+            setattr(record, name, None)
+        with pytest.raises(FrozenRecordError):
+            delattr(record, name)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record)
+    assert copy == record and hash(copy) == hash(record) and repr(copy) == repr(record)
+    assert copy.__dict__ == record.__dict__  # derived values are derived again
+    assert record != other and other != record

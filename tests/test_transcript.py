@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import json
 import re
@@ -36,6 +35,8 @@ from rfidlab.transcript import (
 FIXTURES = Path(__file__).parent / "fixtures"
 GENERATOR = Path(__file__).parent.parent / "scripts" / "generate_fixtures.py"
 EXTRA = "not a field of this flow"
+NO_FLOW = "not a flow of this protocol"
+NO_SECRET = "not a secret of this protocol"
 
 
 def fwcfp_disclosed_session(seed=5, interpose=None):
@@ -246,7 +247,7 @@ MESSAGES = [
 
 
 class TestMessageFields:
-    """A message's transcript fields are its dataclass fields."""
+    """A message's transcript fields are its record fields."""
 
     def test_every_message_class_is_covered(self):
         classes = {
@@ -261,14 +262,14 @@ class TestMessageFields:
         "message", MESSAGES, ids=lambda m: f"{type(m).__module__[8:]}-{type(m).__name__}"
     )
     def test_fields_are_a_new_dict_in_declaration_order(self, message):
-        expected = {f.name: getattr(message, f.name) for f in dataclasses.fields(message)}
+        expected = {name: getattr(message, name) for name in message._fields}
         fields = message.fields()
         assert list(fields.items()) == list(expected.items())
         fields["extra"] = bits(0)
         for name in expected:
             fields[name] = None
         assert message.fields() == expected
-        assert {f.name: getattr(message, f.name) for f in dataclasses.fields(message)} == expected
+        assert {name: getattr(message, name) for name in message._fields} == expected
 
 
 def with_field(tmp_path, value):
@@ -565,7 +566,7 @@ class TestReplay:
             if at != flow:
                 return message
             value = getattr(message, name)
-            return dataclasses.replace(message, **{name: value ^ BitString(value.width, 1)})
+            return message._replace(**{name: value ^ BitString(value.width, 1)})
 
         session = fwcfp_disclosed_session if protocol == "fwcfp" else lwjx_disclosed_session
         t = session(seed, interpose=flip).transcript
@@ -605,20 +606,56 @@ class TestReplay:
             # the recomputation's issue comes before the extra field's
             ("lwjx_honest.jsonl", {"flow2": {"extra": "x", "hk": "96:" + "0" * 24}},
              [("hk", "recomputed value differs from the transcript"), ("flow2.extra", EXTRA)]),
+            ("lwjx_honest.jsonl", {"flow4": {"ok": True, "x": "8:ff"}},
+             [("flow4", NO_FLOW)]),
+            ("lwjx_honest.jsonl", {"secrets": {"extra": "8:ff"}},
+             [("secrets.extra", NO_SECRET)] * 3),
+            # an LWJX secret is not an FWCFP one
+            ("fwcfp_honest.jsonl", {"secrets": {"id": "8:ff"}}, [("secrets.id", NO_SECRET)] * 2),
+            # per transcript: fields, then flows in the order of their
+            # first entries, then secrets sorted
+            ("lwjx_honest.jsonl",
+             {"flow3": {"extra": "ok"}, "flow5": {}, "flow4": {"ok": True},
+              "secrets": {"zz": "8:ff", "aa": 1}},
+             [("flow3.extra", EXTRA), ("flow5", NO_FLOW), ("flow4", NO_FLOW),
+              ("secrets.aa", NO_SECRET), ("secrets.zz", NO_SECRET)]
+             + [("secrets.aa", NO_SECRET), ("secrets.zz", NO_SECRET)] * 2),
         ],
         ids=["fwcfp-flow1-flow2", "lwjx-flow3", "lwjx-flows-in-order-keys-sorted",
-             "lwjx-after-the-verifiers-issues"],
+             "lwjx-after-the-verifiers-issues", "lwjx-flow4", "lwjx-extra-secret",
+             "fwcfp-lwjx-secret", "lwjx-fields-flows-secrets-in-order"],
     )
     def test_a_field_the_flow_does_not_have_is_reported(self, tmp_path, name, edits, issues):
+        """Edits update s0's entry of a flow, or add one after s0's flow3, and every meta
+        line's secrets."""
         docs = [json.loads(line) for line in (FIXTURES / name).read_text().splitlines()]
+        s0_flows = {doc["flow"] for doc in docs if doc["session"] == "s0" and "flow" in doc}
+        edited = []
         for doc in docs:
-            if doc["session"] == "s0" and doc.get("flow") in edits:
+            edited.append(doc)
+            if doc["type"] == "meta":
+                doc["secrets"].update(edits.get("secrets", {}))
+            elif doc["session"] == "s0" and doc["flow"] in edits:
                 doc["fields"].update(edits[doc["flow"]])
+            if doc["session"] == "s0" and doc.get("flow") == "flow3":
+                edited.extend(
+                    {"fields": fields, "flow": flow, "sender": "tag", "session": "s0",
+                     "type": "entry"}
+                    for flow, fields in edits.items()
+                    if flow.startswith("flow") and flow not in s0_flows
+                )
         path = tmp_path / "t.jsonl"
-        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in edited))
         report = replay_file(path)
         assert report.checked == 12
         assert [(i.field, i.message) for i in report.issues] == issues
+
+    @pytest.mark.parametrize("protocol", [fwcfp.PROTOCOL, lwjx.PROTOCOL], ids=["fwcfp", "lwjx"])
+    def test_disclosed_names_are_what_a_disclosed_session_records(self, protocol):
+        session = fwcfp_disclosed_session if protocol is fwcfp.PROTOCOL else lwjx_disclosed_session
+        result = session()
+        assert result.both_accepted
+        assert result.transcript.secrets.keys() == protocol.disclosed
 
     def test_malformed_line_reports_its_number(self, tmp_path):
         result = fwcfp_disclosed_session()
