@@ -23,9 +23,9 @@ question, and both run in one process, so an honest FWCFP session
 computes 8 of its 16 digests and an LWJX new-branch session 4 of 8; the
 hit rate is the same for tables of 16 to 256 entries. The table is keyed
 by the domain tag byte, not the HashParams, whose ``__hash__`` (the
-record base's) is a Python call, and by the message width and value and the target
-width with their types (``typed=True``), so 96 and 96.0 stay apart and a
-call that raises without the table still raises. On CPython 3.11.7 (2
+record base's) is a Python call, and by the message width and value and
+the target width with their types (``typed=True``), so 96 and 96.0 stay
+apart and a call that raises without the table still raises. On CPython 3.11.7 (2
 vCPUs) a 96-bit hash of a query that never repeats takes about 0.84 µs
 instead of 0.65 (the lookup and the table's upkeep), and a repeat about
 0.18 µs instead of 0.65. The table sits below the traced names:

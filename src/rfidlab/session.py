@@ -185,6 +185,8 @@ class SessionResult(Record):
 class Protocol(FrozenRecord):
     """What one protocol looks like to the session driver and to the game.
 
+    A frozen record: each protocol module builds its table once, at import.
+
     The driver and the game call ``respond``, ``begin`` and ``authenticate``
     directly. Only ``finalize`` is adapted: an LWJX tag returns a bare
     verdict, as does the stand-in that ``bench/test_bench.py`` installs. It

@@ -105,8 +105,9 @@ class Transcript:
         ``fields`` is the entry's fields dict, None for no fields, or a
         message or verdict whose ``fields()`` gives them when they are
         read. Messages and verdicts are frozen records, so that is the
-        dict that ``fields()`` would give now. Returning it lets the session driver
-        use ``add`` as the delivery of a flow no adversary sits on.
+        dict that ``fields()`` would give now. Returning it lets the
+        session driver use ``add`` as the delivery of a flow no adversary
+        sits on.
         """
         self._log += (flow, sender, fields, note)
         return fields

@@ -294,7 +294,8 @@ class TestReplayCommand:
              '{"fields": {"ok": true, "x": "8:ff"}, "flow": "flow4", "sender": "tag",'
              ' "session": "s0", "type": "entry"}\n',
              "flow4: not a flow of this protocol"),
-            ('"secrets": {', '"secrets": {"extra": "8:ff", ', "secrets.extra: not a secret of this protocol"),
+            ('"secrets": {', '"secrets": {"extra": "8:ff", ',
+             "secrets.extra: not a secret of this protocol"),
         ],
         ids=["field", "flow", "secret"],
     )

@@ -199,7 +199,8 @@ X, Y, Z = BitString(8, 1), BitString(8, 2), BitString(8, 3)
         (fwcfp.Flow4(), lwjx.Flow3(True)),
         (lwjx.Flow3(X), ChallengeHandle(X)),
         (RejectMessage(), Message()),
-        (SessionVerdict("reader", True, "new-branch", X), ReplayIssue("reader", True, "new-branch")),
+        (SessionVerdict("reader", True, "new-branch", X),
+         ReplayIssue("reader", True, "new-branch")),
         (SessionVerdict("tag", False, "bad-hkt"), ReplayIssue("tag", False, "bad-hkt")),
         (HashParams(8, 1), ReplayReport(8, 1)),
         (PermKey(bytes(16), 8), ReplayReport(bytes(16), 8)),

@@ -153,6 +153,14 @@ class TestRecordedMatchesLoaded:
         assert t == loaded
         for flow in ("flow1", "flow2", "flow3", "flow4"):
             assert t.delivered(flow) == loaded.delivered(flow), flow
+        # every flow's delivered fields in one pass, each built in its log slot
+        fresh = recorded(protocol, case)
+        flows = fresh.delivered_flows()
+        assert flows == loaded.delivered_flows()
+        names = [e.flow for e in fresh.entries if e.flow not in ("reject", "verdict")]
+        assert list(flows) == list(dict.fromkeys(names))
+        for flow, fields in flows.items():
+            assert fresh.delivered(flow) is fields, flow
 
     def test_lines_from_the_log_equal_lines_from_entries(self, protocol, case):
         t = recorded(protocol, case)
