@@ -27,8 +27,12 @@ The exit status is 2, the CLI's threshold code, when any verdict is
 
 ``--out FILE`` also writes the line, indented, to FILE with where it was
 measured: the host's processor count, the Python version, and each
-checkout's git commit and whether its files differ from that commit
-(null outside git).
+checkout's resolved path, its git commit and whether its files differ
+from that commit (null outside git).
+
+``peak_rss_mb`` follows the length of a checkout's path as well as its
+code, so the script warns on stderr when the two resolved paths differ
+in length; the exit status does not change.
 """
 
 from __future__ import annotations
@@ -177,6 +181,14 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     end_to_end = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
     metric_names = [spec["name"] for spec in end_to_end]
+    paths = [str(args.dir_a.resolve()), str(args.dir_b.resolve())]
+    if len(paths[0]) != len(paths[1]):
+        print(
+            f"warning: the checkout paths differ in length ({len(paths[0])} and"
+            f" {len(paths[1])} characters), and peak_rss_mb follows a path's length:"
+            f" {paths[0]} {paths[1]}",
+            file=sys.stderr,
+        )
 
     pairs = []
     for i in range(args.pairs):
@@ -200,7 +212,10 @@ def main(argv=None) -> int:
         host = {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
-            "checkouts": {"a": checkout_commit(args.dir_a), "b": checkout_commit(args.dir_b)},
+            "checkouts": {
+                side: {"path": path, **checkout_commit(checkout)}
+                for side, path, checkout in zip("ab", paths, (args.dir_a, args.dir_b))
+            },
         }
         args.out.write_text(json.dumps({**line, **host}, indent=2) + "\n", encoding="utf-8")
     verdicts = [m["verdict"] for m in summary["metrics"].values()]

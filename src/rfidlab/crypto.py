@@ -21,7 +21,11 @@ lazily sampled random-oracle table of Bellare and Rogaway, kept only for
 recent queries). Tag and reader check each other by asking the same
 question, and both run in one process, so an honest FWCFP session
 computes 8 of its 16 digests and an LWJX new-branch session 4 of 8; the
-hit rate is the same for tables of 16 to 256 entries. The table is keyed
+hit rate is the same for tables of 16 to 256 entries. The LWJX count
+holds however long ago the tag last changed its identifier: the tag
+keeps its H(ID) and sets it when it chains ID to G(ID), right after the
+reader has asked the same H(ID'), so a new-branch session's repeats
+all fall within the session. The table is keyed
 by the domain tag byte, not the HashParams, whose ``__hash__`` (the
 record base's) is a Python call, and by the message width and value and
 the target width with their types (``typed=True``), so 96 and 96.0 stay

@@ -109,13 +109,20 @@ class LwjxTag:
     flow fields. ``id`` and ``k`` are read views: each read builds a
     BitString, and a write (Corrupt's overwrite) takes one of the protocol
     width.
+
+    Beside the identifier the tag keeps its H(ID), the int that flow2
+    sends, as a reader record keeps each epoch's. ``_set_id`` is the one
+    place either changes: at construction, on an overwrite and when a
+    verified reply chains ID to G(ID). So ``respond`` hashes only the key,
+    and the H(ID') of a chained identifier is the query the reader has
+    just asked to re-index the record, which the oracle's table answers.
     """
 
-    __slots__ = ("params", "_id", "_k", "_session")
+    __slots__ = ("params", "_id", "_h_id", "_k", "_session")
 
     def __init__(self, params: LwjxParams, id_: BitString, k: BitString):
         self.params = params
-        self._id = self._secret(id_)
+        self._set_id(self._secret(id_))
         self._k = self._secret(k)
         self._session: tuple[int, int] | None = None
 
@@ -125,7 +132,13 @@ class LwjxTag:
 
     @id.setter
     def id(self, value: BitString):
-        self._id = self._secret(value)
+        self._set_id(self._secret(value))  # a refused width changes neither
+
+    def _set_id(self, id_: int):
+        """Set the identifier and the H(ID) kept beside it."""
+        p = self.params
+        self._id = id_
+        self._h_id = truncated_hash(p.h, p.bits, id_)
 
     @property
     def k(self) -> BitString:
@@ -148,7 +161,7 @@ class LwjxTag:
         n, rr = p.bits, flow1.rr.value
         self._session = (rr, rt.value)
         return Flow2(
-            hid=BitString(p.hash_bits, truncated_hash(p.h, n, self._id)),
+            hid=BitString(p.hash_bits, self._h_id),
             hk=BitString(p.hash_bits, truncated_hash(p.h, 2 * n, (self._k << n) | rr)),
             rt=rt,
         )
@@ -164,9 +177,8 @@ class LwjxTag:
         n = p.bits
         if truncated_hash(p.h, 2 * n, (self._k << n) | rt) != flow3.hkt.value:
             return _TAG_BAD_HKT
-        new_id = truncated_hash(p.g, n, self._id)
-        self._id = new_id
-        self._k = new_id ^ rr ^ rt
+        self._set_id(truncated_hash(p.g, n, self._id))
+        self._k = self._id ^ rr ^ rt
         self._session = None
         return _TAG_ACCEPT
 
@@ -410,8 +422,7 @@ def _unindex(index: dict[int, list[int]], key: int, pos: int):
 
 def is_synchronized(db: LwjxReaderDb, tag: LwjxTag) -> bool:
     """Some record's new or old epoch matches the tag's (H(ID), K)."""
-    key = truncated_hash(db.params.h, tag.params.bits, tag._id)
-    records, k = db.records, tag._k
+    key, k, records = tag._h_id, tag._k, db.records
     return any(records[pos]._k_new == k for pos in db._by_new.get(key, ())) or any(
         records[pos]._k_old == k for pos in db._by_old.get(key, ())
     )

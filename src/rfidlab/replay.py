@@ -6,7 +6,9 @@ disclosed secrets and the on-wire nonces; any mismatch is reported with
 the name of the offending field, and so is a field the recomputation needs
 that is missing or not a bit string of the protocol's width, a delivered
 flow's key that the flow's message does not declare, an entry of a flow
-the protocol does not have, and a disclosed secret it does not disclose.
+the protocol does not have, a disclosed secret it does not disclose, and
+a reader verdict that is missing, repeated, or disagrees with whether the
+reader sent flow3 or logged a reject.
 """
 
 from __future__ import annotations
@@ -173,8 +175,9 @@ def verify_transcript(t: Transcript) -> ReplayReport:
     adding nothing to ``checked``: each delivered flow's keys that its
     message does not declare, flows in order and keys sorted; each flow
     the log has entries of that the protocol does not have, in the order
-    of their first entries; and each disclosed secret the protocol does
-    not disclose, sorted.
+    of their first entries; each disclosed secret the protocol does not
+    disclose, sorted; and, when flow2 reached the reader, each way the
+    reader's verdict disagrees with the reader's own entries.
     """
     if t.protocol not in _PROTOCOLS:
         return ReplayReport(0, [ReplayIssue("protocol", f"unknown protocol {t.protocol!r}")])
@@ -188,7 +191,7 @@ def verify_transcript(t: Transcript) -> ReplayReport:
         issue = ReplayIssue("secrets", "transcript discloses no secrets; nothing derivable")
         return ReplayReport(0, [issue])
     names = _FLOWS[: len(declared)]
-    flows = t.delivered_flows()
+    flows, reader_sent, reader_verdicts = t.delivered_flows()
     delivered = []
     for name in names:
         delivered.append(flows.pop(name, None))  # leaves the flows it does not have
@@ -214,7 +217,38 @@ def verify_transcript(t: Transcript) -> ReplayReport:
             ReplayIssue(f"secrets.{key}", "not a secret of this protocol")
             for key in sorted(secrets.keys() - disclosed)
         )
+    if delivered[1] is not None:  # flow2 reached the reader
+        issues.extend(_reader_verdict_issues(reader_sent, reader_verdicts))
     return ReplayReport(checked, issues)
+
+
+def _reader_verdict_issues(sent: set, verdicts: list) -> list[ReplayIssue]:
+    """How the reader's verdict disagrees with the reader's own entries.
+
+    A reader that received flow2 logs exactly one verdict, which accepts
+    exactly when the reader sent flow3 and rejects exactly when it logged
+    a "reject" marker. Each rule it breaks is one issue.
+    """
+    if len(verdicts) != 1:
+        count = "no reader verdict" if not verdicts else f"{len(verdicts)} reader verdicts"
+        return [ReplayIssue("verdict.reader", f"{count} after flow2 reached the reader")]
+    outcome = verdicts[0].get("outcome")
+    issues = []
+    if (outcome == "accept") != ("flow3" in sent):
+        problem = (
+            "accepts, but the reader sent no flow3"
+            if outcome == "accept"
+            else "the reader sent flow3, but the verdict does not accept"
+        )
+        issues.append(ReplayIssue("verdict.reader", problem))
+    if (outcome == "reject") != ("reject" in sent):
+        problem = (
+            "rejects, but the reader logged no reject"
+            if outcome == "reject"
+            else "the reader logged a reject, but the verdict does not reject"
+        )
+        issues.append(ReplayIssue("verdict.reader", problem))
+    return issues
 
 
 def replay_file(path) -> ReplayReport:

@@ -145,18 +145,29 @@ class Transcript:
                 return fields
         return None
 
-    def delivered_flows(self) -> dict[str, dict | None]:
-        """``delivered`` of every flow the log has entries of, in one pass.
+    def delivered_flows(self) -> tuple[dict[str, dict | None], set[str], list[dict]]:
+        """``delivered`` of every flow the log has entries of, and the reader's own, in one pass.
 
-        Flow name -> fields or None, in the order of each flow's first
-        entry; "reject" and "verdict" entries are not flows. As with
-        ``delivered``, only the fields returned are built, each in its
-        log slot.
+        First, flow name -> fields or None, in the order of each flow's
+        first entry; "reject" and "verdict" entries are not flows. Then
+        the names of the flows and "reject" markers the reader logged, and
+        the fields of each reader verdict, in order. As with
+        ``delivered``, only the fields returned are built, each in its log
+        slot.
         """
         log = self._log
         last = {}  # flow name -> index of its last entry
+        sent = set()
+        verdicts = []
         for i in range(0, len(log), 4):
-            last[log[i]] = i
+            flow = log[i]
+            last[flow] = i
+            if log[i + 1] == "reader":
+                if flow == "verdict":
+                    fields = log[i + 2] = _fields(log[i + 2])
+                    verdicts.append(fields)
+                else:
+                    sent.add(flow)
         flows = {}
         for flow, i in last.items():
             if flow in _NOT_FLOWS:
@@ -165,7 +176,7 @@ class Transcript:
                 flows[flow] = None
             else:
                 flows[flow] = log[i + 2] = _fields(log[i + 2])
-        return flows
+        return flows, sent, verdicts
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -259,11 +259,39 @@ def test_out_writes_the_line_with_the_host_and_the_commits(monkeypatch, capsys, 
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "checkouts": {
-            "a": {"commit": commit_a, "modified": False},
-            "b": {"commit": commit_b, "modified": True},
+            "a": {"path": str((tmp_path / "a").resolve()), "commit": commit_a, "modified": False},
+            "b": {"path": str((tmp_path / "b").resolve()), "commit": commit_b, "modified": True},
         },
     }
     assert written["seeds"] == [5, 6]
+
+
+@pytest.mark.parametrize("name_b, warned", [("b", False), ("bb", True)])
+def test_checkout_paths_of_unequal_length_are_warned_of(
+    monkeypatch, capsys, tmp_path, name_b, warned
+):
+    (tmp_path / "a").mkdir()
+    (tmp_path / name_b).mkdir()
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": END_TO_END}))
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", benchmark)
+    monkeypatch.setattr(
+        bench_pairs, "run_once", lambda checkout, workload, seed, seconds, names: result(100, 10.0)
+    )
+    # a relative path is resolved before its length is taken
+    monkeypatch.chdir(tmp_path)
+    argv = ["a", str(tmp_path / name_b), "--workload", "w", "--pairs", "1",
+            "--seconds", "1", "--seed", "5"]
+    assert bench_pairs.main(argv) == 0
+    warnings = [
+        line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")
+    ]
+    a, b = str(tmp_path.resolve() / "a"), str(tmp_path.resolve() / name_b)
+    assert warnings == (
+        [f"warning: the checkout paths differ in length ({len(a)} and {len(b)} characters),"
+         f" and peak_rss_mb follows a path's length: {a} {b}"]
+        if warned else []
+    )
 
 
 def test_a_checkout_outside_git_has_no_commit(tmp_path):

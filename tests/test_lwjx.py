@@ -66,6 +66,35 @@ class TestBeginAndRespond:
             tag.respond(Flow1(rng.bits(7)), rng)
 
 
+class TestKeptIdentifierHash:
+    """The tag's H(ID) follows its identifier through every change."""
+
+    @staticmethod
+    def assert_kept(tag):
+        assert BitString(tag.params.hash_bits, tag._h_id) == hash_of(tag.params.h, tag.id)
+
+    def test_after_accepted_and_dropped_sessions(self):
+        tag, db, rng = make_world(bits=16, hash_bits=8)
+        self.assert_kept(tag)
+        for i in range(12):
+            run_honest_session(tag, db, rng, drop_flow3=(i % 3 == 0))
+            self.assert_kept(tag)
+
+    def test_overwrite_rehashes_the_new_identifier(self):
+        tag, _, rng = make_world()
+        tag.id = rng.bits(tag.params.bits)
+        self.assert_kept(tag)
+        flow2 = tag.respond(Flow1(rng.bits(tag.params.bits)), rng)
+        assert flow2.hid == hash_of(tag.params.h, tag.id)
+
+    def test_refused_overwrite_keeps_the_identifier_and_its_hash(self):
+        tag, _, rng = make_world()
+        before = (tag._id, tag._h_id)
+        with pytest.raises(ProtocolError):
+            tag.id = rng.bits(tag.params.bits - 1)
+        assert (tag._id, tag._h_id) == before
+
+
 class TestAuthenticate:
     def test_synchronized_tag_takes_new_branch_and_rotates_epochs(self):
         tag, db, rng = make_world()

@@ -56,8 +56,8 @@ def test_fwcfp_honest_session(digests, gap, expected):
     assert len(digests) == expected, digests
 
 
-@pytest.mark.parametrize("gap, expected", [(False, 4), (True, 5)])
-def test_lwjx_new_branch_session(digests, gap, expected):
+@pytest.mark.parametrize("gap", [False, True])
+def test_lwjx_new_branch_session(digests, gap):
     rng = Rng(11)
     db = lwjx.LwjxReaderDb(lwjx.LwjxParams())
     tag = db.provision(rng)
@@ -67,8 +67,34 @@ def test_lwjx_new_branch_session(digests, gap, expected):
     result = lwjx.run_honest_session(tag, db, rng)
     assert result.reader_verdict.reason == "new-branch"
     assert result.tag_verdict.ok
-    # 8 queries: flow2 H(ID) by the tag, H(K||Rr) (tag, reader), H(K||Rt)
-    # (reader, tag), G(ID) (reader, tag) and the new record's H(ID') by the
-    # reader. H(K||Rr), H(K||Rt), G(ID) and H(ID') cost one digest each;
-    # H(ID) was asked at provisioning, unless other queries evicted it
+    # 8 queries: H(K||Rr) (tag, reader), H(K||Rt) (reader, tag), G(ID)
+    # (reader, tag) and the new record's H(ID') (reader, tag). The tag
+    # keeps its H(ID), so flow2 asks nothing for it, and its H(ID') repeats
+    # the reader's query of a moment before. One digest each, however many
+    # queries came between provisioning and the session
+    assert len(digests) == 4, digests
+
+
+@pytest.mark.parametrize("gap, expected", [(False, 2), (True, 4)])
+def test_lwjx_dropped_flow3_then_old_branch_session(digests, gap, expected):
+    rng = Rng(11)
+    db = lwjx.LwjxReaderDb(lwjx.LwjxParams())
+    tag = db.provision(rng)
+    unrelated_queries()
+    digests.clear()
+    result = lwjx.run_honest_session(tag, db, rng, drop_flow3=True)
+    assert result.reader_verdict.reason == "new-branch"
+    assert result.tag_verdict is None
+    # the tag's H(K||Rr), and the reader's H(K||Rr) (a repeat), its reply
+    # H(K||Rt), G(ID) and H(ID'): the tag sends its kept H(ID)
+    assert len(digests) == 4, digests
+    if gap:
+        unrelated_queries()
+    digests.clear()
+    result = lwjx.run_honest_session(tag, db, rng)
+    assert result.reader_verdict.reason == "old-branch"
+    assert result.tag_verdict.ok
+    # H(K||Rr) (tag, reader), H(K||Rt) (reader, tag), then the tag's G(ID)
+    # and H(ID'), which the reader asked in the dropped session: the tag's
+    # chain costs digests only once other queries have evicted those
     assert len(digests) == expected, digests

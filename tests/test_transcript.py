@@ -155,8 +155,11 @@ class TestRecordedMatchesLoaded:
             assert t.delivered(flow) == loaded.delivered(flow), flow
         # every flow's delivered fields in one pass, each built in its log slot
         fresh = recorded(protocol, case)
-        flows = fresh.delivered_flows()
-        assert flows == loaded.delivered_flows()
+        flows, sent, verdicts = fresh.delivered_flows()
+        assert (flows, sent, verdicts) == loaded.delivered_flows()
+        reader = [e for e in fresh.entries if e.sender == "reader"]
+        assert sent == {e.flow for e in reader if e.flow != "verdict"}
+        assert verdicts == [e.fields for e in reader if e.flow == "verdict"]
         names = [e.flow for e in fresh.entries if e.flow not in ("reject", "verdict")]
         assert list(flows) == list(dict.fromkeys(names))
         for flow, fields in flows.items():
@@ -657,6 +660,63 @@ class TestReplay:
         report = replay_file(path)
         assert report.checked == 12
         assert [(i.field, i.message) for i in report.issues] == issues
+
+    @pytest.mark.parametrize(
+        "name, edit, issues",
+        [
+            ("fwcfp_honest.jsonl", "drop", ["no reader verdict after flow2 reached the reader"]),
+            ("fwcfp_honest.jsonl", "repeat", ["2 reader verdicts after flow2 reached the reader"]),
+            ("fwcfp_honest.jsonl", "reject",
+             ["the reader sent flow3, but the verdict does not accept",
+              "rejects, but the reader logged no reject"]),
+            ("fwcfp_honest.jsonl", "marker",
+             ["the reader logged a reject, but the verdict does not reject"]),
+            ("lwjx_honest.jsonl", "marker+reject",
+             ["the reader sent flow3, but the verdict does not accept"]),
+            ("lwjx_honest.jsonl", "unknown",
+             ["the reader sent flow3, but the verdict does not accept"]),
+        ],
+        ids=["verdict-dropped", "verdict-repeated", "reject-after-flow3",
+             "reject-marker-before-accept", "marker-and-reject-after-flow3", "unknown-outcome"],
+    )
+    def test_the_reader_verdict_must_match_the_readers_entries(
+        self, tmp_path, capsys, name, edit, issues
+    ):
+        """Edits of s0's reader verdict line; the flows and their fields stay."""
+        docs = [json.loads(line) for line in (FIXTURES / name).read_text().splitlines()]
+        marker = {"fields": {}, "flow": "reject", "sender": "reader", "session": "s0",
+                  "type": "entry"}
+        edited = []
+        for doc in docs:
+            if doc["session"] == "s0" and doc.get("flow") == "verdict" and (
+                doc["sender"] == "reader"
+            ):
+                if "marker" in edit:
+                    edited.append(marker)
+                if edit == "drop":
+                    continue
+                if edit == "repeat":
+                    edited.append(doc)
+                if "reject" in edit:
+                    doc["fields"] = {"outcome": "reject", "party": "reader", "reason": "bad-h1"}
+                if edit == "unknown":
+                    doc["fields"]["outcome"] = "maybe"
+            edited.append(doc)
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in edited))
+        report = replay_file(path)
+        assert report.checked == 12
+        assert [(i.field, i.message) for i in report.issues] == [
+            ("verdict.reader", issue) for issue in issues
+        ]
+        assert main(["replay", "--input", str(path)]) == EXIT_THRESHOLD
+        assert "verdict.reader" in capsys.readouterr().out
+
+    def test_the_reader_verdict_is_unchecked_when_flow2_is_blocked(self):
+        t = list(read_jsonl(FIXTURES / "lwjx_honest.jsonl"))[0]
+        t.add("flow2", "adversary", {}, note="blocked")
+        report = verify_transcript(t)
+        assert [i.field for i in report.issues] == ["transcript"]
 
     @pytest.mark.parametrize("protocol", [fwcfp.PROTOCOL, lwjx.PROTOCOL], ids=["fwcfp", "lwjx"])
     def test_disclosed_names_are_what_a_disclosed_session_records(self, protocol):
