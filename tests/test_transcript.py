@@ -712,12 +712,6 @@ class TestReplay:
         assert main(["replay", "--input", str(path)]) == EXIT_THRESHOLD
         assert "verdict.reader" in capsys.readouterr().out
 
-    def test_the_reader_verdict_is_unchecked_when_flow2_is_blocked(self):
-        t = list(read_jsonl(FIXTURES / "lwjx_honest.jsonl"))[0]
-        t.add("flow2", "adversary", {}, note="blocked")
-        report = verify_transcript(t)
-        assert [i.field for i in report.issues] == ["transcript"]
-
     @pytest.mark.parametrize("protocol", [fwcfp.PROTOCOL, lwjx.PROTOCOL], ids=["fwcfp", "lwjx"])
     def test_disclosed_names_are_what_a_disclosed_session_records(self, protocol):
         session = fwcfp_disclosed_session if protocol is fwcfp.PROTOCOL else lwjx_disclosed_session
