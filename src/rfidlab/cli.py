@@ -67,12 +67,11 @@ def build_params(args):
         for name in WIDTH_FLAGS + ("m_limit",)
         if getattr(args, name, None) is not None
     }
+    cls = game.PROTOCOLS[args.protocol].params
     if args.protocol == "fwcfp":
-        cls = fwcfp.FwcfpParams
         if "m_limit" in given:
             raise ConfigError("--m-limit applies to LWJX only")
     else:
-        cls = lwjx.LwjxParams
         if "rand0_bits" in given:
             raise ConfigError("--rand0-bits has no meaning for LWJX")
         names = ("id_bits", "key_bits", "nonce_bits")
@@ -319,7 +318,7 @@ def _cmd_snapshot(args):
     return True, f"wrote {args.protocol} snapshot with {args.tags} tags to {args.output}"
 
 
-def _add_command(commands, name, run, help, protocols=("fwcfp", "lwjx")):
+def _add_command(commands, name, run, help, protocols=tuple(game.PROTOCOLS)):
     """A subcommand with the protocol, seed and width flags every run takes."""
     parser = commands.add_parser(name, help=help)
     parser.set_defaults(run=run)

@@ -283,8 +283,8 @@ def run_honest_session(
 
 PROTOCOL = Protocol(
     name=PROTOCOL_NAME,
-    flow1=Flow1,
-    flow3=Flow3,
+    params=FwcfpParams,
+    flows=(Flow1, Flow2, Flow3, Flow4),
     state=("k", "idta"),
     disclose=lambda tag: {"k": tag.k, "idt": tag.bookkeeping_idt, "alias_before": tag.idta},
     disclose_after=lambda tag: {"alias_after": tag.idta},

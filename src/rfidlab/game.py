@@ -152,9 +152,9 @@ class UprivGame:
         index, _ = self._tag_index(ref)
         tag = (self.tag0, self.tag1)[index]
         try:
-            if isinstance(message, self.protocol.flow1):
+            if isinstance(message, self.protocol.flows[0]):
                 return tag.respond(message, self.rng)
-            if isinstance(message, self.protocol.flow3):
+            if isinstance(message, self.protocol.flows[2]):
                 return self.protocol.finalize(tag, message)[1]
         except ProtocolError:
             pass

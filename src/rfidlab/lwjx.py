@@ -457,8 +457,8 @@ def _dropping_flow3(interpose):
 
 PROTOCOL = Protocol(
     name=PROTOCOL_NAME,
-    flow1=Flow1,
-    flow3=Flow3,
+    params=LwjxParams,
+    flows=(Flow1, Flow2, Flow3),
     state=("id", "k"),
     disclose=lambda tag: {"id": tag.id, "k": tag.k},
     disclose_after=lambda tag: {"id_after": tag.id, "k_after": tag.k},

@@ -4,8 +4,9 @@ A record class declares its fields as class annotations, in order, and
 writes its own ``__init__``; :class:`Record` gives every record, once for
 all classes:
 
-- ``_fields``, the field names in declaration order, and ``_replace``,
-  which builds a copy with some fields changed through the constructor;
+- ``_fields``, the field names in declaration order, ``_names``, the
+  same names as a frozenset, and ``_replace``, which builds a copy with
+  some fields changed through the constructor;
 - equality that holds only between records of one class, over the
   compared fields: all of them, less the names a class passes as
   ``uncompared`` (``class V(FrozenRecord, uncompared=("x",))``);
@@ -55,6 +56,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         # a class without annotations of its own reads {} here (3.10+)
         cls._fields = tuple(cls.__annotations__)
+        cls._names = frozenset(cls._fields)
         cls._key = _key_getter(tuple(n for n in cls._fields if n not in uncompared))
 
     def __eq__(self, other):

@@ -6,9 +6,10 @@ disclosed secrets and the on-wire nonces; any mismatch is reported with
 the name of the offending field, and so is a field the recomputation needs
 that is missing or not a bit string of the protocol's width, a delivered
 flow's key that the flow's message does not declare, an entry of a flow
-the protocol does not have, a disclosed secret it does not disclose, and
-a reader verdict that is missing, repeated, or disagrees with whether the
-reader sent flow3 or logged a reject.
+the protocol does not have, a disclosed secret it does not disclose, a
+reader verdict that is missing, repeated, or disagrees with whether the
+reader sent flow3 or logged a reject, and a reader verdict or reject
+marker logged before flow2 reached the reader.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterator
 from . import fwcfp, lwjx
 from .bits import BitString
 from .crypto import truncated_hash
+from .game import PROTOCOLS
 from .records import Record
 from .session import params_from_dict
 from .transcript import Transcript, TranscriptFormatError, read_jsonl
@@ -146,79 +148,70 @@ def _verify_lwjx(secrets: dict, flows: list, params: lwjx.LwjxParams) -> Iterato
 
 _FLOWS = ("flow1", "flow2", "flow3", "flow4")
 
-
-def _declared(*messages) -> tuple:
-    """The field names of each of a protocol's flows, from flow1 on."""
-    return tuple(frozenset(message._fields) for message in messages)
-
-
-_PROTOCOLS = {
-    fwcfp.PROTOCOL_NAME: (
-        fwcfp.FwcfpParams,
-        _verify_fwcfp,
-        _declared(fwcfp.Flow1, fwcfp.Flow2, fwcfp.Flow3, fwcfp.Flow4),
-        fwcfp.PROTOCOL.disclosed,
-    ),
-    lwjx.PROTOCOL_NAME: (
-        lwjx.LwjxParams,
-        _verify_lwjx,
-        _declared(lwjx.Flow1, lwjx.Flow2, lwjx.Flow3),
-        lwjx.PROTOCOL.disclosed,
-    ),
-}
+# replay's own part of each protocol: the rest is its table in game.PROTOCOLS
+_VERIFIERS = {fwcfp.PROTOCOL_NAME: _verify_fwcfp, lwjx.PROTOCOL_NAME: _verify_lwjx}
 
 
 def verify_transcript(t: Transcript) -> ReplayReport:
     """Re-derive t's fields; raises TranscriptParamsError on malformed params.
 
-    The verifier's issues come first. Then, each giving one issue and
-    adding nothing to ``checked``: each delivered flow's keys that its
-    message does not declare, flows in order and keys sorted; each flow
-    the log has entries of that the protocol does not have, in the order
-    of their first entries; each disclosed secret the protocol does not
-    disclose, sorted; and, when flow2 reached the reader, each way the
-    reader's verdict disagrees with the reader's own entries.
+    The protocol's params class, flow messages and disclosed secrets come
+    from its table in ``game.PROTOCOLS``. The verifier's issues come
+    first. Then, each giving one issue and adding nothing to ``checked``:
+    each delivered flow's keys that its message does not declare, flows
+    in order and keys sorted; each flow the log has entries of that the
+    protocol does not have, in the order of their first entries; each
+    disclosed secret the protocol does not disclose, sorted; and, when
+    flow2 reached the reader, each way the reader's verdict disagrees with
+    the reader's own entries, then each reader verdict or reject marker
+    logged before the log's first flow2 entry.
     """
-    if t.protocol not in _PROTOCOLS:
+    protocol = PROTOCOLS.get(t.protocol)
+    if protocol is None:
         return ReplayReport(0, [ReplayIssue("protocol", f"unknown protocol {t.protocol!r}")])
-    params_cls, verify, declared, disclosed = _PROTOCOLS[t.protocol]
     try:
-        params = params_from_dict(params_cls, t.params)
+        params = params_from_dict(protocol.params, t.params)
     except ValueError as exc:
         raise TranscriptParamsError(f"session {t.session}: {exc}") from None
     secrets = t.secrets
     if secrets is None:
         issue = ReplayIssue("secrets", "transcript discloses no secrets; nothing derivable")
         return ReplayReport(0, [issue])
-    names = _FLOWS[: len(declared)]
-    flows, reader_sent, reader_verdicts = t.delivered_flows()
+    messages = protocol.flows
+    names = _FLOWS[: len(messages)]
+    flows, reader_sent, reader_verdicts, early = t.delivered_flows()
     delivered = []
     for name in names:
         delivered.append(flows.pop(name, None))  # leaves the flows it does not have
     checked = 0
     issues: list[ReplayIssue] = []
     try:
-        for name, recomputed, observed in verify(secrets, delivered, params):
+        for name, recomputed, observed in _VERIFIERS[t.protocol](secrets, delivered, params):
             checked += 1
             if recomputed != observed:
                 issues.append(ReplayIssue(name, "recomputed value differs from the transcript"))
     except _Unverifiable as exc:
         issues.append(exc.issue)
-    for name, fields, known in zip(names, delivered, declared):
-        if fields is not None and not known.issuperset(fields):
+    for name, fields, message in zip(names, delivered, messages):
+        if fields is not None and not message._names.issuperset(fields):
             issues.extend(
                 ReplayIssue(f"{name}.{key}", "not a field of this flow")
-                for key in sorted(fields.keys() - known)
+                for key in sorted(fields.keys() - message._names)
             )
     if flows:
         issues.extend(ReplayIssue(name, "not a flow of this protocol") for name in flows)
-    if not disclosed.issuperset(secrets):
+    if not protocol.disclosed.issuperset(secrets):
         issues.extend(
             ReplayIssue(f"secrets.{key}", "not a secret of this protocol")
-            for key in sorted(secrets.keys() - disclosed)
+            for key in sorted(secrets.keys() - protocol.disclosed)
         )
     if delivered[1] is not None:  # flow2 reached the reader
         issues.extend(_reader_verdict_issues(reader_sent, reader_verdicts))
+        if early:
+            issues.extend(
+                ReplayIssue("verdict.reader", "logged before flow2 reached the reader")
+                for _ in range(early)
+            )
     return ReplayReport(checked, issues)
 
 

@@ -35,10 +35,6 @@ class Params(FrozenRecord):
     writing looks its document up by it once per transcript.
     """
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._names = frozenset(cls._fields)  # the keys params_from_dict requires
-
     def _set_widths(self, *values: int):
         """Store the fields, given in their order; each must be an int.
 
@@ -183,9 +179,11 @@ class SessionResult(Record):
 
 
 class Protocol(FrozenRecord):
-    """What one protocol looks like to the session driver and to the game.
+    """The one description of a protocol, which the driver, the game, replay and the CLI read.
 
-    A frozen record: each protocol module builds its table once, at import.
+    A frozen record: each protocol module builds its table once, at import,
+    and ``game.PROTOCOLS`` maps its name to it. ``flows`` is a tuple, so
+    the table hashes.
 
     The driver and the game call ``respond``, ``begin`` and ``authenticate``
     directly. Only ``finalize`` is adapted: an LWJX tag returns a bare
@@ -195,8 +193,8 @@ class Protocol(FrozenRecord):
     """
 
     name: str
-    flow1: type  # the challenge a tag answers
-    flow3: type  # the reply a tag judges
+    params: type  # the params class: params_from_dict builds it from a document
+    flows: tuple[type, ...]  # the message class of flow1, flow2, ..., in order
     state: tuple[str, ...]  # the tag attributes Corrupt reads and may overwrite
     disclose: Callable  # tag -> the secrets disclosed at session start
     disclose_after: Callable  # tag -> the secrets added once the tag has judged
@@ -208,12 +206,12 @@ class Protocol(FrozenRecord):
     run_session: Callable  # (tag, db, rng) -> SessionResult, the module's driver
 
     def __init__(
-        self, name, flow1, flow3, state, disclose, disclose_after, disclosed, finalize,
+        self, name, params, flows, state, disclose, disclose_after, disclosed, finalize,
         new_reader, provision, widths, run_session,
     ):
         setfield(self, "name", name)
-        setfield(self, "flow1", flow1)
-        setfield(self, "flow3", flow3)
+        setfield(self, "params", params)
+        setfield(self, "flows", flows)
         setfield(self, "state", state)
         setfield(self, "disclose", disclose)
         setfield(self, "disclose_after", disclose_after)

@@ -145,20 +145,22 @@ class Transcript:
                 return fields
         return None
 
-    def delivered_flows(self) -> tuple[dict[str, dict | None], set[str], list[dict]]:
+    def delivered_flows(self) -> tuple[dict[str, dict | None], set[str], list[dict], int]:
         """``delivered`` of every flow the log has entries of, and the reader's own, in one pass.
 
         First, flow name -> fields or None, in the order of each flow's
         first entry; "reject" and "verdict" entries are not flows. Then
-        the names of the flows and "reject" markers the reader logged, and
-        the fields of each reader verdict, in order. As with
-        ``delivered``, only the fields returned are built, each in its log
-        slot.
+        the names of the flows and "reject" markers the reader logged, the
+        fields of each reader verdict, in order, and how many reader
+        verdicts and "reject" markers come before the first flow2 entry.
+        As with ``delivered``, only the fields returned are built, each in
+        its log slot.
         """
         log = self._log
         last = {}  # flow name -> index of its last entry
         sent = set()
         verdicts = []
+        early = 0
         for i in range(0, len(log), 4):
             flow = log[i]
             last[flow] = i
@@ -168,6 +170,8 @@ class Transcript:
                     verdicts.append(fields)
                 else:
                     sent.add(flow)
+                if flow in _NOT_FLOWS and "flow2" not in last:
+                    early += 1
         flows = {}
         for flow, i in last.items():
             if flow in _NOT_FLOWS:
@@ -176,7 +180,7 @@ class Transcript:
                 flows[flow] = None
             else:
                 flows[flow] = log[i + 2] = _fields(log[i + 2])
-        return flows, sent, verdicts
+        return flows, sent, verdicts, early
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

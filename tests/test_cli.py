@@ -309,6 +309,16 @@ class TestReplayCommand:
         assert run(["replay", "--input", str(bad)]) == EXIT_THRESHOLD
         assert f"  {problem}\n" in capsys.readouterr().out
 
+    def test_an_unknown_protocol_fails_each_transcript_with_exit_2(self, tmp_path, capsys):
+        source = (FIXTURES / "fwcfp_honest.jsonl").read_text()
+        bad = tmp_path / "nfc.jsonl"
+        bad.write_text(source.replace('"protocol": "fwcfp"', '"protocol": "nfc"'))
+        assert run(["replay", "--input", str(bad)]) == EXIT_THRESHOLD
+        assert capsys.readouterr().out == (
+            "fail: 2 problem(s), 0 fields checked\n"
+            + "  protocol: unknown protocol 'nfc'\n" * 2
+        )
+
     def test_missing_file_is_a_config_error(self):
         assert run(["replay", "--input", "/nonexistent/t.jsonl"]) == EXIT_CONFIG
 

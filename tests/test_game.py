@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import rfidlab
 from rfidlab import attacks  # noqa: F401  (registers strategies)
 from rfidlab import crypto, fwcfp, lwjx
 from rfidlab.bits import BitString
-from rfidlab.cli import canonical_report_bytes
+from rfidlab.cli import build_parser, canonical_report_bytes
 from rfidlab.game import (
     BUDGET,
     CORRUPT_AFTER_ARCHIVE,
@@ -28,8 +29,15 @@ from rfidlab.game import (
     run_single_trial,
     run_upriv_game,
 )
+from rfidlab.replay import _VERIFIERS
 from rfidlab.rng import Rng
-from rfidlab.session import MAX_OPEN_SESSIONS, ProtocolError, RejectMessage
+from rfidlab.session import (
+    MAX_OPEN_SESSIONS,
+    ProtocolError,
+    RejectMessage,
+    drive,
+    params_from_dict,
+)
 
 FWCFP = fwcfp.FwcfpParams()
 FWCFP_N8 = fwcfp.FwcfpParams(hash_bits=8)
@@ -179,7 +187,7 @@ class TestOpenReaderSessions:
         assert sid not in game.db.sessions
         assert game.send_to_reader(sid, flow2) == RejectMessage()
         reply = game.send_to_reader(newest, game.send_to_tag(0, newest_flow1))
-        assert isinstance(reply, PROTOCOLS[protocol].flow3)
+        assert isinstance(reply, PROTOCOLS[protocol].flows[2])
 
 
 class TestCorruptQuery:
@@ -596,3 +604,41 @@ class TestReferenceValues:
         assert report.exact_adv == 0.375
         assert abs(report.empirical_adv - 0.375) < 0.05
         assert report.nominal_within_ci is False
+
+
+class TestProtocolTable:
+    """Each protocol's table in PROTOCOLS describes what its driver logs."""
+
+    @pytest.mark.parametrize(
+        "name, drop_flow3", [("fwcfp", False), ("lwjx", False), ("lwjx", True)],
+        ids=["fwcfp", "lwjx", "lwjx-flow3-dropped"],
+    )
+    def test_flows_and_params_match_what_the_driver_logs(self, name, drop_flow3):
+        protocol = PROTOCOLS[name]
+        assert protocol.name == name
+        hash(protocol)  # a frozen record of hashable fields
+        assert name in _VERIFIERS  # replay's own part of the protocol
+        params = protocol.params()
+        assert params_from_dict(protocol.params, params.to_dict()) == params
+        rng = Rng(3)
+        db = protocol.new_reader(params, rng)
+        tag = protocol.provision(db, rng)
+        if drop_flow3:
+            result = lwjx.run_honest_session(tag, db, rng, drop_flow3=True, disclose_secrets=True)
+        else:
+            result = drive(protocol, tag, db, rng, disclose_secrets=True)
+        assert result.reader_verdict.ok and (result.tag_verdict is None) == drop_flow3
+        # every flow the log holds is one of the table's, each logged in order
+        names = [f"flow{i}" for i in range(1, len(protocol.flows) + 1)]
+        flows = result.transcript.delivered_flows()[0]
+        assert list(flows) == names
+        assert (flows["flow3"] is None) == drop_flow3
+        for flow, message in zip(names, protocol.flows):
+            if flows[flow] is not None:
+                assert flows[flow].keys() == message._names, flow
+
+    def test_the_cli_offers_the_protocols_of_the_table(self):
+        parser = build_parser()
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        (flag,) = [a for a in action.choices["honest"]._actions if a.dest == "protocol"]
+        assert list(flag.choices) == list(PROTOCOLS)

@@ -211,6 +211,7 @@ X, Y, Z = BitString(8, 1), BitString(8, 2), BitString(8, 3)
     ids=lambda value: f"{type(value).__module__[8:]}-{type(value).__name__}",
 )
 def test_every_frozen_record_is_immutable_picklable_and_class_strict(record, other):
+    assert record._names == frozenset(record._fields)
     for name in (*record._fields, "extra"):
         with pytest.raises(FrozenRecordError):
             setattr(record, name, None)

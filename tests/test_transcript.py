@@ -155,8 +155,9 @@ class TestRecordedMatchesLoaded:
             assert t.delivered(flow) == loaded.delivered(flow), flow
         # every flow's delivered fields in one pass, each built in its log slot
         fresh = recorded(protocol, case)
-        flows, sent, verdicts = fresh.delivered_flows()
-        assert (flows, sent, verdicts) == loaded.delivered_flows()
+        flows, sent, verdicts, early = fresh.delivered_flows()
+        assert (flows, sent, verdicts, early) == loaded.delivered_flows()
+        assert early == 0  # the driver logs no reader verdict or reject before flow2
         reader = [e for e in fresh.entries if e.sender == "reader"]
         assert sent == {e.flow for e in reader if e.flow != "verdict"}
         assert verdicts == [e.fields for e in reader if e.flow == "verdict"]
@@ -711,6 +712,30 @@ class TestReplay:
         ]
         assert main(["replay", "--input", str(path)]) == EXIT_THRESHOLD
         assert "verdict.reader" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name, before",
+        [("fwcfp_honest.jsonl", "flow1"), ("lwjx_honest.jsonl", "flow2")],
+        ids=["fwcfp-before-flow1", "lwjx-between-flow1-and-flow2"],
+    )
+    def test_the_reader_verdict_must_follow_flow2(self, tmp_path, capsys, name, before):
+        """s0's reader verdict line moved up, before its entry of ``before``."""
+        docs = [json.loads(line) for line in (FIXTURES / name).read_text().splitlines()]
+        s0 = [doc for doc in docs if doc["session"] == "s0"]
+        (verdict,) = [doc for doc in s0 if doc.get("flow") == "verdict"
+                      and doc["sender"] == "reader"]
+        docs.remove(verdict)
+        (target,) = [doc for doc in s0 if doc.get("flow") == before]
+        docs.insert(docs.index(target), verdict)
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        report = replay_file(path)
+        assert report.checked == 12
+        assert [(i.field, i.message) for i in report.issues] == [
+            ("verdict.reader", "logged before flow2 reached the reader")
+        ]
+        assert main(["replay", "--input", str(path)]) == EXIT_THRESHOLD
+        assert "verdict.reader: logged before flow2" in capsys.readouterr().out
 
     @pytest.mark.parametrize("protocol", [fwcfp.PROTOCOL, lwjx.PROTOCOL], ids=["fwcfp", "lwjx"])
     def test_disclosed_names_are_what_a_disclosed_session_records(self, protocol):
