@@ -32,7 +32,11 @@ from that commit (null outside git).
 
 ``peak_rss_mb`` follows the length of a checkout's path as well as its
 code, so the script warns on stderr when the two resolved paths differ
-in length; the exit status does not change.
+in length. ``setup_s`` times an import, which is several times faster
+from cached bytecode, so the script also warns when a checkout holds
+``src/rfidlab/__pycache__`` before the first pair or after the last, and
+``--out`` records, per checkout, whether it did at each of these two
+points. Neither warning changes the exit status.
 """
 
 from __future__ import annotations
@@ -105,6 +109,19 @@ def checkout_commit(checkout: Path) -> dict:
     if head is None or head.returncode != 0:
         return {"commit": None, "modified": None}
     return {"commit": head.stdout.strip(), "modified": bool(git("status", "--porcelain").stdout)}
+
+
+def warn_of_bytecode(checkouts: tuple[Path, Path], when: str) -> list[bool]:
+    """Whether each checkout holds cached bytecode now; a warning on stderr for each that does."""
+    held = [(checkout / "src" / "rfidlab" / "__pycache__").is_dir() for checkout in checkouts]
+    for side, checkout, cached in zip("AB", checkouts, held):
+        if cached:
+            print(
+                f"warning: checkout {side} holds src/rfidlab/__pycache__ {when}, so its"
+                f" setup_s may time an import of cached bytecode: {checkout}",
+                file=sys.stderr,
+            )
+    return held
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -190,16 +207,19 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
 
+    checkouts = (args.dir_a, args.dir_b)
+    cached_before = warn_of_bytecode(checkouts, "before the first pair")
     pairs = []
     for i in range(args.pairs):
         seed = args.seed + i
         order = (0, 1) if i % 2 == 0 else (1, 0)
         results = [None, None]
         for side in order:
-            checkout = (args.dir_a, args.dir_b)[side]
+            checkout = checkouts[side]
             print(f"pair {i + 1}/{args.pairs}: {'AB'[side]} seed {seed}", file=sys.stderr)
             results[side] = run_once(checkout, args.workload, seed, args.seconds, metric_names)
         pairs.append((results[0], results[1]))
+    cached_after = warn_of_bytecode(checkouts, "after the last pair")
     summary = summarize(pairs, end_to_end)
     line = {
         "workload": args.workload,
@@ -213,8 +233,14 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "checkouts": {
-                side: {"path": path, **checkout_commit(checkout)}
-                for side, path, checkout in zip("ab", paths, (args.dir_a, args.dir_b))
+                side: {
+                    "path": path,
+                    **checkout_commit(checkout),
+                    "bytecode_cached": {"before": before, "after": after},
+                }
+                for side, path, checkout, before, after in zip(
+                    "ab", paths, checkouts, cached_before, cached_after
+                )
             },
         }
         args.out.write_text(json.dumps({**line, **host}, indent=2) + "\n", encoding="utf-8")

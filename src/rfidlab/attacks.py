@@ -30,28 +30,6 @@ class DesyncOutcome(Record):
     rejects: int
     reject_reasons: dict
 
-    def __init__(
-        self,
-        mask: BitString,
-        alias_before: BitString,
-        issued_alias: BitString,
-        alias_after: BitString,
-        tamper_accepted: bool,
-        tampered_session: Transcript,
-        post_attack_attempts: int,
-        rejects: int,
-        reject_reasons: dict,
-    ):
-        self.mask = mask
-        self.alias_before = alias_before
-        self.issued_alias = issued_alias
-        self.alias_after = alias_after
-        self.tamper_accepted = tamper_accepted
-        self.tampered_session = tampered_session
-        self.post_attack_attempts = post_attack_attempts
-        self.rejects = rejects
-        self.reject_reasons = reject_reasons
-
     @property
     def alias_shift_matches(self) -> bool:
         """Stored alias == the alias the reader issued XOR the mask."""

@@ -285,11 +285,6 @@ def _cmd_snapshot(args):
             raise ConfigError("--master-key must be hex") from None
         original = snapshots.read_doc(args.input)
         db = snapshots.db_from_doc(original, master_key=master)
-        is_fwcfp = isinstance(db, fwcfp.FwcfpReaderDb)
-        if master is not None and (not is_fwcfp or "master_key" in original):
-            raise ConfigError("--master-key applies to a redacted FWCFP snapshot only")
-        if args.include_master_key and not is_fwcfp:
-            raise ConfigError("--include-master-key applies to FWCFP snapshots only")
         if args.output:
             snapshots.snapshot_db(
                 db, args.output, include_master_key=args.include_master_key
@@ -303,8 +298,6 @@ def _cmd_snapshot(args):
         raise ConfigError("--master-key applies to --input only")
     args.protocol = args.protocol or "fwcfp"
     args.tags = 3 if args.tags is None else args.tags
-    if args.include_master_key and args.protocol != "fwcfp":
-        raise ConfigError("--include-master-key applies to FWCFP snapshots only")
     params = build_params(args)
     rng = Rng(_resolve_seed(args))
     protocol = game.PROTOCOLS[args.protocol]

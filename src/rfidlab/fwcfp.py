@@ -74,19 +74,11 @@ class FwcfpParams(Params):
 class Flow1(Message):
     rand1: BitString
 
-    def __init__(self, rand1: BitString):
-        setfield(self, "rand1", rand1)
-
 
 class Flow2(Message):
     idta: BitString
     h1: BitString
     rand2: BitString
-
-    def __init__(self, idta: BitString, h1: BitString, rand2: BitString):
-        setfield(self, "idta", idta)
-        setfield(self, "h1", h1)
-        setfield(self, "rand2", rand2)
 
 
 class Flow3(Message):
@@ -94,17 +86,9 @@ class Flow3(Message):
     a: BitString
     b: BitString
 
-    def __init__(self, h2: BitString, a: BitString, b: BitString):
-        setfield(self, "h2", h2)
-        setfield(self, "a", a)
-        setfield(self, "b", b)
-
 
 class Flow4(Message):
-    ok: bool
-
-    def __init__(self, ok: bool = True):
-        setfield(self, "ok", ok)
+    ok: bool = True
 
 
 def alias_masks(p: FwcfpParams, k: int, rand1: int, rand2: int) -> tuple[int, int]:

@@ -35,7 +35,7 @@ from collections import Counter
 from . import fwcfp, lwjx
 from .bits import BitString
 from .crypto import HASH_NAME
-from .records import FrozenRecord, Record, setfield
+from .records import FrozenRecord, Record
 from .rng import Rng
 from .session import Protocol, ProtocolError, RejectMessage
 from .transcript import Transcript
@@ -67,9 +67,6 @@ class ChallengeHandle(FrozenRecord):
     """Opaque routing token for the hidden tag; the token is fresh randomness."""
 
     token: BitString
-
-    def __init__(self, token: BitString):
-        setfield(self, "token", token)
 
 
 PROTOCOLS = {fwcfp.PROTOCOL_NAME: fwcfp.PROTOCOL, lwjx.PROTOCOL_NAME: lwjx.PROTOCOL}
@@ -349,53 +346,9 @@ class AdvantageReport(Record):
     exact_adv: float
     nominal_within_ci: bool
     exact_within_ci: bool
-    hash_name: str
-    schema: int
-    generated_at: str | None
-
-    def __init__(
-        self,
-        protocol: str,
-        strategy: str,
-        params: dict,
-        seed: int,
-        trials_requested: int,
-        trials_completed: int,
-        discarded: int,
-        discard_reasons: dict,
-        correct: int,
-        empirical_p: float,
-        empirical_adv: float,
-        ci95: float,
-        ci_method: str,
-        nominal_adv: float,
-        exact_adv: float,
-        nominal_within_ci: bool,
-        exact_within_ci: bool,
-        hash_name: str = HASH_NAME,
-        schema: int = SCHEMA_VERSION,
-        generated_at: str | None = None,
-    ):
-        self.protocol = protocol
-        self.strategy = strategy
-        self.params = params
-        self.seed = seed
-        self.trials_requested = trials_requested
-        self.trials_completed = trials_completed
-        self.discarded = discarded
-        self.discard_reasons = discard_reasons
-        self.correct = correct
-        self.empirical_p = empirical_p
-        self.empirical_adv = empirical_adv
-        self.ci95 = ci95
-        self.ci_method = ci_method
-        self.nominal_adv = nominal_adv
-        self.exact_adv = exact_adv
-        self.nominal_within_ci = nominal_within_ci
-        self.exact_within_ci = exact_within_ci
-        self.hash_name = hash_name
-        self.schema = schema
-        self.generated_at = generated_at
+    hash_name: str = HASH_NAME
+    schema: int = SCHEMA_VERSION
+    generated_at: str | None = None
 
     def to_dict(self) -> dict:
         """The report's document: its fields in order, the two dicts copied."""

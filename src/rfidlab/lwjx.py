@@ -79,26 +79,15 @@ class LwjxParams(Params):
 class Flow1(Message):
     rr: BitString
 
-    def __init__(self, rr: BitString):
-        setfield(self, "rr", rr)
-
 
 class Flow2(Message):
     hid: BitString
     hk: BitString
     rt: BitString
 
-    def __init__(self, hid: BitString, hk: BitString, rt: BitString):
-        setfield(self, "hid", hid)
-        setfield(self, "hk", hk)
-        setfield(self, "rt", rt)
-
 
 class Flow3(Message):
     hkt: BitString
-
-    def __init__(self, hkt: BitString):
-        setfield(self, "hkt", hkt)
 
 
 class LwjxTag:

@@ -1,12 +1,15 @@
 """The base of rfidlab's value classes: messages, verdicts, params and reports.
 
-A record class declares its fields as class annotations, in order, and
-writes its own ``__init__``; :class:`Record` gives every record, once for
-all classes:
+A record class declares its fields as class annotations, in order, with
+a field's default, if it has one, as the annotation's value. :class:`Record`
+gives every record, once for all classes:
 
 - ``_fields``, the field names in declaration order, ``_names``, the
   same names as a frozenset, and ``_replace``, which builds a copy with
   some fields changed through the constructor;
+- a constructor that takes the fields, by position or keyword, and
+  stores them, unless the class writes its own ``__init__`` to check
+  them or to derive values from them;
 - equality that holds only between records of one class, over the
   compared fields: all of them, less the names a class passes as
   ``uncompared`` (``class V(FrozenRecord, uncompared=("x",))``);
@@ -47,6 +50,30 @@ def _key_getter(names: tuple[str, ...]) -> attrgetter:
     return attrgetter(*names) if names else attrgetter("__class__")
 
 
+def _constructor(cls):
+    """The ``__init__`` that stores each of the class's fields, compiled from source.
+
+    Compiled once per class, it costs what a written one does; an
+    ``__init__(self, *args)`` looping over ``_fields`` made a three-field
+    message about 60% slower to build. A field's default is the class
+    attribute of its name, which is then deleted: while a class attribute
+    shares a field's name, every frozen store to that field is slower.
+    """
+    fields = cls._fields
+    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+    for name in defaults:
+        delattr(cls, name)
+    params = ", ".join(f"{n}=defaults[{n!r}]" if n in defaults else n for n in fields)
+    store = "setfield(self, {0!r}, {0})" if issubclass(cls, FrozenRecord) else "self.{0} = {0}"
+    body = "".join(f"    {store.format(name)}\n" for name in fields)
+    source = f"def __init__(self, {params}):\n{body}"
+    namespace = {"__name__": cls.__module__, "setfield": setfield, "defaults": defaults}
+    exec(source, namespace)  # a default before a field without one is a SyntaxError
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class Record:
     """A mutable record: unhashable, as it compares by value."""
 
@@ -58,6 +85,8 @@ class Record:
         cls._fields = tuple(cls.__annotations__)
         cls._names = frozenset(cls._fields)
         cls._key = _key_getter(tuple(n for n in cls._fields if n not in uncompared))
+        if cls._fields and "__init__" not in cls.__dict__:
+            cls.__init__ = _constructor(cls)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -32,12 +32,7 @@ class TranscriptParamsError(ValueError):
 class ReplayIssue(Record):
     field: str
     message: str
-    line: int | None
-
-    def __init__(self, field: str, message: str, line: int | None = None):
-        self.field = field
-        self.message = message
-        self.line = line
+    line: int | None = None
 
 
 class ReplayReport(Record):

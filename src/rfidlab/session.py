@@ -135,16 +135,8 @@ class SessionVerdict(FrozenRecord, uncompared=("issued",)):
 
     party: str
     ok: bool
-    reason: str | None
-    issued: BitString | None
-
-    def __init__(
-        self, party: str, ok: bool, reason: str | None = None, issued: BitString | None = None
-    ):
-        setfield(self, "party", party)
-        setfield(self, "ok", ok)
-        setfield(self, "reason", reason)
-        setfield(self, "issued", issued)
+    reason: str | None = None
+    issued: BitString | None = None
 
     def fields(self) -> dict:
         out = {"party": self.party, "outcome": "accept" if self.ok else "reject"}
@@ -157,16 +149,6 @@ class SessionResult(Record):
     transcript: Transcript
     reader_verdict: SessionVerdict | None
     tag_verdict: SessionVerdict | None
-
-    def __init__(
-        self,
-        transcript: Transcript,
-        reader_verdict: SessionVerdict | None,
-        tag_verdict: SessionVerdict | None,
-    ):
-        self.transcript = transcript
-        self.reader_verdict = reader_verdict
-        self.tag_verdict = tag_verdict
 
     @property
     def both_accepted(self) -> bool:
@@ -204,23 +186,6 @@ class Protocol(FrozenRecord):
     provision: Callable  # (db, rng[, id, k]) -> a new tag registered with db
     widths: Callable  # params -> (identifier width, key width)
     run_session: Callable  # (tag, db, rng) -> SessionResult, the module's driver
-
-    def __init__(
-        self, name, params, flows, state, disclose, disclose_after, disclosed, finalize,
-        new_reader, provision, widths, run_session,
-    ):
-        setfield(self, "name", name)
-        setfield(self, "params", params)
-        setfield(self, "flows", flows)
-        setfield(self, "state", state)
-        setfield(self, "disclose", disclose)
-        setfield(self, "disclose_after", disclose_after)
-        setfield(self, "disclosed", disclosed)
-        setfield(self, "finalize", finalize)
-        setfield(self, "new_reader", new_reader)
-        setfield(self, "provision", provision)
-        setfield(self, "widths", widths)
-        setfield(self, "run_session", run_session)
 
 
 def drive(

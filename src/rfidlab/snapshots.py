@@ -2,8 +2,10 @@
 
 FWCFP snapshots redact the master permutation key unless explicitly asked
 to include it; a redacted snapshot can only be loaded by supplying the key
-out of band. LWJX snapshots carry the full per-tag records including the
-old/new epochs and the M counter.
+out of band, and one that carries its key takes no other. LWJX snapshots
+have no master key, to write, read or be given; they carry the full
+per-tag records including the old/new epochs and the M counter. Params
+are built by the params class in the protocol's ``game.PROTOCOLS`` table.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ from contextlib import contextmanager
 
 from .bits import BitString
 from .crypto import PermKey, truncated_hash
-from .fwcfp import FwcfpParams, FwcfpReaderDb
-from .lwjx import LwjxParams, LwjxReaderDb, LwjxReaderRecord
+from .fwcfp import FwcfpReaderDb
+from .game import PROTOCOLS
+from .lwjx import LwjxReaderDb, LwjxReaderRecord
 from .session import params_from_dict
 
 SCHEMA_VERSION = 1
+_ONLY_FWCFP = "only FWCFP snapshots have a master key"
 
 
 class SnapshotError(ValueError):
@@ -62,17 +66,8 @@ def fwcfp_db_to_doc(db: FwcfpReaderDb, include_master_key: bool = False) -> dict
 
 
 def fwcfp_db_from_doc(doc: dict, master_key: bytes | None = None) -> FwcfpReaderDb:
-    _validate(doc, "fwcfp", "registry")
+    params, key = _load_head(doc, "fwcfp", "registry", master_key)
     with _malformed("fwcfp snapshot"):
-        params = params_from_dict(FwcfpParams, doc["params"])
-        if "master_key" in doc:
-            key = bytes.fromhex(doc["master_key"])
-        elif master_key is not None:
-            key = master_key
-        else:
-            raise SnapshotError(
-                "snapshot redacts the master key; pass it explicitly to load"
-            )
         db = FwcfpReaderDb(params, PermKey(key, params.alias_bits))
     for i, entry in enumerate(doc["registry"]):
         with _malformed(f"registry entry {i}"):
@@ -99,16 +94,15 @@ def lwjx_db_to_doc(db: LwjxReaderDb) -> dict:
     }
 
 
-def lwjx_db_from_doc(doc: dict) -> LwjxReaderDb:
+def lwjx_db_from_doc(doc: dict, master_key: bytes | None = None) -> LwjxReaderDb:
     """Build the reader a snapshot describes; each record's h_id_new must be H(id).
 
     h_id_old is not checked: it hashes the old identifier, which G, being
     one-way, does not give back from the current one.
     """
-    _validate(doc, "lwjx", "records")
-    with _malformed("lwjx snapshot"):
-        db = LwjxReaderDb(params_from_dict(LwjxParams, doc["params"]))
-    h = db.params.h
+    params, _ = _load_head(doc, "lwjx", "records", master_key)
+    db = LwjxReaderDb(params)
+    h = params.h
     for i, entry in enumerate(doc["records"]):
         with _malformed(f"record {i}"):
             rec = LwjxReaderRecord(
@@ -125,8 +119,12 @@ def lwjx_db_from_doc(doc: dict) -> LwjxReaderDb:
     return db
 
 
-def _validate(doc: dict, protocol: str, entries: str):
-    """Check the schema, the protocol and that the entries key holds an array."""
+def _load_head(doc: dict, protocol: str, entries: str, master_key: bytes | None):
+    """The params and master key to load with, once the schema, protocol and entries hold.
+
+    The key is the document's own or, for a redacted FWCFP document, the
+    one passed; it is None for LWJX.
+    """
     if not isinstance(doc, dict) or "schema" not in doc:
         raise SnapshotError("not a snapshot document")
     schema = doc["schema"]
@@ -138,12 +136,26 @@ def _validate(doc: dict, protocol: str, entries: str):
         )
     if type(doc.get(entries)) is not list:
         raise SnapshotError(f"snapshot {entries} must be an array")
+    with _malformed(f"{protocol} snapshot"):
+        params = params_from_dict(PROTOCOLS[protocol].params, doc["params"])
+    if "master_key" in doc:
+        if master_key is not None:
+            raise SnapshotError("snapshot carries its master key; pass no other")
+        with _malformed(f"{protocol} snapshot"):
+            master_key = bytes.fromhex(doc["master_key"])
+    if protocol != "fwcfp" and master_key is not None:
+        raise SnapshotError(_ONLY_FWCFP)
+    if protocol == "fwcfp" and master_key is None:
+        raise SnapshotError("snapshot redacts the master key; pass it explicitly to load")
+    return params, master_key
 
 
 def db_to_doc(db, *, include_master_key: bool = False) -> dict:
-    """The snapshot document of either protocol's reader."""
+    """The snapshot document of either protocol's reader; only FWCFP's has a master key."""
     if isinstance(db, FwcfpReaderDb):
         return fwcfp_db_to_doc(db, include_master_key)
+    if include_master_key:
+        raise SnapshotError(_ONLY_FWCFP)
     if isinstance(db, LwjxReaderDb):
         return lwjx_db_to_doc(db)
     raise SnapshotError(f"cannot snapshot {type(db).__name__}")
@@ -179,7 +191,7 @@ def db_from_doc(doc, *, master_key: bytes | None = None):
     if protocol == "fwcfp":
         return fwcfp_db_from_doc(doc, master_key)
     if protocol == "lwjx":
-        return lwjx_db_from_doc(doc)
+        return lwjx_db_from_doc(doc, master_key)
     raise SnapshotError(f"unknown snapshot protocol {protocol!r}")
 
 

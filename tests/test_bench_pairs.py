@@ -259,8 +259,10 @@ def test_out_writes_the_line_with_the_host_and_the_commits(monkeypatch, capsys, 
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "checkouts": {
-            "a": {"path": str((tmp_path / "a").resolve()), "commit": commit_a, "modified": False},
-            "b": {"path": str((tmp_path / "b").resolve()), "commit": commit_b, "modified": True},
+            "a": {"path": str((tmp_path / "a").resolve()), "commit": commit_a, "modified": False,
+                  "bytecode_cached": {"before": False, "after": False}},
+            "b": {"path": str((tmp_path / "b").resolve()), "commit": commit_b, "modified": True,
+                  "bytecode_cached": {"before": False, "after": False}},
         },
     }
     assert written["seeds"] == [5, 6]
@@ -296,3 +298,35 @@ def test_checkout_paths_of_unequal_length_are_warned_of(
 
 def test_a_checkout_outside_git_has_no_commit(tmp_path):
     assert bench_pairs.checkout_commit(tmp_path) == {"commit": None, "modified": None}
+
+
+def test_checkouts_that_hold_cached_bytecode_are_warned_of(monkeypatch, capsys, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    (a / "src" / "rfidlab" / "__pycache__").mkdir(parents=True)
+    b.mkdir()
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": END_TO_END}))
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", benchmark)
+
+    def run_once(checkout, workload, seed, seconds, names):
+        # as a run that writes bytecode does
+        (checkout / "src" / "rfidlab" / "__pycache__").mkdir(parents=True, exist_ok=True)
+        return result(100, 10.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(a), str(b), "--workload", "w", "--pairs", "1", "--seconds", "1",
+            "--seed", "5", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    warnings = [
+        line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")
+    ]
+    cached = "holds src/rfidlab/__pycache__ {}, so its setup_s may time an import of cached bytecode"
+    assert warnings == [
+        f"warning: checkout A {cached.format('before the first pair')}: {a}",
+        f"warning: checkout A {cached.format('after the last pair')}: {a}",
+        f"warning: checkout B {cached.format('after the last pair')}: {b}",
+    ]
+    checkouts = json.loads(out.read_text())["checkouts"]
+    assert checkouts["a"]["bytecode_cached"] == {"before": True, "after": True}
+    assert checkouts["b"]["bytecode_cached"] == {"before": False, "after": True}

@@ -503,6 +503,14 @@ class TestMalformedInputs:
             list(read_jsonl(path))
         assert caught.value.line_number == 5
 
+    def test_lwjx_snapshot_that_carries_a_master_key(self, tmp_path, capsys):
+        path, doc = self.lwjx_snapshot(tmp_path)
+        doc["master_key"] = "00" * 16
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["snapshot", "--input", str(path)]) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+
     def test_master_key_that_is_not_hex(self, tmp_path, capsys):
         path = tmp_path / "db.json"
         run(["snapshot", "--protocol", "fwcfp", "--output", str(path), "--seed", "5"])

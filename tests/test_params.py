@@ -11,8 +11,9 @@ import pickle
 import pytest
 
 from rfidlab import fwcfp, lwjx
+from rfidlab.attacks import DesyncOutcome
 from rfidlab.bits import BitString
-from rfidlab.crypto import HashParams, PermKey, g_params, h_params, permute
+from rfidlab.crypto import HASH_NAME, HashParams, PermKey, g_params, h_params, permute
 from rfidlab.fwcfp import Flow2 as FwcfpFlow2
 from rfidlab.fwcfp import Flow3 as FwcfpFlow3
 from rfidlab.fwcfp import FwcfpParams, FwcfpReaderDb
@@ -21,11 +22,11 @@ from rfidlab.lwjx import Flow2 as LwjxFlow2
 from rfidlab.lwjx import Flow3 as LwjxFlow3
 from rfidlab.lwjx import LwjxParams, LwjxReaderDb
 from rfidlab.lwjx import run_honest_session as lwjx_session
-from rfidlab.game import ChallengeHandle
-from rfidlab.records import FrozenRecordError
+from rfidlab.game import SCHEMA_VERSION, AdvantageReport, ChallengeHandle
+from rfidlab.records import FrozenRecord, FrozenRecordError
 from rfidlab.replay import ReplayIssue, ReplayReport
 from rfidlab.rng import Rng
-from rfidlab.session import Message, RejectMessage, SessionVerdict
+from rfidlab.session import Message, Protocol, RejectMessage, SessionResult, SessionVerdict
 
 
 def fwcfp_derived(p):
@@ -222,3 +223,55 @@ def test_every_frozen_record_is_immutable_picklable_and_class_strict(record, oth
     assert copy == record and hash(copy) == hash(record) and repr(copy) == repr(record)
     assert copy.__dict__ == record.__dict__  # derived values are derived again
     assert record != other and other != record
+
+
+# every record class whose constructor only stores its fields, with the
+# default of each field that has one
+STORING = [
+    (fwcfp.Flow1, {}),
+    (fwcfp.Flow2, {}),
+    (fwcfp.Flow3, {}),
+    (fwcfp.Flow4, {"ok": True}),
+    (lwjx.Flow1, {}),
+    (lwjx.Flow2, {}),
+    (lwjx.Flow3, {}),
+    (SessionVerdict, {"reason": None, "issued": None}),
+    (SessionResult, {}),
+    (Protocol, {}),
+    (ChallengeHandle, {}),
+    (AdvantageReport, {"hash_name": HASH_NAME, "schema": SCHEMA_VERSION, "generated_at": None}),
+    (DesyncOutcome, {}),
+    (ReplayIssue, {"line": None}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, defaults", STORING, ids=[f"{c.__module__[8:]}-{c.__name__}" for c, _ in STORING]
+)
+def test_storing_constructors(cls, defaults):
+    values = {name: f"{name} value" for name in cls._fields}
+    record = cls(*values.values())
+    assert record == cls(**values)
+    assert {name: getattr(record, name) for name in cls._fields} == values
+    assert list(cls._fields[len(cls._fields) - len(defaults):]) == list(defaults)
+    required = cls._fields[: len(cls._fields) - len(defaults)]
+    for name in required:
+        with pytest.raises(TypeError):
+            cls(**{other: values[other] for other in required if other != name})
+    bare = cls(**{name: values[name] for name in required})
+    assert {name: getattr(bare, name) for name in defaults} == defaults
+    assert not cls._names & vars(cls).keys()
+    if not issubclass(cls, FrozenRecord):
+        first = cls._fields[0]
+        for copy in (pickle.loads(pickle.dumps(record)), record._replace()):
+            assert type(copy) is cls and copy is not record and copy == record
+        changed = record._replace(**{first: "changed"})
+        assert getattr(changed, first) == "changed" and getattr(record, first) == values[first]
+
+
+def test_a_field_without_a_default_cannot_follow_one_with():
+    with pytest.raises(SyntaxError):
+
+        class Unordered(FrozenRecord):
+            a: int = 1
+            b: int

@@ -16,6 +16,8 @@ from rfidlab.rng import Rng
 from rfidlab.session import Message, RejectMessage, params_from_dict
 from rfidlab.snapshots import (
     SnapshotError,
+    db_from_doc,
+    db_to_doc,
     fwcfp_db_from_doc,
     fwcfp_db_to_doc,
     load_db,
@@ -1081,6 +1083,24 @@ class TestSnapshots:
             fwcfp_db_from_doc(doc)
         loaded = fwcfp_db_from_doc(doc, master_key=db.ks.key)
         assert loaded.ks == db.ks
+
+    def test_a_keyed_fwcfp_snapshot_takes_no_other_master_key(self):
+        db, _ = self.make_fwcfp_db()
+        doc = fwcfp_db_to_doc(db, include_master_key=True)
+        with pytest.raises(SnapshotError, match="carries its master key"):
+            db_from_doc(doc, master_key=bytes(16))
+
+    def test_an_lwjx_snapshot_cannot_include_a_master_key(self):
+        with pytest.raises(SnapshotError, match="only FWCFP"):
+            db_to_doc(self.make_lwjx_db()[0], include_master_key=True)
+
+    @pytest.mark.parametrize("in_doc", [False, True], ids=["passed", "in-doc"])
+    def test_an_lwjx_snapshot_loads_with_no_master_key(self, in_doc):
+        doc = lwjx_db_to_doc(self.make_lwjx_db()[0])
+        if in_doc:
+            doc["master_key"] = "00" * 16
+        with pytest.raises(SnapshotError, match="only FWCFP"):
+            db_from_doc(doc, master_key=None if in_doc else bytes(16))
 
     def test_lwjx_round_trip_preserves_epochs_and_counter(self):
         db, tags, rng = self.make_lwjx_db()
