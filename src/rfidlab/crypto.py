@@ -95,15 +95,13 @@ class HashParams(FrozenRecord):
     output_bits: int
     domain_tag: int
 
-    def __init__(self, output_bits: int, domain_tag: int):
-        if output_bits < 1:
-            raise ValueError(f"hash output must be >= 1 bit, got {output_bits}")
-        if not 0 <= domain_tag <= 0xFF:
-            raise ValueError(f"domain tag must be one byte, got {domain_tag}")
-        setfield(self, "output_bits", output_bits)
-        setfield(self, "domain_tag", domain_tag)
+    def __post_init__(self):
+        if self.output_bits < 1:
+            raise ValueError(f"hash output must be >= 1 bit, got {self.output_bits}")
+        if not 0 <= self.domain_tag <= 0xFF:
+            raise ValueError(f"domain tag must be one byte, got {self.domain_tag}")
         # not a field: equality, hashing and repr stay on (output_bits, domain_tag)
-        setfield(self, "tag_byte", bytes((domain_tag,)))
+        setfield(self, "tag_byte", bytes((self.domain_tag,)))
 
 
 @lru_cache
@@ -166,13 +164,12 @@ class PermKey(FrozenRecord):
     key: bytes
     width: int
 
-    def __init__(self, key: bytes, width: int):
+    def __post_init__(self):
+        key, width = self.key, self.width
         if not key:
             raise ValueError("permutation key must be non-empty")
         if width < 2 or width % 2:
             raise WidthError(f"block width must be even and >= 2, got {width}")
-        setfield(self, "key", key)
-        setfield(self, "width", width)
         # not fields: a round hashes key || right half, built from these
         half = width // 2
         setfield(self, "round_params", _round_params(half))

@@ -43,24 +43,18 @@ _READER_BAD_H1 = SessionVerdict("reader", False, "bad-h1")
 
 
 class FwcfpParams(Params):
-    id_bits: int
-    key_bits: int
-    nonce_bits: int
-    hash_bits: int
-    rand0_bits: int
+    id_bits: int = 96
+    key_bits: int = 96
+    nonce_bits: int = 96
+    hash_bits: int = 96
+    rand0_bits: int = 32
 
-    def __init__(
-        self,
-        id_bits: int = 96,
-        key_bits: int = 96,
-        nonce_bits: int = 96,
-        hash_bits: int = 96,
-        rand0_bits: int = 32,
-    ):
-        self._set_widths(id_bits, key_bits, nonce_bits, hash_bits, rand0_bits)
+    def __post_init__(self):
+        super().__post_init__()
         for name in self._fields:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        id_bits, rand0_bits = self.id_bits, self.rand0_bits
         if (id_bits + rand0_bits) % 2:
             # the alias cipher is a balanced Feistel network over IDT || nonce
             raise ValueError(f"id_bits + rand0_bits must be even, got {id_bits} + {rand0_bits}")
@@ -68,7 +62,7 @@ class FwcfpParams(Params):
         # alias_bits is the alias block width (the ciphertext encodes IDT and
         # the alias nonce); hash is the H oracle every session calls.
         setfield(self, "alias_bits", id_bits + rand0_bits)
-        setfield(self, "hash", h_params(hash_bits))
+        setfield(self, "hash", h_params(self.hash_bits))
 
 
 class Flow1(Message):

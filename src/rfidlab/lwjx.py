@@ -59,21 +59,21 @@ _READER_NO_MATCH = SessionVerdict("reader", False, "no-match")
 
 
 class LwjxParams(Params):
-    bits: int  # shared width of identifiers, keys and nonces
-    hash_bits: int
-    m_limit: int
+    bits: int = 96  # shared width of identifiers, keys and nonces
+    hash_bits: int = 96
+    m_limit: int = 5
 
-    def __init__(self, bits: int = 96, hash_bits: int = 96, m_limit: int = 5):
-        self._set_widths(bits, hash_bits, m_limit)
-        if bits < 1:
+    def __post_init__(self):
+        super().__post_init__()
+        if self.bits < 1:
             raise ValueError("bits must be positive")
-        if hash_bits < 1:
+        if self.hash_bits < 1:
             raise ValueError("hash_bits must be positive")
-        if m_limit < 0:
+        if self.m_limit < 0:
             raise ValueError("m_limit must be >= 0")
         # not fields: equality, hashing, repr and to_dict stay on the widths
-        setfield(self, "h", h_params(hash_bits))
-        setfield(self, "g", g_params(bits))
+        setfield(self, "h", h_params(self.hash_bits))
+        setfield(self, "g", g_params(self.bits))
 
 
 class Flow1(Message):

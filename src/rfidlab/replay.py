@@ -39,10 +39,6 @@ class ReplayReport(Record):
     checked: int
     issues: list[ReplayIssue]
 
-    def __init__(self, checked: int, issues: list[ReplayIssue] | None = None):
-        self.checked = checked
-        self.issues = [] if issues is None else issues
-
     @property
     def ok(self) -> bool:
         return not self.issues

@@ -31,20 +31,22 @@ class ProtocolError(ValueError):
 class Params(FrozenRecord):
     """Base of both protocols' params: frozen records of int widths, and their document.
 
+    A params class extends ``__post_init__``, which the record constructor
+    runs once it has stored the widths, with its checks and derived values.
     A params object's hash is taken once, when it is built: transcript
     writing looks its document up by it once per transcript.
     """
 
-    def _set_widths(self, *values: int):
-        """Store the fields, given in their order; each must be an int.
+    def __post_init__(self):
+        """Check that each field, in field order, is an int, and take the hash.
 
         As params_from_dict requires of a document, so that equal params
         write one document: 96.0 and True compare equal to 96 and 1.
         """
+        values = tuple([getattr(self, name) for name in self._fields])
         for name, value in zip(self._fields, values):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            setfield(self, name, value)
         setfield(self, "_hash", hash(values))
 
     def __hash__(self):

@@ -12,7 +12,7 @@ import pytest
 
 from rfidlab import fwcfp, lwjx
 from rfidlab.attacks import DesyncOutcome
-from rfidlab.bits import BitString
+from rfidlab.bits import BitString, WidthError
 from rfidlab.crypto import HASH_NAME, HashParams, PermKey, g_params, h_params, permute
 from rfidlab.fwcfp import Flow2 as FwcfpFlow2
 from rfidlab.fwcfp import Flow3 as FwcfpFlow3
@@ -23,7 +23,7 @@ from rfidlab.lwjx import Flow3 as LwjxFlow3
 from rfidlab.lwjx import LwjxParams, LwjxReaderDb
 from rfidlab.lwjx import run_honest_session as lwjx_session
 from rfidlab.game import SCHEMA_VERSION, AdvantageReport, ChallengeHandle
-from rfidlab.records import FrozenRecord, FrozenRecordError
+from rfidlab.records import FrozenRecord, FrozenRecordError, setfield
 from rfidlab.replay import ReplayIssue, ReplayReport
 from rfidlab.rng import Rng
 from rfidlab.session import Message, Protocol, RejectMessage, SessionResult, SessionVerdict
@@ -68,11 +68,16 @@ class TestDerivedParams:
         name = next(iter(widths))
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             params._replace(**{name: value})
+        # the first bad field in field order is the one reported
+        first = params._fields[0]
+        with pytest.raises(ValueError, match=f"^{first} must be an integer, got {value!r}$"):
+            type(params)(value, 0)
 
     def test_equal_params_compare_and_hash_equal(self, params, widths, derived):
-        twin = type(params)(**params.to_dict())
-        assert twin == params
-        assert hash(twin) == hash(params)
+        for twin in (type(params)(**params.to_dict()), type(params)(*params.to_dict().values())):
+            assert twin == params
+            assert hash(twin) == hash(params)
+            assert twin.__dict__ == params.__dict__
 
     def test_pickle_round_trip(self, params, widths, derived):
         copy = pickle.loads(pickle.dumps(params))
@@ -242,6 +247,7 @@ STORING = [
     (AdvantageReport, {"hash_name": HASH_NAME, "schema": SCHEMA_VERSION, "generated_at": None}),
     (DesyncOutcome, {}),
     (ReplayIssue, {"line": None}),
+    (ReplayReport, {}),
 ]
 
 
@@ -275,3 +281,64 @@ def test_a_field_without_a_default_cannot_follow_one_with():
         class Unordered(FrozenRecord):
             a: int = 1
             b: int
+
+
+# every record class whose constructor checks its fields or derives values
+# from them: valid fields, then a change to one that the check refuses
+CHECKED = [
+    (FwcfpParams, (40, 24, 16, 12, 8), {"rand0_bits": 7}, ValueError, r"^id_bits \+ rand0_bits"),
+    (LwjxParams, (20, 6, 3), {"m_limit": -1}, ValueError, "^m_limit must be >= 0$"),
+    (HashParams, (8, 1), {"domain_tag": 256}, ValueError, "^domain tag must be one byte"),
+    (PermKey, (bytes(16), 8), {"width": 7}, WidthError, "^block width must be even"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, values, bad, error, message", CHECKED, ids=[c.__name__ for c, *_ in CHECKED]
+)
+def test_checked_constructors(cls, values, bad, error, message):
+    record = cls(*values)
+    twin = cls(**dict(zip(cls._fields, values)))
+    assert twin == record and twin.__dict__ == record.__dict__
+    with pytest.raises(error, match=message):
+        cls(**{**dict(zip(cls._fields, values)), **bad})
+    # _replace and pickling build through the constructor, so both check again
+    with pytest.raises(error, match=message):
+        record._replace(**bad)
+    for name, value in bad.items():
+        setfield(record, name, value)
+    with pytest.raises(error, match=message):
+        pickle.loads(pickle.dumps(record))
+
+
+class Subflow(fwcfp.Flow1):
+    pass
+
+
+class Subverdict(SessionVerdict):
+    pass
+
+
+class NotedVerdict(SessionVerdict, uncompared=("issued",)):
+    note: str = "none"
+
+
+def test_a_record_subclass_has_its_base_fields_then_its_own():
+    assert Subflow._fields == ("rand1",) and Subflow._names == {"rand1"}
+    assert Subflow(X) == Subflow(X) != Subflow(Y)
+    assert len({hash(Subflow(value)) for value in (X, Y, Z)}) == 3
+    assert repr(Subflow(X)) == f"Subflow(rand1={X!r})"
+    assert Subflow(X) != fwcfp.Flow1(X)
+    # an inherited default, and the base's uncompared field
+    verdict = Subverdict("tag", True)
+    assert (verdict.reason, verdict.issued) == (None, None)
+    assert Subverdict("tag", True, issued=X) == Subverdict("tag", True, issued=Y)
+    assert repr(verdict) == "Subverdict(party='tag', ok=True, reason=None, issued=None)"
+    # a subclass that adds a field
+    assert NotedVerdict._fields == (*SessionVerdict._fields, "note")
+    noted = NotedVerdict("reader", False, "bad-h1", X, "seen")
+    assert noted == NotedVerdict("reader", False, "bad-h1", Y, note="seen")
+    assert noted != NotedVerdict("reader", False, "bad-h1", X)
+    assert NotedVerdict("tag", True).note == "none"
+    assert pickle.loads(pickle.dumps(noted)) == noted
+    assert repr(noted).endswith(f"issued={X!r}, note='seen')")

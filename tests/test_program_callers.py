@@ -14,11 +14,17 @@ reported although it runs.
 
 An import is used when the name it binds at a module's top level occurs
 as a name (an ``ast.Name``) in that module.
+
+Every record class with fields builds with the constructor that
+``records.Record`` compiles for it, not one written by hand.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+from rfidlab import records
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM = ("src", "bench", "scripts")
@@ -66,3 +72,27 @@ def test_every_top_level_import_is_used_in_its_module():
                     if bound not in names:
                         unused.append(f"{path.relative_to(ROOT)}: {bound}")
     assert unused == []
+
+
+def record_classes(cls=records.Record):
+    """Every subclass of ``cls`` defined in a module of rfidlab, depth first."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("rfidlab."):
+            yield sub
+        yield from record_classes(sub)
+
+
+def test_every_record_constructor_is_the_compiled_one():
+    for path in sorted((ROOT / "src" / "rfidlab").glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"rfidlab.{path.stem}")
+    classes = [cls for cls in record_classes() if cls._fields]
+    assert len(classes) >= 19
+    written = []
+    for cls in classes:
+        code, names = cls.__init__.__code__, cls.__init__.__globals__
+        # _constructor execs each class's source in a namespace of its own
+        compiled = code.co_filename == "<string>" and "defaults" in names and "setfield" in names
+        if not (compiled and code.co_varnames[1 : 1 + len(cls._fields)] == cls._fields):
+            written.append(cls.__qualname__)
+    assert written == []

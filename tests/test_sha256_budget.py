@@ -1,17 +1,17 @@
-"""How many SHA-256 digests one honest session computes.
+"""How many SHA-256 digests one honest session, or one game trial, computes.
 
 Tag and reader check each other by asking the oracle the same question,
 and both run in this process, so half of an honest session's queries
 repeat one already answered. The table of recent queries under
 ``crypto.expand_mask`` answers those repeats without a digest; these
 tests pin that budget, so a change that defeats the table fails here.
-Each session is 96 bits wide, so every query costs one digest unless the
-table answers it.
+Every query here, a game trial's included, asks for at most 256 bits, so
+it costs one digest unless the table answers it.
 """
 
 import pytest
 
-from rfidlab import crypto, fwcfp, lwjx
+from rfidlab import crypto, fwcfp, game, lwjx
 from rfidlab.rng import Rng
 
 UNRELATED_QUERIES = 40  # more than the table holds
@@ -98,3 +98,34 @@ def test_lwjx_dropped_flow3_then_old_branch_session(digests, gap, expected):
     # and H(ID'), which the reader asked in the dropped session: the tag's
     # chain costs digests only once other queries have evicted those
     assert len(digests) == expected, digests
+
+
+# each strategy's protocol, its params at hash_bits 8, and the digests a
+# trial computes when the hidden bit b is 0 and when it is 1
+TRIALS = [
+    ("fwcfp", "fwcfp-trace", fwcfp.FwcfpParams(hash_bits=8), (16, 17)),
+    ("fwcfp", "fwcfp-backtrace", fwcfp.FwcfpParams(hash_bits=8), (16, 17)),
+    ("lwjx", "lwjx-trace-id", lwjx.LwjxParams(hash_bits=8), (3, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "protocol, strategy, params, expected", TRIALS, ids=[strategy for _, strategy, *_ in TRIALS]
+)
+def test_game_trial(digests, protocol, strategy, params, expected):
+    # FWCFP: provisioning the two tags permutes an alias for each, 4 rounds
+    # each, and one honest session costs 8 digests (see above; its invert
+    # repeats the provisioning rounds). fwcfp-trace's challenge asks for
+    # H(Kb || rand2) and fwcfp-backtrace recomputes H(K0 || rand1), each a
+    # repeat of the session's query exactly when b = 0. LWJX: each tag's
+    # H(ID) at provisioning, then the tag's H(K || Rr) for the learning
+    # probe, which the challenge probe repeats exactly when b = 0
+    seen = set()
+    for index in range(8):
+        crypto._oracle.cache_clear()
+        digests.clear()
+        outcome, b, _ = game.run_single_trial(protocol, strategy, params, 2024, index)
+        assert outcome == "ok"
+        assert len(digests) == expected[b], (index, digests)
+        seen.add(b)
+    assert seen == {0, 1}
