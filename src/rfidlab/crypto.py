@@ -96,6 +96,9 @@ class HashParams(FrozenRecord):
     domain_tag: int
 
     def __post_init__(self):
+        for name, value in (("output_bits", self.output_bits), ("domain_tag", self.domain_tag)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.output_bits < 1:
             raise ValueError(f"hash output must be >= 1 bit, got {self.output_bits}")
         if not 0 <= self.domain_tag <= 0xFF:
@@ -168,6 +171,8 @@ class PermKey(FrozenRecord):
         key, width = self.key, self.width
         if not key:
             raise ValueError("permutation key must be non-empty")
+        if type(width) is not int:
+            raise WidthError(f"width must be an integer, got {width!r}")
         if width < 2 or width % 2:
             raise WidthError(f"block width must be even and >= 2, got {width}")
         # not fields: a round hashes key || right half, built from these

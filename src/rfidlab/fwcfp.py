@@ -34,12 +34,14 @@ from .session import (
 PROTOCOL_NAME = "fwcfp"
 
 # every verdict but the reader's accept, which carries the issued alias, is
-# a fixed value; verdicts are frozen, so each is built once and shared
+# a fixed value; verdicts are frozen, so each is built once and shared.
+# _READER_ACCEPT equals each accept, as verdicts compare without ``issued``
 _TAG_ACCEPT = SessionVerdict("tag", True)
 _TAG_BAD_H2 = SessionVerdict("tag", False, "bad-h2")
 _TAG_ALIAS_MISMATCH = SessionVerdict("tag", False, "alias-mismatch")
 _READER_UNKNOWN_IDT = SessionVerdict("reader", False, "unknown-idt")
 _READER_BAD_H1 = SessionVerdict("reader", False, "bad-h1")
+_READER_ACCEPT = SessionVerdict("reader", True)
 
 
 class FwcfpParams(Params):
@@ -267,6 +269,7 @@ PROTOCOL = Protocol(
     disclose=lambda tag: {"k": tag.k, "idt": tag.bookkeeping_idt, "alias_before": tag.idta},
     disclose_after=lambda tag: {"alias_after": tag.idta},
     disclosed=frozenset({"k", "idt", "alias_before", "alias_after"}),
+    reader_verdicts=(_READER_ACCEPT, _READER_UNKNOWN_IDT, _READER_BAD_H1),
     finalize=lambda tag, flow3: tag.finalize(flow3),
     new_reader=FwcfpReaderDb.create,
     provision=FwcfpReaderDb.provision_tag,

@@ -15,7 +15,8 @@ phase violation; the backward-untraceability variant permits it once an
 Execute through the challenge handle has completed, which reproduces the
 corrupt-after-the-fact timeline that attack needs. Every game allows the
 same fixed number of queries, ``BUDGET``; a strategy that spends more has
-its trial discarded.
+its trial discarded. Every query passes one admission step: the phase,
+then the budget, then the tag it names, so a refused tag is still charged.
 
 Advantage runs execute many independent trials, each with fresh tags,
 its own reader and disjoint randomness streams, and compare the measured
@@ -31,6 +32,7 @@ import math
 import os
 import time
 from collections import Counter
+from operator import attrgetter
 
 from . import fwcfp, lwjx
 from .bits import BitString
@@ -49,6 +51,8 @@ GUESS = "guess"
 
 CORRUPT_NEVER = "never"
 CORRUPT_AFTER_ARCHIVE = "after-challenge-archive"
+
+_NO_TAG = object()  # the reference of a query that names no tag
 
 
 class PhaseViolation(RuntimeError):
@@ -117,37 +121,35 @@ class UprivGame:
                 f"query not allowed in the {self.phase} phase"
             )
 
-    def _charge(self):
+    def _admit(self, ref=_NO_TAG):
+        """Admit one query: its phase, then the budget, then the tag ``ref`` names.
+
+        That tag comes back with whether the handle named it; no ``ref``, None.
+        """
+        self._require_phase(LEARNING, CHALLENGE)
         self.queries_used += 1
         if self.queries_used > BUDGET:
             raise BudgetExceeded(f"query budget of {BUDGET} exhausted")
-
-    def _tag_index(self, ref) -> tuple[int, bool]:
         if isinstance(ref, ChallengeHandle):
             if self.handle is None or ref.token != self.handle.token:
                 raise PhaseViolation("no such challenge handle in this game")
-            return self.b, True
+            return (self.tag0, self.tag1)[self.b], True
         if ref in (0, 1):
-            return ref, False
-        raise ValueError(f"tag reference must be 0, 1 or the challenge handle: {ref!r}")
+            return (self.tag0, self.tag1)[ref], False
+        if ref is not _NO_TAG:
+            raise ValueError(f"tag reference must be 0, 1 or the challenge handle: {ref!r}")
 
     def execute(self, ref) -> Transcript:
         """Run a full honest session with the referenced tag; return its transcript."""
-        self._require_phase(LEARNING, CHALLENGE)
-        self._charge()
-        index, via_handle = self._tag_index(ref)
-        tag = (self.tag0, self.tag1)[index]
+        tag, via_handle = self._admit(ref)
         result = self.protocol.run_session(tag, self.db, self.rng)
-        if via_handle and self.phase == CHALLENGE:
+        if via_handle:  # a handle exists only from the challenge phase on
             self._challenge_archived = True
         return result.transcript
 
     def send_to_tag(self, ref, message):
         """Deliver an adversary-chosen message; malformed input draws a plain reject."""
-        self._require_phase(LEARNING, CHALLENGE)
-        self._charge()
-        index, _ = self._tag_index(ref)
-        tag = (self.tag0, self.tag1)[index]
+        tag, _ = self._admit(ref)
         try:
             if isinstance(message, self.protocol.flows[0]):
                 return tag.respond(message, self.rng)
@@ -158,13 +160,11 @@ class UprivGame:
         return RejectMessage()  # malformed, or no message a tag answers
 
     def reader_begin(self):
-        self._require_phase(LEARNING, CHALLENGE)
-        self._charge()
+        self._admit()
         return self.db.begin(self.rng)
 
     def send_to_reader(self, sid, message):
-        self._require_phase(LEARNING, CHALLENGE)
-        self._charge()
+        self._admit()
         try:
             return self.db.authenticate(sid, message, self.rng)[1]
         except ProtocolError:
@@ -174,7 +174,6 @@ class UprivGame:
         """Read out a candidate tag's secrets, optionally overwriting them."""
         if ref not in (0, 1):
             raise ValueError("corrupt takes a named tag, not the challenge handle")
-        self._require_phase(LEARNING, CHALLENGE)
         if self.phase == CHALLENGE:
             # both tags of a trial are the designated candidates
             if self.corrupt_policy != CORRUPT_AFTER_ARCHIVE:
@@ -183,8 +182,7 @@ class UprivGame:
                 raise PhaseViolation(
                     "corrupt must come after the challenge session is archived"
                 )
-        self._charge()
-        tag = (self.tag0, self.tag1)[ref]
+        tag, _ = self._admit(ref)
         secrets = {name: getattr(tag, name) for name in self.protocol.state}
         if replacement is not None:
             new = {name: replacement[name] for name in secrets}
@@ -211,25 +209,16 @@ class UprivGame:
 
 
 class GameDriver:
-    """The query surface a strategy sees; game internals stay out of reach."""
+    """The query surface a strategy sees: each query is the game's method, read on each access."""
 
     def __init__(self, game: UprivGame):
         self._game = game
 
-    def execute(self, ref) -> Transcript:
-        return self._game.execute(ref)
-
-    def send_to_tag(self, ref, message):
-        return self._game.send_to_tag(ref, message)
-
-    def reader_begin(self):
-        return self._game.reader_begin()
-
-    def send_to_reader(self, sid, message):
-        return self._game.send_to_reader(sid, message)
-
-    def corrupt(self, ref, replacement=None):
-        return self._game.corrupt(ref, replacement)
+    execute = property(attrgetter("_game.execute"))
+    send_to_tag = property(attrgetter("_game.send_to_tag"))
+    reader_begin = property(attrgetter("_game.reader_begin"))
+    send_to_reader = property(attrgetter("_game.send_to_reader"))
+    corrupt = property(attrgetter("_game.corrupt"))
 
 
 class AdversaryStrategy:
@@ -290,11 +279,12 @@ def _strategy_class(protocol_name: str, strategy_name: str):
     """
     if protocol_name not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol_name!r}")
-    if strategy_name not in STRATEGY_FACTORIES:
+    factory = STRATEGY_FACTORIES.get(strategy_name)
+    if factory is None:
         from . import attacks  # noqa: F401  (adds the attack strategies)
-    if strategy_name not in STRATEGY_FACTORIES:
+        factory = STRATEGY_FACTORIES.get(strategy_name)
+    if factory is None:
         raise ValueError(f"unknown strategy {strategy_name!r}")
-    factory = STRATEGY_FACTORIES[strategy_name]
     protocol = getattr(factory, "protocol", None)
     if protocol not in (None, protocol_name):
         raise ValueError(f"strategy {strategy_name!r} attacks {protocol}, not {protocol_name}")

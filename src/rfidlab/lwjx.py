@@ -302,17 +302,18 @@ class LwjxReaderDb(Reader):
             id_ = rng.bits(p.bits)
         if k is None:
             k = rng.bits(p.bits)
+        tag = LwjxTag(p, id_, k)  # the record files under the H(ID) the tag keeps
         self.add_record(
             LwjxReaderRecord(
                 id=id_,
-                h_id_new=BitString(p.hash_bits, truncated_hash(p.h, id_.width, id_.value)),
+                h_id_new=BitString(p.hash_bits, tag._h_id),
                 h_id_old=None,
                 k_new=k,
                 k_old=None,
                 m=0,
             )
         )
-        return LwjxTag(p, id_, k)
+        return tag
 
     def authenticate(
         self, sid: str, flow2: Flow2, rng: Rng
@@ -452,6 +453,13 @@ PROTOCOL = Protocol(
     disclose=lambda tag: {"id": tag.id, "k": tag.k},
     disclose_after=lambda tag: {"id_after": tag.id, "k_after": tag.k},
     disclosed=frozenset({"id", "k", "id_after", "k_after"}),
+    reader_verdicts=(
+        _READER_NEW_BRANCH,
+        _READER_OLD_BRANCH,
+        _READER_WARN_LIMIT,
+        _READER_BAD_KEY_HASH,
+        _READER_NO_MATCH,
+    ),
     # the tag sends nothing once it has judged the reply: no flow4, no reject
     finalize=lambda tag, flow3: (tag.finalize(flow3), None),
     new_reader=lambda params, rng: LwjxReaderDb(params),

@@ -8,8 +8,9 @@ that is missing or not a bit string of the protocol's width, a delivered
 flow's key that the flow's message does not declare, an entry of a flow
 the protocol does not have, a disclosed secret it does not disclose, a
 reader verdict that is missing, repeated, or disagrees with whether the
-reader sent flow3 or logged a reject, and a reader verdict or reject
-marker logged before flow2 reached the reader.
+reader sent flow3 or logged a reject, a reader verdict or reject
+marker logged before flow2 reached the reader, and a reader verdict whose
+reason the protocol's reader never gives with that outcome.
 """
 
 from __future__ import annotations
@@ -143,6 +144,19 @@ _FLOWS = ("flow1", "flow2", "flow3", "flow4")
 _VERIFIERS = {fwcfp.PROTOCOL_NAME: _verify_fwcfp, lwjx.PROTOCOL_NAME: _verify_lwjx}
 
 
+def _outcome(fields: dict) -> tuple:
+    """A verdict's outcome, whether it gives a reason (a null one counts), and the reason."""
+    return fields.get("outcome"), "reason" in fields, fields.get("reason")
+
+
+# the outcome of each verdict a protocol's reader gives, as a transcript logs
+# it; a tuple, so an unhashable logged reason compares too
+_READER_OUTCOMES = {
+    name: tuple(_outcome(v.fields()) for v in protocol.reader_verdicts)
+    for name, protocol in PROTOCOLS.items()
+}
+
+
 def verify_transcript(t: Transcript) -> ReplayReport:
     """Re-derive t's fields; raises TranscriptParamsError on malformed params.
 
@@ -155,7 +169,8 @@ def verify_transcript(t: Transcript) -> ReplayReport:
     disclosed secret the protocol does not disclose, sorted; and, when
     flow2 reached the reader, each way the reader's verdict disagrees with
     the reader's own entries, then each reader verdict or reject marker
-    logged before the log's first flow2 entry.
+    logged before the log's first flow2 entry, then each reader verdict
+    whose reason the protocol's reader never gives with that outcome.
     """
     protocol = PROTOCOLS.get(t.protocol)
     if protocol is None:
@@ -203,6 +218,7 @@ def verify_transcript(t: Transcript) -> ReplayReport:
                 ReplayIssue("verdict.reader", "logged before flow2 reached the reader")
                 for _ in range(early)
             )
+        issues.extend(_reason_issues(_READER_OUTCOMES[t.protocol], reader_verdicts))
     return ReplayReport(checked, issues)
 
 
@@ -232,6 +248,22 @@ def _reader_verdict_issues(sent: set, verdicts: list) -> list[ReplayIssue]:
             else "the reader logged a reject, but the verdict does not reject"
         )
         issues.append(ReplayIssue("verdict.reader", problem))
+    return issues
+
+
+def _reason_issues(given: tuple, verdicts: list) -> list[ReplayIssue]:
+    """One issue per reader verdict whose reason its reader never gives with its outcome.
+
+    An outcome that is neither accept nor reject is left to
+    ``_reader_verdict_issues``.
+    """
+    issues = []
+    for fields in verdicts:
+        outcome, has_reason, reason = logged = _outcome(fields)
+        if outcome in ("accept", "reject") and logged not in given:
+            what = f"reason {reason!r}" if has_reason else "no reason"
+            problem = f"{outcome}s with {what}, which this protocol's reader never gives"
+            issues.append(ReplayIssue("verdict.reader", problem))
     return issues
 
 

@@ -183,6 +183,7 @@ class Protocol(FrozenRecord):
     disclose: Callable  # tag -> the secrets disclosed at session start
     disclose_after: Callable  # tag -> the secrets added once the tag has judged
     disclosed: frozenset  # the names of all the secrets these two disclose
+    reader_verdicts: tuple  # every verdict the reader gives, by value (issued aside)
     finalize: Callable  # (tag, flow3) -> (verdict, flow4 or reject, or None)
     new_reader: Callable  # (params, rng) -> a reader with no tags
     provision: Callable  # (db, rng[, id, k]) -> a new tag registered with db

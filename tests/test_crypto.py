@@ -344,6 +344,27 @@ class TestPermutation:
             PermKey(b"", 8)
 
 
+# (class, fields, error, message): a width or tag that is not an int fails
+# at construction, naming the field, not at the first oracle call or shift;
+# a PermKey width fails with the WidthError an odd width gets
+NOT_INTS = [
+    (HashParams, (8.0, H_TAG), ValueError, r"^output_bits must be an integer, got 8\.0$"),
+    (HashParams, (True, H_TAG), ValueError, "^output_bits must be an integer, got True$"),
+    (HashParams, (8, 1.0), ValueError, r"^domain_tag must be an integer, got 1\.0$"),
+    (PermKey, (bytes(16), 8.0), WidthError, r"^width must be an integer, got 8\.0$"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, error, message",
+    NOT_INTS,
+    ids=["hash-float-bits", "hash-bool-bits", "hash-float-tag", "perm-float-width"],
+)
+def test_a_field_that_is_not_an_int_is_named_at_construction(cls, fields, error, message):
+    with pytest.raises(error, match=message):
+        cls(*fields)
+
+
 class TestFeistelOracleCalls:
     """Each Feistel round is one counted hash call, made through the module names.
 

@@ -21,6 +21,9 @@ from rfidlab.game import (
     PROTOCOLS,
     STRATEGY_FACTORIES,
     AdversaryStrategy,
+    BudgetExceeded,
+    ChallengeHandle,
+    GameDriver,
     PhaseViolation,
     UprivGame,
     estimate_advantage,
@@ -351,6 +354,85 @@ class TestPhaseDiscipline:
                 assert legal, f"{op} should have raised"
             except PhaseViolation:
                 assert not legal, f"{op} should have been allowed"
+
+
+# the adversary's queries, each as a call on a game or a driver
+QUERIES = {
+    "execute": lambda q: q.execute(0),
+    "send_to_tag": lambda q: q.send_to_tag(0, fwcfp.Flow1(Rng(1).bits(96))),
+    "reader_begin": lambda q: q.reader_begin(),
+    "send_to_reader": lambda q: q.send_to_reader(
+        "s0", fwcfp.Flow2(BitString(128, 0), BitString(96, 0), BitString(96, 0))
+    ),
+    "corrupt": lambda q: q.corrupt(0),
+}
+
+
+class TestQueryAdmission:
+    """Every query is admitted in one order: phase, then budget, then the tag it names."""
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_guess_phase_refuses_each_query_without_charging_it(self, query):
+        game = fresh_game()
+        game.run_test()
+        game.begin_guess()
+        used = game.queries_used
+        with pytest.raises(PhaseViolation, match="^query not allowed in the guess phase$"):
+            QUERIES[query](game)
+        assert game.queries_used == used
+
+    def test_a_refused_tag_reference_is_charged(self):
+        game = fresh_game()
+        game.run_test()
+        foreign = ChallengeHandle(Rng(123).bits(128))
+        for i in range(BUDGET):
+            if i % 2:
+                with pytest.raises(ValueError, match="^tag reference must be 0, 1"):
+                    game.execute(2)
+            else:
+                with pytest.raises(PhaseViolation, match="^no such challenge handle"):
+                    game.send_to_tag(foreign, fwcfp.Flow1(Rng(1).bits(96)))
+            assert game.queries_used == i + 1
+        with pytest.raises(BudgetExceeded):
+            game.execute(2)
+        with pytest.raises(BudgetExceeded):
+            game.reader_begin()
+
+    def test_corrupting_the_handle_is_refused_before_it_is_charged(self):
+        game = fresh_game(corrupt_policy=CORRUPT_AFTER_ARCHIVE)
+        handle = game.run_test()
+        game.execute(handle)
+        used = game.queries_used
+        with pytest.raises(ValueError, match="^corrupt takes a named tag"):
+            game.corrupt(handle)
+        assert game.queries_used == used
+        game.corrupt(0)
+        assert game.queries_used == used + 1
+
+    def test_a_refused_corrupt_policy_is_not_charged(self):
+        game = fresh_game()
+        game.run_test()
+        with pytest.raises(PhaseViolation, match="^candidate tags stay fresh"):
+            game.corrupt(0)
+        assert game.queries_used == 0
+
+    def test_every_query_passes_the_admission_step(self, monkeypatch):
+        # the one place to enforce an adversary class: no query may bypass it
+        class Admitted(Exception):
+            pass
+
+        def admit(self, *args):
+            raise Admitted
+
+        monkeypatch.setattr(UprivGame, "_admit", admit)
+        game = fresh_game()
+        driver = GameDriver(game)
+        for run in QUERIES.values():
+            for surface in (game, driver):
+                with pytest.raises(Admitted):
+                    run(surface)
+        public = {name for name in dir(GameDriver) if not name.startswith("_")}
+        assert public == QUERIES.keys()
 
 
 class SpendthriftStrategy(AdversaryStrategy):

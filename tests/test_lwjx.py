@@ -1,5 +1,6 @@
 import pytest
 
+from rfidlab import lwjx
 from rfidlab.bits import BitString
 from rfidlab.crypto import truncated_hash
 from rfidlab.lwjx import (
@@ -93,6 +94,30 @@ class TestKeptIdentifierHash:
         with pytest.raises(ProtocolError):
             tag.id = rng.bits(tag.params.bits - 1)
         assert (tag._id, tag._h_id) == before
+
+
+    def test_provisioning_files_the_record_under_the_tags_kept_hash(self, monkeypatch):
+        db = LwjxReaderDb(LwjxParams())
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return truncated_hash(*args)
+
+        monkeypatch.setattr(lwjx, "truncated_hash", counted)
+        tag = db.provision(Rng(1))
+        assert len(calls) == 1  # the tag's H(ID), which the record reuses
+        (rec,) = db.records
+        assert rec.h_id_new == BitString(db.params.hash_bits, tag._h_id)
+        assert rec.h_id_new == hash_of(db.params.h, tag.id)
+        assert is_synchronized(db, tag)
+
+    @pytest.mark.parametrize("secret", ["id_", "k"])
+    def test_a_bad_width_is_refused_by_the_tag_before_any_record(self, secret):
+        db = LwjxReaderDb(LwjxParams())
+        with pytest.raises(ProtocolError, match="^tag secrets must use the protocol width$"):
+            db.provision(Rng(1), **{secret: BitString(8, 1)})
+        assert db.records == []
 
 
 class TestAuthenticate:

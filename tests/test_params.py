@@ -188,6 +188,16 @@ def test_every_verdict_is_frozen(collect, expected):
                 setattr(verdict, name, None)
 
 
+@pytest.mark.parametrize(
+    "collect, protocol", [(fwcfp_verdicts, fwcfp.PROTOCOL), (lwjx_verdicts, lwjx.PROTOCOL)], ids=IDS
+)
+def test_the_protocol_table_lists_each_verdict_its_reader_gives(collect, protocol):
+    # replay takes the (outcome, reason) pairs a reader may log from this list
+    given = {verdict for verdict in collect() if verdict.party == "reader"}
+    assert len(protocol.reader_verdicts) == len(given)
+    assert set(protocol.reader_verdicts) == given
+
+
 X, Y, Z = BitString(8, 1), BitString(8, 2), BitString(8, 3)
 
 

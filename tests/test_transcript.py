@@ -675,7 +675,8 @@ class TestReplay:
             ("fwcfp_honest.jsonl", "marker",
              ["the reader logged a reject, but the verdict does not reject"]),
             ("lwjx_honest.jsonl", "marker+reject",
-             ["the reader sent flow3, but the verdict does not accept"]),
+             ["the reader sent flow3, but the verdict does not accept",
+              "rejects with reason 'bad-h1', which this protocol's reader never gives"]),
             ("lwjx_honest.jsonl", "unknown",
              ["the reader sent flow3, but the verdict does not accept"]),
         ],
@@ -738,6 +739,49 @@ class TestReplay:
         ]
         assert main(["replay", "--input", str(path)]) == EXIT_THRESHOLD
         assert "verdict.reader: logged before flow2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name, edit, issues",
+        [
+            ("lwjx_honest.jsonl", lambda f: f.update(reason="bogus"),
+             ["accepts with reason 'bogus', which this protocol's reader never gives"]),
+            ("lwjx_honest.jsonl", lambda f: f.pop("reason"),
+             ["accepts with no reason, which this protocol's reader never gives"]),
+            ("lwjx_honest.jsonl", lambda f: f.update(reason=["new-branch"]),
+             ["accepts with reason ['new-branch'], which this protocol's reader never gives"]),
+            ("fwcfp_honest.jsonl", lambda f: f.update(reason="no-match"),
+             ["accepts with reason 'no-match', which this protocol's reader never gives"]),
+            ("fwcfp_honest.jsonl", lambda f: f.update(reason=None),
+             ["accepts with reason None, which this protocol's reader never gives"]),
+            # after the issues of the outcome itself
+            ("fwcfp_honest.jsonl", lambda f: f.update(outcome="reject", reason="warn-limit"),
+             ["the reader sent flow3, but the verdict does not accept",
+              "rejects, but the reader logged no reject",
+              "rejects with reason 'warn-limit', which this protocol's reader never gives"]),
+        ],
+        ids=["lwjx-unknown-reason", "lwjx-accept-without-reason", "lwjx-unhashable-reason",
+             "fwcfp-accept-with-a-reason", "fwcfp-accept-with-a-null-reason",
+             "fwcfp-reject-with-an-lwjx-reason"],
+    )
+    def test_the_reader_verdicts_reason_is_one_its_reader_gives(
+        self, tmp_path, capsys, name, edit, issues
+    ):
+        """``edit`` changes the fields of s0's reader verdict line in place."""
+        docs = [json.loads(line) for line in (FIXTURES / name).read_text().splitlines()]
+        for doc in docs:
+            if doc["session"] == "s0" and doc.get("flow") == "verdict" and (
+                doc["sender"] == "reader"
+            ):
+                edit(doc["fields"])
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        report = replay_file(path)
+        assert report.checked == 12
+        assert [(i.field, i.message) for i in report.issues] == [
+            ("verdict.reader", issue) for issue in issues
+        ]
+        assert main(["replay", "--input", str(path)]) == EXIT_THRESHOLD
+        assert "never gives" in capsys.readouterr().out
 
     @pytest.mark.parametrize("protocol", [fwcfp.PROTOCOL, lwjx.PROTOCOL], ids=["fwcfp", "lwjx"])
     def test_disclosed_names_are_what_a_disclosed_session_records(self, protocol):
